@@ -4,7 +4,7 @@ aggregation, and a JSON model format that reloads to bit-identical decisions."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -47,15 +47,16 @@ class CommitteeConfig:
 def _inner_cv_accuracy(X, y, feature_subset, inner_folds, params, seed) -> float:
     folds = kfold_split(len(y), k=inner_folds, seed=seed, stratify_by=y)
     probe = replace(params, max_passes=min(params.max_passes, SELECTION_MAX_PASSES))
-    correct = 0
+    correct = evaluated = 0
     for f in range(inner_folds):
         tr = folds != f
         te = folds == f
         if np.unique(y[tr]).size < 2:
-            continue
+            continue                       # a skipped fold's rows are not scored
         model = train_svm(X[tr], y[tr], probe, feature_indices=feature_subset)
         correct += int((model.predict(X[te]) == y[te]).sum())
-    return correct / len(y)
+        evaluated += int(te.sum())
+    return correct / evaluated if evaluated else 0.0
 
 
 def greedy_forward_select(X: np.ndarray, y: np.ndarray, candidates,
@@ -165,6 +166,7 @@ def save_committee(committee: Committee, path) -> None:
             "max_features": committee.config.selection.max_features,
             "inner_folds": committee.config.selection.inner_folds,
         },
+        "member_params": asdict(committee.config.member_params),
         "members": [_model_to_json(m) for m in committee.members],
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
@@ -174,8 +176,12 @@ def load_committee(path) -> Committee:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if doc.get("format") != "vcfclass-committee":
         raise ValueError(f"{path}: not a committee model file")
+    params = dict(doc.get("member_params", {}))   # absent in older files: defaults
+    if params.get("class_weights") is not None:
+        params["class_weights"] = tuple(params["class_weights"])
     cfg = CommitteeConfig(
         n_members=doc["n_members"],
+        member_params=SvmParams(**params),
         selection=SelectionConfig(**doc["selection"]),
         seed=doc["seed"])
     members = [_model_from_json(d) for d in doc["members"]]

@@ -15,7 +15,7 @@ import numpy as np
 from .committee import Committee, CommitteeConfig, train_committee
 from .features import (ALL_COLUMNS, CONTRAST_COLUMNS, FeatureTable,
                        condition_columns)
-from .folds import kfold_split  # noqa: F401  (re-exported learning surface)
+from .folds import kfold_split
 
 
 @dataclass

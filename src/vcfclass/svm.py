@@ -38,11 +38,6 @@ class SvmParams:
         if self.tol <= 0:
             raise ValueError("tol must be positive")
 
-    def weight(self, label: int) -> float:
-        if self.class_weights is None:
-            return 1.0
-        return self.class_weights[0] if label < 0 else self.class_weights[1]
-
 
 def kernel_matrix(X: np.ndarray, Y: np.ndarray, kernel: str, gamma: float | None) -> np.ndarray:
     if kernel == "linear":
@@ -77,20 +72,19 @@ class SvmModel:
     train_C: np.ndarray | None = field(default=None, repr=False)
 
     def _standardize(self, X: np.ndarray) -> np.ndarray:
+        """Pick the model's columns out of full-width rows and z-score them."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if X.shape[1] == self.mean.size:
-            sel = X
-        else:
-            sel = X[:, list(self.feature_indices)]
-        return (sel - self.mean) / self.std
+        width = max(self.feature_indices, default=-1) + 1
+        if X.shape[1] < width:
+            raise ValueError(
+                f"feature dimension mismatch: got {X.shape[1]} columns, "
+                f"model reads columns of a {width}-wide table")
+        return (X[:, list(self.feature_indices)] - self.mean) / self.std
 
     def decision_values(self, X: np.ndarray) -> np.ndarray:
-        """Signed decision value per row; > 0 classifies as the +1 class."""
+        """Signed decision value per row of the full training-width table;
+        > 0 classifies as the +1 class."""
         Xs = self._standardize(X)
-        if Xs.shape[1] != self.support_vectors.shape[1]:
-            raise ValueError(
-                f"feature dimension mismatch: got {Xs.shape[1]}, "
-                f"model expects {self.support_vectors.shape[1]}")
         K = kernel_matrix(Xs, self.support_vectors, self.kernel, self.gamma)
         return K @ self.dual_coef + self.bias
 
@@ -159,7 +153,8 @@ def train_svm(X: np.ndarray, y: np.ndarray, params: SvmParams = SvmParams(),
 
     gamma = _resolve_gamma(params, Xs)
     K = kernel_matrix(Xs, Xs, params.kernel, gamma)
-    Cv = np.array([params.C * params.weight(int(t)) for t in y])
+    w_neg, w_pos = params.class_weights or (1.0, 1.0)
+    Cv = params.C * np.where(y < 0, w_neg, w_pos)
 
     alpha, bias = _smo(K, y, Cv, params.tol, params.max_passes,
                        np.random.default_rng(np.random.SeedSequence([params.seed])))
@@ -181,28 +176,50 @@ def _smo(K: np.ndarray, y: np.ndarray, Cv: np.ndarray, tol: float,
     (violation gap <= 2*tol) is exactly the per-example KKT certificate for
     that threshold. The pair budget is ``max_passes`` sweep-equivalents
     (n steps each).
+
+    ``e_up``/``e_low`` copy ``errors`` inside I_up/I_low and hold +inf/-inf
+    outside. They take the same update as ``errors`` and change membership
+    only at the two examples a step moves, so choosing the pair is one
+    argmin and one argmax. The pair arithmetic runs on Python floats.
     """
     n = y.size
-    alpha = np.zeros(n)
     errors = -y.copy()                    # u - y with all-zero alpha
+    alpha = [0.0] * n
+    ys = y.tolist()
+    Cs = Cv.tolist()
+
+    # I_up: alpha may grow (raises y*u); I_low: alpha may shrink.
+    def in_up(i: int) -> bool:
+        return alpha[i] < Cs[i] if ys[i] > 0 else alpha[i] > 0
+
+    def in_low(i: int) -> bool:
+        return alpha[i] > 0 if ys[i] > 0 else alpha[i] < Cs[i]
+
+    def index_sets():
+        return (np.array([in_up(i) for i in range(n)], dtype=bool),
+                np.array([in_low(i) for i in range(n)], dtype=bool))
+
+    up, low = index_sets()
+    e_up = np.where(up, errors, np.inf)
+    e_low = np.where(low, errors, -np.inf)
 
     def take_step(i1: int, i2: int) -> bool:
-        nonlocal errors
+        nonlocal errors, e_up, e_low
         if i1 == i2:
             return False
         a1o, a2o = alpha[i1], alpha[i2]
-        y1, y2 = y[i1], y[i2]
-        e1, e2 = errors[i1], errors[i2]
+        y1, y2 = ys[i1], ys[i2]
+        e1, e2 = errors.item(i1), errors.item(i2)
         s = y1 * y2
         if s < 0:
             L = max(0.0, a2o - a1o)
-            H = min(Cv[i2], Cv[i1] + a2o - a1o)
+            H = min(Cs[i2], Cs[i1] + a2o - a1o)
         else:
-            L = max(0.0, a1o + a2o - Cv[i1])
-            H = min(Cv[i2], a1o + a2o)
+            L = max(0.0, a1o + a2o - Cs[i1])
+            H = min(Cs[i2], a1o + a2o)
         if L >= H - _STEP_EPS:
             return False
-        k11, k12, k22 = K[i1, i1], K[i1, i2], K[i2, i2]
+        k11, k12, k22 = K.item(i1, i1), K.item(i1, i2), K.item(i2, i2)
         eta = k11 + k22 - 2.0 * k12
         if eta > _STEP_EPS:
             a2 = a2o + y2 * (e1 - e2) / eta
@@ -224,37 +241,35 @@ def _smo(K: np.ndarray, y: np.ndarray, Cv: np.ndarray, tol: float,
             return False
         a1 = a1o + s * (a2o - a2)
         # Snap grime at the box boundary to exact bounds.
-        if a1 < _BOUND_EPS * Cv[i1]:
+        if a1 < _BOUND_EPS * Cs[i1]:
             a1 = 0.0
-        elif a1 > Cv[i1] * (1.0 - _BOUND_EPS):
-            a1 = Cv[i1]
-        if a2 < _BOUND_EPS * Cv[i2]:
+        elif a1 > Cs[i1] * (1.0 - _BOUND_EPS):
+            a1 = Cs[i1]
+        if a2 < _BOUND_EPS * Cs[i2]:
             a2 = 0.0
-        elif a2 > Cv[i2] * (1.0 - _BOUND_EPS):
-            a2 = Cv[i2]
+        elif a2 > Cs[i2] * (1.0 - _BOUND_EPS):
+            a2 = Cs[i2]
         d1 = y1 * (a1 - a1o)
         d2 = y2 * (a2 - a2o)
-        errors += d1 * K[i1] + d2 * K[i2]
+        delta = d1 * K[i1] + d2 * K[i2]
+        errors += delta
+        e_up += delta                      # +-inf entries stay infinite
+        e_low += delta
         alpha[i1] = a1
         alpha[i2] = a2
+        for i in (i1, i2):
+            e_up[i] = errors[i] if in_up(i) else np.inf
+            e_low[i] = errors[i] if in_low(i) else -np.inf
         return True
-
-    # I_up: alpha may grow (raises y*u); I_low: alpha may shrink.
-    def up_mask():
-        return ((y > 0) & (alpha < Cv)) | ((y < 0) & (alpha > 0))
-
-    def low_mask():
-        return ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < Cv))
 
     max_steps = max_passes * max(n, 8)
     for _ in range(max_steps):
-        up = np.flatnonzero(up_mask())
-        low = np.flatnonzero(low_mask())
-        if up.size == 0 or low.size == 0:
-            break
-        i_up = int(up[np.argmin(errors[up])])
-        i_low = int(low[np.argmax(errors[low])])
-        if errors[i_low] - errors[i_up] <= 2.0 * tol:
+        i_up = int(e_up.argmin())
+        i_low = int(e_low.argmax())
+        lo, hi = e_up.item(i_up), e_low.item(i_low)
+        if lo == np.inf or hi == -np.inf:
+            break                          # an index set is empty (errors are finite)
+        if hi - lo <= 2.0 * tol:
             break                          # KKT holds within tol for all
         if take_step(i_up, i_low):
             continue
@@ -269,17 +284,17 @@ def _smo(K: np.ndarray, y: np.ndarray, Cv: np.ndarray, tol: float,
                 break
         if not moved:
             break                          # no pair admits progress
+    up, low = index_sets()
+    alpha = np.array(alpha, dtype=np.float64)
     # Recompute the cache before fitting the threshold; incremental updates
     # accumulate a little dust over thousands of steps.
     errors[:] = K @ (alpha * y) - y
 
-    up = np.flatnonzero(up_mask())
-    low = np.flatnonzero(low_mask())
-    if up.size and low.size:
+    if up.any() and low.any():
         bias = -0.5 * (float(errors[up].min()) + float(errors[low].max()))
-    elif up.size:
+    elif up.any():
         bias = -float(errors[up].min())
-    elif low.size:
+    elif low.any():
         bias = -float(errors[low].max())
     else:
         bias = 0.0

@@ -1,9 +1,12 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from vcfclass.committee import (Committee, CommitteeConfig, SelectionConfig,
-                                greedy_forward_select, load_committee,
-                                save_committee, train_committee)
+                                _inner_cv_accuracy, greedy_forward_select,
+                                load_committee, save_committee, train_committee)
 from vcfclass.svm import SvmParams, train_svm
 
 
@@ -81,10 +84,13 @@ def test_committee_training_accuracy_on_separated_data():
 
 def test_save_load_bit_identical_decisions(tmp_path):
     X, y = labeled_noise(n=50, d=5, seed=8)
-    committee = train_committee(X, y, CommitteeConfig(n_members=3, seed=2))
+    params = SvmParams(C=2.0, max_passes=300, class_weights=(1.5, 1.0))
+    committee = train_committee(X, y, CommitteeConfig(n_members=3, member_params=params,
+                                                      seed=2))
     path = tmp_path / "committee.json"
     save_committee(committee, path)
     again = load_committee(path)
+    assert again.config == committee.config
     probe = np.random.default_rng(3).normal(size=(20, 5))
     a = committee.decision_values(probe)
     b = again.decision_values(probe)
@@ -92,6 +98,28 @@ def test_save_load_bit_identical_decisions(tmp_path):
     # identical bytes when re-saved
     save_committee(again, tmp_path / "again.json")
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+def test_file_without_member_params_loads_defaults(tmp_path):
+    X, y = labeled_noise(n=40, d=3, seed=9)
+    cfg = CommitteeConfig(n_members=1, member_params=SvmParams(C=3.0), seed=1)
+    path = tmp_path / "committee.json"
+    save_committee(train_committee(X, y, cfg), path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    del doc["member_params"]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert load_committee(path).config == replace(cfg, member_params=SvmParams())
+
+
+def test_inner_accuracy_scores_only_evaluated_rows():
+    # One positive: the inner fold holding it trains on negatives alone and
+    # is skipped; the other fold's rows are all predicted right.
+    X, y = labeled_noise(n=11, d=2, seed=10)
+    y[:] = -1.0
+    y[4] = 1.0
+    X[:, 0] = y
+    acc = _inner_cv_accuracy(X, y, [0], inner_folds=2, params=SvmParams(), seed=0)
+    assert acc == 1.0
 
 
 def test_config_validation():

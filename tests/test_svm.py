@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from helpers import qp_dual_oracle
-from vcfclass.svm import (SvmParams, dual_objective, kernel_matrix, train_svm)
+from helpers import qp_dual_oracle, reference_smo
+from vcfclass.svm import (SvmParams, _smo, dual_objective, kernel_matrix,
+                          train_svm)
 
 
 def test_two_point_separable_midpoint_boundary():
@@ -139,3 +140,88 @@ def test_dual_equality_constraint_holds():
     y = np.where(X @ np.array([1.0, -1.0, 0.5]) > 0, 1.0, -1.0)
     m = train_svm(X, y, SvmParams(seed=1))
     assert abs(float(m.train_alpha @ m.train_y)) <= m.tol
+
+
+def test_unsorted_full_width_subset_reorders_columns():
+    # A subset naming every column in another order must still be read by
+    # index, not taken as already-selected input of the same width.
+    rng = np.random.default_rng(17)
+    X = rng.normal(size=(50, 3))
+    y = np.where(X[:, 0] + 0.5 * X[:, 1] > 0, 1.0, -1.0)
+    order = (2, 0, 1)
+    m = train_svm(X, y, SvmParams(seed=3), feature_indices=order)
+    ref = train_svm(X[:, list(order)], y, SvmParams(seed=3))
+    assert np.array_equal(m.decision_values(X),
+                          ref.decision_values(X[:, list(order)]))
+
+
+def test_too_narrow_input_names_both_widths():
+    rng = np.random.default_rng(18)
+    X = rng.normal(size=(30, 4))
+    y = np.where(X[:, 3] > 0, 1.0, -1.0)
+    m = train_svm(X, y, SvmParams(), feature_indices=(3, 1))
+    with pytest.raises(ValueError, match="got 2 columns.*4-wide"):
+        m.decision_values(X[:, [3, 1]])
+
+
+def _per_row_cv(params, y):
+    """The per-row box construction ``train_svm`` used before vectorizing."""
+    def weight(label):
+        if params.class_weights is None:
+            return 1.0
+        return params.class_weights[0] if label < 0 else params.class_weights[1]
+    return np.array([params.C * weight(int(t)) for t in y])
+
+
+def _seeded(seed):
+    return np.random.default_rng(np.random.SeedSequence([seed]))
+
+
+def test_solver_bit_identical_to_reference():
+    rng = np.random.default_rng(21)
+    exhausted = 0
+    for p in range(240):
+        n = int(rng.integers(12, 61))
+        discrete = p % 4 >= 2
+        if discrete:
+            # Few distinct rows, so duplicates (often with opposite labels)
+            # give flat pair directions (eta == 0).
+            X = rng.integers(0, 3, size=(n, 2)).astype(float)
+        else:
+            X = rng.normal(size=(n, int(rng.integers(1, 5))))
+        y = np.where(X[:, 0] + rng.normal(size=n) > 0.3, 1.0, -1.0)
+        y[:2] = (-1.0, 1.0)
+        params = SvmParams(kernel=("rbf", "linear")[p % 2],
+                           C=(0.1, 1.0, 10.0)[p // 2 % 3],
+                           max_passes=1 if p % 6 == 5 else 500,
+                           class_weights=(2.0, 0.5) if p % 5 == 0 else None,
+                           seed=p)
+        m = train_svm(X, y, params)
+        Cv = _per_row_cv(params, y)
+        assert np.array_equal(m.train_C, Cv), p
+        K = kernel_matrix(m.train_X, m.train_X, params.kernel, m.gamma)
+        alpha, bias = reference_smo(K, y, Cv, params.tol, params.max_passes,
+                                    _seeded(p))
+        assert np.array_equal(m.train_alpha, alpha), p
+        assert m.bias == bias, p
+        if params.max_passes == 1:
+            full, _ = reference_smo(K, y, Cv, params.tol, 500, _seeded(p))
+            exhausted += not np.array_equal(alpha, full)
+    assert exhausted > 0       # some one-pass budgets ran out before KKT
+
+
+def test_fallback_scan_bit_identical_to_reference():
+    # Example 0 starts as the maximal I_up member but its box is 1e-13 wide,
+    # so the maximal pair's step is refused and the seeded scan looks for a
+    # partner. With every box that narrow the scan finds none.
+    pts = np.random.default_rng(22).normal(size=(7, 2))
+    K = kernel_matrix(pts, pts, "rbf", 0.5)
+    y = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0, -1.0])
+    for Cv in (np.array([1e-13, 1, 1, 1, 1, 1, 1.0]), np.full(7, 1e-13)):
+        for seed in range(5):
+            rng = _seeded(seed)
+            alpha, bias = _smo(K, y, Cv, 1e-3, 500, rng)
+            ref_alpha, ref_bias = reference_smo(K, y, Cv, 1e-3, 500, _seeded(seed))
+            assert rng.bit_generator.state != _seeded(seed).bit_generator.state
+            assert np.array_equal(alpha, ref_alpha)
+            assert bias == ref_bias
