@@ -23,7 +23,8 @@ import numpy as np
 
 from . import __version__
 from .committee import CommitteeConfig, SelectionConfig, save_committee
-from .crossval import CvResult, cross_validate
+from .crossval import (cross_validate, load_predictions, predictions_path,
+                       save_predictions)
 from .evaluation import compare, emit_report
 from .features import (CONDITIONS, FIRST_STUDY_POLICIES, FeatureTable,
                        assemble_from_path, load_table, save_table)
@@ -169,35 +170,6 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def _predictions_path(out_dir: Path, condition: str) -> Path:
-    return out_dir / f"predictions_{condition}.csv"
-
-
-def save_predictions(res: CvResult, path: Path) -> None:
-    lines = ["patient_id,study_id,vertebra,truth,prediction,decision,fold"]
-    for i, (pid, sid, vert) in enumerate(res.ids):
-        dec = "" if np.isnan(res.decision[i]) else repr(float(res.decision[i]))
-        lines.append(f"{pid},{sid},{vert},{res.truth[i]},{res.predictions[i]},"
-                     f"{dec},{res.fold_assignment[i]}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def load_predictions(path: Path, condition: str) -> CvResult:
-    lines = path.read_text(encoding="utf-8").splitlines()
-    ids, truth, preds, decision, folds = [], [], [], [], []
-    for line in lines[1:]:
-        pid, sid, vert, t, p, dec, fold = line.split(",")
-        ids.append((pid, sid, int(vert)))
-        truth.append(t)
-        preds.append(p)
-        decision.append(float(dec) if dec else np.nan)
-        folds.append(int(fold))
-    fold_arr = np.array(folds)
-    return CvResult(condition=condition, ids=ids, truth=np.array(truth),
-                    predictions=np.array(preds), decision=np.array(decision),
-                    fold_assignment=fold_arr, k=int(fold_arr.max()) + 1, seed=-1)
-
-
 def cmd_cv(args) -> int:
     if not args.table.is_file():
         raise UsageError(f"no such feature table: {args.table}")
@@ -231,7 +203,7 @@ def cmd_cv(args) -> int:
     for cond in conditions:
         res = cross_validate(table, cond, cfg, k=args.k, seed=args.seed,
                              group_by_patient=args.group_by_patient)
-        save_predictions(res, _predictions_path(out, cond))
+        save_predictions(res, predictions_path(out, cond))
         if args.save_models:
             for f_idx, committee in enumerate(res.fold_models):
                 save_committee(committee, out / f"committee_{cond}_fold{f_idx}.json")
@@ -259,7 +231,7 @@ def cmd_report(args) -> int:
         raise UsageError(f"no such results directory: {args.results}")
     results = []
     for cond in CONDITIONS:
-        path = _predictions_path(args.results, cond)
+        path = predictions_path(args.results, cond)
         if path.is_file():
             results.append(load_predictions(path, cond))
     if not results:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -131,3 +132,35 @@ def cross_validate(table: FeatureTable, condition: str,
                     predictions=predictions.astype(str), decision=decision,
                     fold_assignment=folds, k=k, seed=seed, skipped_folds=skipped,
                     fold_models=models, fold_imputation=fills)
+
+
+# ---------------------------------------------------------------------------
+# prediction files
+
+def predictions_path(out_dir: Path, condition: str) -> Path:
+    return out_dir / f"predictions_{condition}.csv"
+
+
+def save_predictions(res: CvResult, path: Path) -> None:
+    lines = ["patient_id,study_id,vertebra,truth,prediction,decision,fold"]
+    for i, (pid, sid, vert) in enumerate(res.ids):
+        dec = "" if np.isnan(res.decision[i]) else repr(float(res.decision[i]))
+        lines.append(f"{pid},{sid},{vert},{res.truth[i]},{res.predictions[i]},"
+                     f"{dec},{res.fold_assignment[i]}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def load_predictions(path: Path, condition: str) -> CvResult:
+    lines = path.read_text(encoding="utf-8").splitlines()
+    ids, truth, preds, decision, folds = [], [], [], [], []
+    for line in lines[1:]:
+        pid, sid, vert, t, p, dec, fold = line.split(",")
+        ids.append((pid, sid, int(vert)))
+        truth.append(t)
+        preds.append(p)
+        decision.append(float(dec) if dec else np.nan)
+        folds.append(int(fold))
+    fold_arr = np.array(folds)
+    return CvResult(condition=condition, ids=ids, truth=np.array(truth),
+                    predictions=np.array(preds), decision=np.array(decision),
+                    fold_assignment=fold_arr, k=int(fold_arr.max()) + 1, seed=-1)

@@ -29,12 +29,12 @@ def mean_density(vol: Volume, lm: LabelMap, label: int,
                  min_voxels: int = MIN_LABEL_VOXELS) -> float:
     """Arithmetic mean HU over all voxels carrying ``label``."""
     check_paired_geometry(vol, lm)
-    sel = lm.labels == label
-    n = int(sel.sum())
+    view = lm.view(label)
+    n = view.voxel_count
     if n < min_voxels:
         raise ValueError(
             f"label {label} has {n} voxels, need at least {min_voxels}")
-    return float(vol.data[sel].mean(dtype=np.float64))
+    return float(vol.data[view.box][view.mask].mean(dtype=np.float64))
 
 
 def _ball_structure(radius_mm: float, spacing) -> np.ndarray:
@@ -52,47 +52,52 @@ def _ball_structure(radius_mm: float, spacing) -> np.ndarray:
     return dist2 <= radius_mm ** 2 + 1e-6
 
 
-def trabecular_region(lm: LabelMap, label: int, frame: LocalFrame,
-                      erosion_radius_mm: float = DEFAULT_EROSION_MM) -> np.ndarray:
-    """Boolean mask of the trabecular probe region: the body eroded by a
-    discrete ball of ``erosion_radius_mm`` intersected with the anterior
-    half-space through the centroid."""
-    body = lm.labels == label
-    if not body.any():
+def _trabecular_crop(lm: LabelMap, label: int, frame: LocalFrame,
+                     erosion_radius_mm: float) -> tuple[tuple[slice, ...], np.ndarray]:
+    """The body's bounding box and the trabecular probe mask within it."""
+    view = lm.view(label)
+    body = view.mask
+    if view.voxel_count == 0:
         raise ValueError(f"label {label} absent from the label map")
     if erosion_radius_mm < 0:
         raise ValueError("erosion radius must be nonnegative")
     if erosion_radius_mm > 0:
-        # Work on the body's bounding box; the surrounding background makes
-        # the cropped erosion identical to the full-grid one.
-        lo = np.array([int(ax.min()) for ax in np.nonzero(body)])
-        hi = np.array([int(ax.max()) for ax in np.nonzero(body)])
+        # The box holds the whole body and erosion treats the space beyond it
+        # as background, so the in-box erosion equals the full-grid one.
         steps = [int(np.floor(erosion_radius_mm / s + 1e-9))
                  for s in reversed(lm.spacing)]  # (z, y, x) order
-        if any(hi[i] - lo[i] + 1 < 2 * steps[i] + 1 for i in range(3)):
+        if any(body.shape[i] < 2 * steps[i] + 1 for i in range(3)):
             raise ValueError(
                 f"{erosion_radius_mm} mm erosion annihilates label {label}; "
                 f"radius exceeds the body's half-extent")
-        crop = body[lo[0]:hi[0] + 1, lo[1]:hi[1] + 1, lo[2]:hi[2] + 1]
         structure = _ball_structure(erosion_radius_mm, lm.spacing)
-        eroded_crop = ndimage.binary_erosion(crop, structure=structure, border_value=0)
-        if not eroded_crop.any():
+        eroded = ndimage.binary_erosion(body, structure=structure, border_value=0)
+        if not eroded.any():
             raise ValueError(
                 f"{erosion_radius_mm} mm erosion annihilates label {label}; "
                 f"radius exceeds the body's half-extent")
-        eroded = np.zeros_like(body)
-        eroded[lo[0]:hi[0] + 1, lo[1]:hi[1] + 1, lo[2]:hi[2] + 1] = eroded_crop
     else:
         eroded = body
 
     idx = np.argwhere(eroded)
-    coords = lm.geometry.world_coords(idx)
+    coords = lm.geometry.world_coords(idx + [s.start for s in view.box])
     anterior = (coords - frame.centroid_array) @ frame.ap > 0
     mask = np.zeros_like(body)
     mask[tuple(idx[anterior].T)] = True
     if not mask.any():
         raise ValueError(
             f"anterior half of the eroded body is empty for label {label}")
+    return view.box, mask
+
+
+def trabecular_region(lm: LabelMap, label: int, frame: LocalFrame,
+                      erosion_radius_mm: float = DEFAULT_EROSION_MM) -> np.ndarray:
+    """Boolean mask of the trabecular probe region: the body eroded by a
+    discrete ball of ``erosion_radius_mm`` intersected with the anterior
+    half-space through the centroid."""
+    box, crop = _trabecular_crop(lm, label, frame, erosion_radius_mm)
+    mask = np.zeros(lm.labels.shape, dtype=bool)
+    mask[box] = crop
     return mask
 
 
@@ -118,8 +123,8 @@ def density_features(vol: Volume, lm: LabelMap, label: int, frame: LocalFrame,
     muscle_hu, fat_hu = refs[ROLE_MUSCLE], refs[ROLE_FAT]
 
     raw_den = mean_density(vol, lm, label)
-    trab_mask = trabecular_region(lm, label, frame, erosion_radius_mm)
-    raw_trab = float(vol.data[trab_mask].mean(dtype=np.float64))
+    box, trab = _trabecular_crop(lm, label, frame, erosion_radius_mm)
+    raw_trab = float(vol.data[box][trab].mean(dtype=np.float64))
 
     return DensityFeatures(
         meanDen=normalize(raw_den, muscle_hu, fat_hu),

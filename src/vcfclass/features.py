@@ -307,13 +307,24 @@ def load_table(path) -> FeatureTable:
         sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
         mask_rows = sidecar.get("mask")
         provenance = sidecar.get("provenance", {})
+        if mask_rows is not None and len(mask_rows) != len(lines) - 1:
+            raise ValueError(
+                f"{sidecar_path}: mask has {len(mask_rows)} rows, "
+                f"{path} has {len(lines) - 1} data rows")
 
     rows = []
     for i, line in enumerate(lines[1:]):
         cells = line.split(",")
+        if len(cells) != len(expected):
+            raise ValueError(f"{path}:{i + 2}: row has {len(cells)} cells, "
+                             f"expected {len(expected)}")
         values = np.array([np.nan if c == "" else float(c)
                            for c in cells[3:3 + len(ALL_COLUMNS)]])
         if mask_rows is not None:
+            if len(mask_rows[i]) != len(ALL_COLUMNS):
+                raise ValueError(
+                    f"{sidecar_path}: mask for {path}:{i + 2} has "
+                    f"{len(mask_rows[i])} flags, expected {len(ALL_COLUMNS)}")
             mask = np.array([c == "1" for c in mask_rows[i]], dtype=bool)
         else:
             mask = np.isnan(values)

@@ -77,8 +77,7 @@ def make_frame(centroid, axis_si, axis_ap) -> LocalFrame:
 
 
 def _label_world_coords(lm: LabelMap, label: int) -> np.ndarray:
-    idx = np.argwhere(lm.labels == label)
-    return lm.geometry.world_coords(idx)
+    return lm.view(label).coords
 
 
 def vertebra_frame(lm: LabelMap, label: int, anterior_hint=None) -> LocalFrame:

@@ -8,8 +8,8 @@ plus a raw little-endian int16 payload, x-fastest then y then z. Label maps
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -116,21 +116,67 @@ class Volume:
 
 
 @dataclass(frozen=True)
+class LabelView:
+    """The voxels of one label, read from the label's bounding box.
+
+    ``box`` holds the (z, y, x) slices ``ndimage.find_objects`` found for the
+    label and ``mask`` flags the in-box voxels that carry it. Every voxel of
+    the label lies in the box, and C order within the box is C order within
+    the grid, so ``index`` and ``coords`` list the same voxels in the same
+    order as ``np.argwhere(labels == label)`` over the full grid.
+    """
+
+    box: tuple[slice, slice, slice]
+    mask: np.ndarray = field(repr=False)
+    geometry: GridGeometry = field(repr=False)
+
+    @cached_property
+    def voxel_count(self) -> int:
+        return int(np.count_nonzero(self.mask))
+
+    @cached_property
+    def index(self) -> np.ndarray:
+        """(n, 3) full-grid [iz, iy, ix] indices, C order."""
+        idx = np.argwhere(self.mask) + [s.start for s in self.box]
+        idx.flags.writeable = False
+        return idx
+
+    @cached_property
+    def coords(self) -> np.ndarray:
+        """(n, 3) world positions xyz (mm), in ``index`` order."""
+        xyz = self.geometry.world_coords(self.index)
+        xyz.flags.writeable = False
+        return xyz
+
+
+_EMPTY_BOX = (slice(0, 0), slice(0, 0), slice(0, 0))
+
+
+@dataclass(frozen=True)
 class LabelMap:
-    """Integer identity per voxel (0 = background) with a role legend."""
+    """Integer identity per voxel (0 = background) with a role legend.
+
+    Construction runs one ``ndimage.find_objects`` pass; ``view`` then reads
+    each label from its bounding box instead of scanning the full grid.
+    """
 
     geometry: GridGeometry
     labels: np.ndarray = field(repr=False)
     legend: dict[int, str] = field(default_factory=dict)
+    _boxes: dict = field(init=False, repr=False, compare=False)
+    _views: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         labels = _as_locked(self.labels, np.uint16, self.geometry.dims)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "legend", {int(k): str(v) for k, v in self.legend.items()})
-        present = set(int(v) for v in np.unique(labels)) - {0}
-        missing = sorted(present - set(self.legend))
+        boxes = {lab: box for lab, box in enumerate(ndimage.find_objects(labels), 1)
+                 if box is not None}
+        missing = sorted(set(boxes) - set(self.legend))
         if missing:
             raise FormatError(f"labels {missing} present in grid but absent from legend")
+        object.__setattr__(self, "_boxes", boxes)
+        object.__setattr__(self, "_views", {})
 
     @property
     def dims(self):
@@ -156,6 +202,18 @@ class LabelMap:
                 return lab
         return None
 
+    def view(self, label: int) -> LabelView:
+        """The label's voxels from its bounding box, built once and cached for
+        the life of the map. A label with no voxels gets an empty view."""
+        view = self._views.get(label)
+        if view is None:
+            box = self._boxes.get(label, _EMPTY_BOX)
+            mask = self.labels[box] == label
+            mask.flags.writeable = False
+            view = LabelView(box=box, mask=mask, geometry=self.geometry)
+            self._views[label] = view
+        return view
+
 
 def check_paired_geometry(vol: Volume, lm: LabelMap) -> None:
     if not vol.geometry.same_lattice(lm.geometry):
@@ -164,10 +222,15 @@ def check_paired_geometry(vol: Volume, lm: LabelMap) -> None:
 
 
 def check_vertebra_connectivity(lm: LabelMap) -> None:
-    """Each vertebra label must form a single 26-connected component."""
+    """Each vertebra label must be present and form a single 26-connected
+    component. Labelling the bounding box counts the same components as
+    labelling the full grid, since the box holds every voxel of the label."""
     structure = np.ones((3, 3, 3), dtype=bool)
     for lab in lm.vertebra_labels():
-        _, n = ndimage.label(lm.labels == lab, structure=structure)
+        view = lm.view(lab)
+        if view.voxel_count == 0:
+            raise FormatError(f"vertebra label {lab} is absent from the grid")
+        _, n = ndimage.label(view.mask, structure=structure)
         if n != 1:
             raise FormatError(
                 f"vertebra label {lab} splits into {n} 26-connected components")

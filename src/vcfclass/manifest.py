@@ -20,6 +20,16 @@ TRUTH_VALUES = (OSTEOPOROTIC, NEOPLASTIC, UNFRACTURED)
 
 GENDERS = ("F", "M")
 
+# Ids are written unquoted into the comma-separated outputs.
+_ID_FORBIDDEN = (",", '"', "\r", "\n")
+
+
+def _check_id(kind: str, value: str) -> None:
+    if any(ch in value for ch in _ID_FORBIDDEN):
+        raise ValueError(
+            f"{kind} id {value!r} contains a comma, double quote or line break, "
+            f"which the CSV outputs cannot hold")
+
 
 @dataclass(frozen=True)
 class StudyRecord:
@@ -33,6 +43,8 @@ class StudyRecord:
     vertebra_truth: dict[int, str] = field(default_factory=dict)
 
     def __post_init__(self):
+        _check_id("study", self.study_id)
+        _check_id("patient", self.patient_id)
         if isinstance(self.acquisition_date, str):
             object.__setattr__(self, "acquisition_date",
                                dt.date.fromisoformat(self.acquisition_date))
@@ -56,6 +68,7 @@ class PatientEntry:
     studies: tuple[StudyRecord, ...]
 
     def __post_init__(self):
+        _check_id("patient", self.patient_id)
         object.__setattr__(self, "studies", tuple(self.studies))
         dates = [s.acquisition_date for s in self.studies]
         for a, b in zip(dates, dates[1:]):

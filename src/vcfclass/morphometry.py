@@ -115,10 +115,9 @@ def _axis_resolution(axis: np.ndarray, spacing) -> float:
 
 
 def column_table(lm: LabelMap, label: int, frame: LocalFrame) -> ColumnTable:
-    idx = np.argwhere(lm.labels == label)
-    if idx.shape[0] == 0:
+    coords = lm.view(label).coords
+    if coords.shape[0] == 0:
         raise ValueError(f"label {label} absent from the label map")
-    coords = lm.geometry.world_coords(idx)
     a_all = coords @ frame.ap
     l_all = coords @ frame.lr
     s_all = coords @ frame.si

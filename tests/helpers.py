@@ -1,6 +1,7 @@
 """Shared fixtures-in-code: single-vertebra phantom builders, tree hashing,
-and the independent oracles (dense-QP projected gradient, exact hypergeometric
-enumeration) used to cross-check the production paths."""
+the independent oracles (dense-QP projected gradient, exact hypergeometric
+enumeration) used to cross-check the production paths, and verbatim copies of
+replaced code paths (SMO step, full-grid label scans) kept as references."""
 
 from __future__ import annotations
 
@@ -10,9 +11,14 @@ from math import comb
 from pathlib import Path
 
 import numpy as np
+from scipy import ndimage
 
+from vcfclass.densitometry import (DEFAULT_EROSION_MM, MIN_LABEL_VOXELS,
+                                   _ball_structure)
 from vcfclass.frames import make_frame
-from vcfclass.grids import GridGeometry, LabelMap, Volume
+from vcfclass.grids import (FormatError, GridGeometry, LabelMap, Volume,
+                            check_paired_geometry)
+from vcfclass.morphometry import MIN_COLUMN_VOXELS, ColumnTable, _axis_resolution
 from vcfclass.phantom import VertebraSpec, render_vertebra
 
 WORLD_FRAME = make_frame((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, 1.0, 0.0))
@@ -278,3 +284,121 @@ def reference_smo(K: np.ndarray, y: np.ndarray, Cv: np.ndarray, tol: float,
     else:
         bias = 0.0
     return alpha, bias
+
+
+# ---------------------------------------------------------------------------
+# reference full-grid measurement: label-map scans as they stood before the
+# per-label views, kept verbatim so tests can require identical features
+
+def reference_label_world_coords(lm: LabelMap, label: int) -> np.ndarray:
+    idx = np.argwhere(lm.labels == label)
+    return lm.geometry.world_coords(idx)
+
+
+def reference_column_table(lm: LabelMap, label: int, frame) -> ColumnTable:
+    idx = np.argwhere(lm.labels == label)
+    if idx.shape[0] == 0:
+        raise ValueError(f"label {label} absent from the label map")
+    coords = lm.geometry.world_coords(idx)
+    a_all = coords @ frame.ap
+    l_all = coords @ frame.lr
+    s_all = coords @ frame.si
+
+    res_a = _axis_resolution(frame.ap, lm.spacing)
+    res_l = _axis_resolution(frame.lr, lm.spacing)
+    slice_sp = _axis_resolution(frame.si, lm.spacing)
+
+    # Bin relative to the minimum projection: grid-aligned voxels then sit at
+    # integer offsets, far from rounding boundaries, which keeps the binning
+    # stable under whole-voxel translations.
+    a_ref = float(a_all.min())
+    l_ref = float(l_all.min())
+    ia = np.rint((a_all - a_ref) / res_a).astype(np.int64)
+    il = np.rint((l_all - l_ref) / res_l).astype(np.int64)
+
+    key = ia * (il.max() + 1) + il
+    order = np.argsort(key, kind="stable")
+    key_sorted = key[order]
+    s_sorted = s_all[order]
+    starts = np.flatnonzero(np.concatenate(([True], key_sorted[1:] != key_sorted[:-1])))
+    uniq_keys = key_sorted[starts]
+    counts = np.diff(np.concatenate((starts, [key_sorted.size])))
+    s_min = np.minimum.reduceat(s_sorted, starts)
+    s_max = np.maximum.reduceat(s_sorted, starts)
+
+    il_span = il.max() + 1
+    a_center = a_ref + (uniq_keys // il_span) * res_a
+    l_center = l_ref + (uniq_keys % il_span) * res_l
+    a_center = a_center - a_center.mean()
+    l_center = l_center - l_center.mean()
+
+    height = np.where(counts >= MIN_COLUMN_VOXELS,
+                      s_max - s_min + slice_sp, np.nan)
+    return ColumnTable(a=a_center, l=l_center, height=height, voxels=counts,
+                       res_a=res_a, res_l=res_l, slice_spacing=slice_sp)
+
+
+def reference_mean_density(vol: Volume, lm: LabelMap, label: int,
+                           min_voxels: int = MIN_LABEL_VOXELS) -> float:
+    """Arithmetic mean HU over all voxels carrying ``label``."""
+    check_paired_geometry(vol, lm)
+    sel = lm.labels == label
+    n = int(sel.sum())
+    if n < min_voxels:
+        raise ValueError(
+            f"label {label} has {n} voxels, need at least {min_voxels}")
+    return float(vol.data[sel].mean(dtype=np.float64))
+
+
+def reference_trabecular_region(lm: LabelMap, label: int, frame,
+                                erosion_radius_mm: float = DEFAULT_EROSION_MM) -> np.ndarray:
+    """Boolean mask of the trabecular probe region: the body eroded by a
+    discrete ball of ``erosion_radius_mm`` intersected with the anterior
+    half-space through the centroid."""
+    body = lm.labels == label
+    if not body.any():
+        raise ValueError(f"label {label} absent from the label map")
+    if erosion_radius_mm < 0:
+        raise ValueError("erosion radius must be nonnegative")
+    if erosion_radius_mm > 0:
+        # Work on the body's bounding box; the surrounding background makes
+        # the cropped erosion identical to the full-grid one.
+        lo = np.array([int(ax.min()) for ax in np.nonzero(body)])
+        hi = np.array([int(ax.max()) for ax in np.nonzero(body)])
+        steps = [int(np.floor(erosion_radius_mm / s + 1e-9))
+                 for s in reversed(lm.spacing)]  # (z, y, x) order
+        if any(hi[i] - lo[i] + 1 < 2 * steps[i] + 1 for i in range(3)):
+            raise ValueError(
+                f"{erosion_radius_mm} mm erosion annihilates label {label}; "
+                f"radius exceeds the body's half-extent")
+        crop = body[lo[0]:hi[0] + 1, lo[1]:hi[1] + 1, lo[2]:hi[2] + 1]
+        structure = _ball_structure(erosion_radius_mm, lm.spacing)
+        eroded_crop = ndimage.binary_erosion(crop, structure=structure, border_value=0)
+        if not eroded_crop.any():
+            raise ValueError(
+                f"{erosion_radius_mm} mm erosion annihilates label {label}; "
+                f"radius exceeds the body's half-extent")
+        eroded = np.zeros_like(body)
+        eroded[lo[0]:hi[0] + 1, lo[1]:hi[1] + 1, lo[2]:hi[2] + 1] = eroded_crop
+    else:
+        eroded = body
+
+    idx = np.argwhere(eroded)
+    coords = lm.geometry.world_coords(idx)
+    anterior = (coords - frame.centroid_array) @ frame.ap > 0
+    mask = np.zeros_like(body)
+    mask[tuple(idx[anterior].T)] = True
+    if not mask.any():
+        raise ValueError(
+            f"anterior half of the eroded body is empty for label {label}")
+    return mask
+
+
+def reference_check_vertebra_connectivity(lm: LabelMap) -> None:
+    """Each vertebra label must form a single 26-connected component."""
+    structure = np.ones((3, 3, 3), dtype=bool)
+    for lab in lm.vertebra_labels():
+        _, n = ndimage.label(lm.labels == lab, structure=structure)
+        if n != 1:
+            raise FormatError(
+                f"vertebra label {lab} splits into {n} 26-connected components")

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -170,3 +172,38 @@ def test_duplicate_instance_ids_rejected(two_study_cohort):
     table = assemble(manifest, root, policy="zero")
     with pytest.raises(ValueError, match="duplicate"):
         FeatureTable(columns=list(ALL_COLUMNS), rows=table.rows + [table.rows[0]])
+
+
+def _saved_table(two_study_cohort, tmp_path):
+    manifest, root = two_study_cohort
+    path = tmp_path / "features.csv"
+    save_table(assemble(manifest, root, policy="zero"), path)
+    return path, path.with_suffix(".csv.meta.json")
+
+
+def test_row_with_wrong_cell_count_names_file_and_line(two_study_cohort, tmp_path):
+    path, _ = _saved_table(two_study_cohort, tmp_path)
+    lines = path.read_text().splitlines()
+    lines[2] = "A," + lines[2]         # what an unquoted comma in an id does
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"features\.csv:3: row has 41 cells, expected 40"):
+        load_table(path)
+
+
+def test_sidecar_mask_row_count_checked(two_study_cohort, tmp_path):
+    path, sidecar = _saved_table(two_study_cohort, tmp_path)
+    doc = json.loads(sidecar.read_text())
+    n = len(doc["mask"])
+    doc["mask"] = doc["mask"][:-1]
+    sidecar.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=rf"meta\.json: mask has {n - 1} rows, .*features\.csv has {n} data rows"):
+        load_table(path)
+
+
+def test_sidecar_mask_width_checked(two_study_cohort, tmp_path):
+    path, sidecar = _saved_table(two_study_cohort, tmp_path)
+    doc = json.loads(sidecar.read_text())
+    doc["mask"][1] = doc["mask"][1][:-1]
+    sidecar.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"meta\.json: mask for .*features\.csv:3 has 35 flags, expected 36"):
+        load_table(path)

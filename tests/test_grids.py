@@ -3,9 +3,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import reference_check_vertebra_connectivity
 from vcfclass.grids import (FormatError, GridGeometry, LabelMap, Volume,
-                            load_labelmap, load_volume, save_labelmap,
-                            save_volume)
+                            check_vertebra_connectivity, load_labelmap,
+                            load_volume, save_labelmap, save_volume)
 
 
 def write_header(path, dims=(4, 4, 4), data_file=None, dtype="int16le",
@@ -123,3 +124,44 @@ def test_disconnected_vertebra_rejected(tmp_path):
     save_labelmap(lm, path)
     with pytest.raises(FormatError, match="components"):
         load_labelmap(path)
+
+
+def test_absent_vertebra_label_named():
+    geo = GridGeometry(dims=(5, 5, 5), spacing=(1, 1, 1), origin=(0, 0, 0))
+    labels = np.zeros((5, 5, 5), dtype=np.uint16)
+    labels[1:3, 1:3, 1:3] = 1
+    lm = LabelMap(geometry=geo, labels=labels,
+                  legend={1: "VERTEBRA:12", 2: "VERTEBRA:13"})
+    with pytest.raises(FormatError, match="^vertebra label 2 is absent from the grid$"):
+        check_vertebra_connectivity(lm)
+
+
+def test_vertebrae_touching_the_array_edges_pass():
+    geo = GridGeometry(dims=(5, 5, 5), spacing=(1, 1, 1), origin=(0, 0, 0))
+    labels = np.zeros((5, 5, 5), dtype=np.uint16)
+    labels[0:2, 0:2, 0:3] = 1          # box starts at index 0 on every axis
+    labels[3:5, 2:5, 3:5] = 2          # box ends at the last index on every axis
+    lm = LabelMap(geometry=geo, labels=labels,
+                  legend={1: "VERTEBRA:12", 2: "VERTEBRA:13"})
+    assert lm.view(1).box == (slice(0, 2), slice(0, 2), slice(0, 3))
+    assert lm.view(2).box == (slice(3, 5), slice(2, 5), slice(3, 5))
+    check_vertebra_connectivity(lm)
+    reference_check_vertebra_connectivity(lm)
+    for lab in (1, 2):
+        assert np.array_equal(lm.view(lab).index, np.argwhere(labels == lab))
+
+
+def test_split_vertebra_inside_its_box_rejected():
+    geo = GridGeometry(dims=(7, 7, 7), spacing=(1, 1, 1), origin=(0, 0, 0))
+    labels = np.zeros((7, 7, 7), dtype=np.uint16)
+    labels[1:3, 1:3, 1:3] = 1
+    labels[4:6, 4:6, 4:6] = 1          # same box, no 26-neighbour in between
+    labels[2, 2, 3] = 2                # another label inside the box
+    lm = LabelMap(geometry=geo, labels=labels,
+                  legend={1: "VERTEBRA:12", 2: "VERTEBRA:13"})
+    assert lm.view(1).box == (slice(1, 6),) * 3
+    message = "vertebra label 1 splits into 2 26-connected components"
+    with pytest.raises(FormatError, match=message):
+        check_vertebra_connectivity(lm)
+    with pytest.raises(FormatError, match=message):
+        reference_check_vertebra_connectivity(lm)

@@ -1,4 +1,6 @@
 import datetime as dt
+import json
+import re
 
 import pytest
 
@@ -68,3 +70,23 @@ def test_fractured_instance_count(small_cohort):
 def test_years_between():
     assert years_between(dt.date(2020, 1, 1), dt.date(2020, 1, 1)) == 0.0
     assert years_between(dt.date(2019, 1, 1), dt.date(2020, 1, 1)) == 365 / 365.25
+
+
+def _write_manifest(path, pid, sid):
+    doc = {"schema_version": 1, "patients": [{"patient_id": pid, "studies": [{
+        "study_id": sid, "patient_id": pid, "acquisition_date": "2020-01-01",
+        "age": 60.0, "gender": "F", "volume_path": "a.vvol",
+        "labelmap_path": "a.vlbl", "vertebra_truth": {"1": "OSTEOPOROTIC"}}]}]}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+
+@pytest.mark.parametrize("bad", ["A,B", 'A"B', "A\rB", "A\nB"])
+@pytest.mark.parametrize("field", ["patient", "study"])
+def test_ids_that_would_break_csv_rows_rejected(tmp_path, field, bad):
+    # An unquoted "A,B" read back from features.csv as patient A, study B,
+    # shifting every value one column.
+    path = tmp_path / "manifest.json"
+    _write_manifest(path, bad if field == "patient" else "P0",
+                    bad if field == "study" else "7")
+    with pytest.raises(ValueError, match=f"{field} id {re.escape(repr(bad))}"):
+        load_manifest(path)
