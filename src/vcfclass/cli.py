@@ -178,6 +178,9 @@ def cmd_cv(args) -> int:
     if not conditions or unknown:
         raise UsageError(f"bad --conditions {args.conditions!r}; "
                          f"choose from {','.join(CONDITIONS)}")
+    repeated = sorted({c for c in conditions if conditions.count(c) > 1})
+    if repeated:
+        raise UsageError(f"--conditions names {','.join(repeated)} more than once")
     table = load_table(args.table)
     if args.k < 2 or args.k > len(table):
         raise UsageError(f"--k {args.k} invalid for {len(table)} instances")
@@ -188,21 +191,26 @@ def cmd_cv(args) -> int:
         table = FeatureTable(columns=table.columns, rows=rows,
                              provenance=table.provenance)
 
-    cfg = CommitteeConfig(
-        n_members=args.members,
-        member_params=SvmParams(kernel=args.kernel, gamma=args.gamma, C=args.c_value),
-        selection=(SelectionConfig(method="none") if args.selection == "none"
-                   else SelectionConfig(method="greedy_forward",
-                                        max_features=args.max_features,
-                                        inner_folds=args.inner_folds)),
-        seed=args.seed)
+    try:
+        cfg = CommitteeConfig(
+            n_members=args.members,
+            member_params=SvmParams(kernel=args.kernel, gamma=args.gamma,
+                                    C=args.c_value),
+            selection=(SelectionConfig(method="none") if args.selection == "none"
+                       else SelectionConfig(method="greedy_forward",
+                                            max_features=args.max_features,
+                                            inner_folds=args.inner_folds)),
+            seed=args.seed)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
     out = args.out or _default_out("results")
     out.mkdir(parents=True, exist_ok=True)
     results = []
+    probes: dict = {}                  # selection probes shared across conditions
     for cond in conditions:
         res = cross_validate(table, cond, cfg, k=args.k, seed=args.seed,
-                             group_by_patient=args.group_by_patient)
+                             group_by_patient=args.group_by_patient, probes=probes)
         save_predictions(res, predictions_path(out, cond))
         if args.save_models:
             for f_idx, committee in enumerate(res.fold_models):

@@ -3,6 +3,7 @@ aggregation, and a JSON model format that reloads to bit-identical decisions."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -59,18 +60,33 @@ def _inner_cv_accuracy(X, y, feature_subset, inner_folds, params, seed) -> float
     return correct / evaluated if evaluated else 0.0
 
 
+def _fingerprint(a: np.ndarray) -> tuple:
+    """Shape, dtype and a 16-byte digest of an array's values in C order."""
+    a = np.ascontiguousarray(a)
+    return a.shape, a.dtype.str, hashlib.blake2b(a, digest_size=16).digest()
+
+
 def greedy_forward_select(X: np.ndarray, y: np.ndarray, candidates,
                           inner_folds: int, params: SvmParams,
-                          max_features: int = 4, seed: int = 0) -> list[int]:
+                          max_features: int = 4, seed: int = 0,
+                          probes: dict | None = None) -> list[int]:
     """Wrapper selection: grow the subset by the candidate maximizing inner
     k-fold accuracy, stopping when no addition beats the current score by more
     than 1e-4 (the majority-class fraction seeds the score). Ties fall to the
-    lower feature index."""
+    lower feature index.
+
+    ``probes`` memoises inner accuracies by content: the key holds a digest
+    of the subset's columns, of ``y``, the inner folds, ``params`` and
+    ``seed``, which is all a probe reads. Callers sharing one dict across
+    tables (conditions over the same rows) score each distinct probe once;
+    ``None`` uses a fresh dict."""
     candidates = [int(c) for c in candidates]
     if len(candidates) < 2:
         raise ValueError("need at least two candidate features")
     if np.unique(y).size < 2:
         raise ValueError("selection requires both classes")
+    probes = {} if probes is None else probes
+    setting = (_fingerprint(y), inner_folds, params, seed)
     subset: list[int] = []
     counts = np.unique(y, return_counts=True)[1]
     best = counts.max() / counts.sum()     # majority baseline
@@ -79,7 +95,11 @@ def greedy_forward_select(X: np.ndarray, y: np.ndarray, candidates,
         for c in candidates:
             if c in subset:
                 continue
-            acc = _inner_cv_accuracy(X, y, subset + [c], inner_folds, params, seed)
+            key = (_fingerprint(X[:, subset + [c]]), *setting)
+            acc = probes.get(key)
+            if acc is None:
+                acc = probes[key] = _inner_cv_accuracy(
+                    X, y, subset + [c], inner_folds, params, seed)
             if acc > round_best + MIN_IMPROVEMENT:
                 round_best, round_feat = acc, c
         if round_feat is None:
@@ -104,8 +124,9 @@ class Committee:
 
 
 def train_committee(X: np.ndarray, y: np.ndarray, cfg: CommitteeConfig,
-                    feature_names=None) -> Committee:
-    """Train ``n_members`` SVMs, each on its own (seeded) selected subset."""
+                    feature_names=None, probes: dict | None = None) -> Committee:
+    """Train ``n_members`` SVMs, each on its own (seeded) selected subset;
+    ``probes`` is the selection memo (see ``greedy_forward_select``)."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if feature_names is None:
@@ -117,7 +138,8 @@ def train_committee(X: np.ndarray, y: np.ndarray, cfg: CommitteeConfig,
         if cfg.selection.method == "greedy_forward" and X.shape[1] >= 2:
             subset = greedy_forward_select(
                 X, y, range(X.shape[1]), cfg.selection.inner_folds, params,
-                max_features=cfg.selection.max_features, seed=member_seed)
+                max_features=cfg.selection.max_features, seed=member_seed,
+                probes=probes)
             if not subset:
                 subset = list(range(X.shape[1]))
         else:
@@ -176,9 +198,7 @@ def load_committee(path) -> Committee:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if doc.get("format") != "vcfclass-committee":
         raise ValueError(f"{path}: not a committee model file")
-    params = dict(doc.get("member_params", {}))   # absent in older files: defaults
-    if params.get("class_weights") is not None:
-        params["class_weights"] = tuple(params["class_weights"])
+    params = doc.get("member_params", {})        # absent in older files: defaults
     cfg = CommitteeConfig(
         n_members=doc["n_members"],
         member_params=SvmParams(**params),

@@ -8,7 +8,7 @@ imputed with training constants and predicted once.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -87,8 +87,16 @@ def _truth_to_signs(truth: np.ndarray) -> np.ndarray:
 
 def cross_validate(table: FeatureTable, condition: str,
                    cfg: CommitteeConfig = CommitteeConfig(), k: int = 10,
-                   seed: int = 0, group_by_patient: bool = False) -> CvResult:
-    """Stratified k-fold evaluation of one feature-set condition."""
+                   seed: int = 0, group_by_patient: bool = False,
+                   probes: dict | None = None) -> CvResult:
+    """Stratified k-fold evaluation of one feature-set condition.
+
+    ``probes`` memoises greedy-selection probe accuracies by content (see
+    ``committee.greedy_forward_select``). Conditions cross-validated on one
+    table with the same ``cfg``, ``k``, ``seed`` and grouping share outer
+    folds, per-column imputation and member seeds, so passing one dict to
+    all of them scores a probe the conditions have in common once; results
+    are identical to those with a fresh dict per call (``None``)."""
     columns = condition_columns(condition)
     col_idx = [ALL_COLUMNS.index(c) for c in columns]
     values = table.matrix[:, col_idx]
@@ -118,10 +126,8 @@ def cross_validate(table: FeatureTable, condition: str,
         Xtr = impute(values[tr], mask[tr], fill)
         Xte = impute(values[te], mask[te], fill)
         fold_seed = int(np.random.SeedSequence([seed, f]).generate_state(1)[0])
-        fold_cfg = CommitteeConfig(n_members=cfg.n_members,
-                                   member_params=cfg.member_params,
-                                   selection=cfg.selection, seed=fold_seed)
-        committee = train_committee(Xtr, y[tr], fold_cfg, feature_names=columns)
+        committee = train_committee(Xtr, y[tr], replace(cfg, seed=fold_seed),
+                                    feature_names=columns, probes=probes)
         dv = committee.decision_values(Xte)
         decision[te] = dv
         predictions[te] = np.where(dv > 0, "N", "O")

@@ -8,6 +8,7 @@ z-scored with training statistics stored on the model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,12 +32,24 @@ class SvmParams:
     def __post_init__(self):
         if self.kernel not in KERNELS:
             raise ValueError(f"unknown kernel {self.kernel!r}")
-        if self.C <= 0:
-            raise ValueError("C must be positive")
-        if self.gamma is not None and self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not _finite_positive(self.C):
+            raise ValueError(f"C must be finite and positive, got {self.C!r}")
+        if self.gamma is not None and not _finite_positive(self.gamma):
+            raise ValueError(f"gamma must be finite and positive, got {self.gamma!r}")
+        if not _finite_positive(self.tol):
+            raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
+        if self.max_passes < 1:
+            raise ValueError(f"max_passes must be >= 1, got {self.max_passes!r}")
+        if self.class_weights is not None:
+            weights = tuple(self.class_weights)    # a tuple keeps params hashable
+            if len(weights) != 2 or not all(map(_finite_positive, weights)):
+                raise ValueError("class_weights must be two finite positive "
+                                 f"numbers, got {self.class_weights!r}")
+            object.__setattr__(self, "class_weights", weights)
+
+
+def _finite_positive(v) -> bool:
+    return math.isfinite(v) and v > 0
 
 
 def kernel_matrix(X: np.ndarray, Y: np.ndarray, kernel: str, gamma: float | None) -> np.ndarray:

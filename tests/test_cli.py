@@ -118,6 +118,25 @@ def test_cv_bad_condition_exit_2(cli_features, tmp_path):
     assert r.returncode == 2
 
 
+def test_cv_repeated_condition_exit_2(cli_features, tmp_path):
+    r = run_cli("cv", "--table", str(cli_features), "--conditions",
+                "measured,combined,measured", "--out", str(tmp_path / "r"))
+    assert r.returncode == 2
+    assert "measured" in r.stderr and "more than once" in r.stderr
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--c", "nan"), ("--c", "inf"), ("--c", "0"), ("--gamma", "nan"),
+    ("--gamma", "inf"), ("--gamma", "-1"),
+])
+def test_cv_invalid_svm_params_exit_2(cli_features, tmp_path, flag, value):
+    code = main(["cv", "--table", str(cli_features), "--conditions", "measured",
+                 "--k", "4", flag, value, "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert not (tmp_path / "r").exists()
+
+
 def test_cv_save_models_reloadable(cli_features, tmp_path):
     out = tmp_path / "res"
     assert main(["cv", "--table", str(cli_features), "--conditions", "measured",

@@ -121,6 +121,26 @@ def test_param_validation():
         SvmParams(gamma=-1.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("C", float("nan")), ("C", float("inf")), ("C", -1.0),
+    ("gamma", float("nan")), ("gamma", float("inf")),
+    ("tol", float("nan")), ("tol", float("inf")), ("tol", 0.0),
+    ("max_passes", 0), ("max_passes", -3),
+    ("class_weights", (1.0,)), ("class_weights", (1.0, 2.0, 3.0)),
+    ("class_weights", (1.0, 0.0)), ("class_weights", (-1.0, 1.0)),
+    ("class_weights", (float("nan"), 1.0)), ("class_weights", (1.0, float("inf"))),
+])
+def test_invalid_params_rejected(field, value):
+    with pytest.raises(ValueError, match=field):
+        SvmParams(**{field: value})
+
+
+def test_class_weights_stored_as_tuple():
+    params = SvmParams(class_weights=[2.0, 0.5])
+    assert params.class_weights == (2.0, 0.5)
+    assert hash(params) == hash(SvmParams(class_weights=(2.0, 0.5)))
+
+
 def test_class_weights_scale_box():
     rng = np.random.default_rng(11)
     X = rng.normal(size=(30, 2))
