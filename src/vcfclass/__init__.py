@@ -17,19 +17,17 @@ from .densitometry import (DensityFeatures, density_features, mean_density,
                            normalize, trabecular_region)
 from .evaluation import (ComparisonReport, ConfusionMatrix2, accuracy, compare,
                          confusion, emit_report, fisher_exact_two_sided)
-from .features import (ALL_COLUMNS, FeatureTable, FeatureVector, assemble,
-                       assemble_from_path, condition_columns, load_table, rate,
-                       save_table)
+from .features import (ALL_COLUMNS, FeatureTable, assemble, assemble_from_path,
+                       condition_columns, load_table, rate, save_table)
 from .folds import kfold_split
 from .frames import LocalFrame, make_frame, vertebra_frame
 from .grids import (GridGeometry, LabelMap, Volume, load_labelmap, load_volume,
                     save_labelmap, save_volume)
 from .manifest import (CohortManifest, PatientEntry, StudyRecord, load_manifest,
                        save_manifest)
-from .morphometry import (CellHeights, CompassLayout, HeightFeatures,
-                          assign_cells, cell_heights, column_table,
-                          contrast_features, regional_summaries,
-                          sagittal_heights)
+from .morphometry import (CellHeights, CompassLayout, assign_cells,
+                          cell_heights, column_table, contrast_features,
+                          regional_summaries, sagittal_heights)
 from .phantom import (CohortSpec, FocalLesion, ProgressionModel, VertebraSpec,
                       advance, generate_cohort, render_vertebra,
                       uniform_heights, wedge_heights)

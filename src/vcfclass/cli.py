@@ -23,11 +23,11 @@ import numpy as np
 
 from . import __version__
 from .committee import CommitteeConfig, SelectionConfig, save_committee
-from .crossval import (cross_validate, load_predictions, predictions_path,
-                       save_predictions)
+from .crossval import (cross_validate, load_predictions, outer_folds,
+                       predictions_path, save_predictions)
 from .evaluation import compare, emit_report
-from .features import (CONDITIONS, FIRST_STUDY_POLICIES, FeatureTable,
-                       assemble_from_path, load_table, save_table)
+from .features import (CONDITIONS, FIRST_STUDY_POLICIES, assemble_from_path,
+                       load_table, save_table)
 from .morphometry import CompassLayout
 from .phantom import CohortSpec, generate_cohort
 from .published import check_reference_arithmetic
@@ -186,10 +186,7 @@ def cmd_cv(args) -> int:
         raise UsageError(f"--k {args.k} invalid for {len(table)} instances")
     if args.shuffle_labels:
         rng = np.random.default_rng(np.random.SeedSequence([args.seed, 0xD15C]))
-        truths = table.truth[rng.permutation(len(table))]
-        rows = [replace(r, truth=str(t)) for r, t in zip(table.rows, truths)]
-        table = FeatureTable(columns=table.columns, rows=rows,
-                             provenance=table.provenance)
+        table = replace(table, truth=table.truth[rng.permutation(len(table))])
 
     try:
         cfg = CommitteeConfig(
@@ -203,6 +200,18 @@ def cmd_cv(args) -> int:
             seed=args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    if args.group_by_patient:
+        n_patients = np.unique(table.patient_ids).size
+        if args.k > n_patients:
+            raise UsageError(f"--k {args.k} exceeds the {n_patients} patients "
+                             f"that --group-by-patient assigns to folds")
+    if args.selection == "greedy_forward":
+        folds = outer_folds(table, args.k, args.seed, args.group_by_patient)
+        smallest = len(table) - int(np.bincount(folds).max())
+        if args.inner_folds > smallest:
+            raise UsageError(f"--inner-folds {args.inner_folds} exceeds the "
+                             f"{smallest} instances of the smallest outer "
+                             f"training split")
 
     out = args.out or _default_out("results")
     out.mkdir(parents=True, exist_ok=True)

@@ -85,6 +85,14 @@ def _truth_to_signs(truth: np.ndarray) -> np.ndarray:
     return np.where(truth == "N", 1.0, -1.0)
 
 
+def outer_folds(table: FeatureTable, k: int, seed: int,
+                group_by_patient: bool) -> np.ndarray:
+    """Outer fold index per instance: stratified by truth, and with
+    ``group_by_patient`` each patient's instances in one fold."""
+    return kfold_split(len(table), k=k, seed=seed, stratify_by=table.truth,
+                       group_by=table.patient_ids if group_by_patient else None)
+
+
 def cross_validate(table: FeatureTable, condition: str,
                    cfg: CommitteeConfig = CommitteeConfig(), k: int = 10,
                    seed: int = 0, group_by_patient: bool = False,
@@ -105,9 +113,7 @@ def cross_validate(table: FeatureTable, condition: str,
     y = _truth_to_signs(truth)
     n = len(table)
 
-    folds = kfold_split(
-        n, k=k, seed=seed, stratify_by=truth,
-        group_by=table.patient_ids if group_by_patient else None)
+    folds = outer_folds(table, k, seed, group_by_patient)
 
     predictions = np.full(n, "", dtype=object)
     decision = np.full(n, np.nan)

@@ -70,56 +70,42 @@ def rate(current: float, previous: float, dt_years: float) -> float:
 
 
 @dataclass(frozen=True)
-class FeatureVector:
-    patient_id: str
-    study_id: str
-    vertebra: int
-    values: np.ndarray          # (36,) float64, NaN where missing
-    mask: np.ndarray            # (36,) bool, True where not genuinely measured
-    truth: str                  # 'O' | 'N'
-
-    @property
-    def instance_id(self) -> tuple[str, str, int]:
-        return (self.patient_id, self.study_id, self.vertebra)
-
-
-@dataclass
 class FeatureTable:
-    columns: list[str]
-    rows: list[FeatureVector]
+    """One row per (fractured vertebra, study) instance, columns in
+    ``ALL_COLUMNS`` order. The arrays are read-only copies, so a table never
+    changes once built; derive another with ``dataclasses.replace``."""
+
+    instance_ids: list[tuple[str, str, int]]    # (patient, study, vertebra)
+    matrix: np.ndarray          # (n, 36) float64, NaN where missing
+    mask: np.ndarray            # (n, 36) bool, True where not genuinely measured
+    truth: np.ndarray           # (n,) 'O' | 'N'
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.columns != ALL_COLUMNS:
-            raise ValueError("feature table columns must follow the canonical order")
+        ids = list(self.instance_ids)
         seen = set()
-        for r in self.rows:
-            if r.instance_id in seen:
-                raise ValueError(f"duplicate instance id {r.instance_id}")
-            seen.add(r.instance_id)
+        for instance_id in ids:
+            if instance_id in seen:
+                raise ValueError(f"duplicate instance id {instance_id}")
+            seen.add(instance_id)
+        n, width = len(ids), len(ALL_COLUMNS)
+        for name, dtype, shape in (("matrix", np.float64, (n, width)),
+                                   ("mask", bool, (n, width)),
+                                   ("truth", str, (n,))):
+            a = np.array(getattr(self, name), dtype=dtype)
+            if a.shape != shape:
+                raise ValueError(f"{name} has shape {a.shape}, expected {shape} "
+                                 f"for {n} instance ids")
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        object.__setattr__(self, "instance_ids", ids)
 
     def __len__(self):
-        return len(self.rows)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array([r.values for r in self.rows], dtype=np.float64)
-
-    @property
-    def mask(self) -> np.ndarray:
-        return np.array([r.mask for r in self.rows], dtype=bool)
-
-    @property
-    def truth(self) -> np.ndarray:
-        return np.array([r.truth for r in self.rows])
-
-    @property
-    def instance_ids(self) -> list[tuple[str, str, int]]:
-        return [r.instance_id for r in self.rows]
+        return len(self.instance_ids)
 
     @property
     def patient_ids(self) -> np.ndarray:
-        return np.array([r.patient_id for r in self.rows])
+        return np.array([pid for pid, _, _ in self.instance_ids])
 
 
 def _truth_code(value: str) -> str:
@@ -145,9 +131,10 @@ def measured_study_features(vol: Volume, lm: LabelMap, study: StudyRecord,
     for label in lm.vertebra_labels():
         level = parse_vertebra_level(lm.legend[label])
         frame = vertebra_frame(lm, label)
-        ch = morphometry.cell_heights(lm, label, frame, layout)
+        cols = morphometry.column_table(lm, label, frame)
+        ch = morphometry.cell_heights(cols, label, layout)
         feats = morphometry.regional_summaries(ch)
-        feats.update(morphometry.sagittal_heights(lm, label, frame))
+        feats.update(morphometry.sagittal_heights(cols, label))
         dens = densitometry.density_features(vol, lm, label, frame, erosion_radius_mm)
         feats["meanDen"] = dens.meanDen
         feats["meanTrab"] = dens.meanTrab
@@ -183,8 +170,10 @@ def demographics(study: StudyRecord) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 # longitudinal assembly
 
-def _build_row(study: StudyRecord, label: int, measured: dict[str, float],
-               rates: dict[str, float], rate_mask: dict[str, bool]) -> FeatureVector:
+def _build_row(study: StudyRecord, measured: dict[str, float],
+               rates: dict[str, float], rate_mask: dict[str, bool],
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """One instance's (36,) values and missing-value mask."""
     values = np.full(len(ALL_COLUMNS), np.nan)
     mask = np.zeros(len(ALL_COLUMNS), dtype=bool)
     demo = demographics(study)
@@ -198,9 +187,7 @@ def _build_row(study: StudyRecord, label: int, measured: dict[str, float],
             values[i] = demo[col]
         if np.isnan(values[i]):
             mask[i] = True
-    return FeatureVector(patient_id=study.patient_id, study_id=study.study_id,
-                         vertebra=label, values=values, mask=mask,
-                         truth=_truth_code(study.vertebra_truth[label]))
+    return values, mask
 
 
 def assemble(manifest: CohortManifest, base_dir, policy: str = "zero",
@@ -217,7 +204,7 @@ def assemble(manifest: CohortManifest, base_dir, policy: str = "zero",
     policy = policy.lower()
     if policy not in FIRST_STUDY_POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {FIRST_STUDY_POLICIES}")
-    rows: list[FeatureVector] = []
+    ids, values, masks, truths = [], [], [], []
     for patient in manifest.patients:
         previous: dict[int, dict[str, float]] | None = None
         prev_date = None
@@ -243,10 +230,16 @@ def assemble(manifest: CohortManifest, base_dir, policy: str = "zero",
                     for col in RATE_BASE_COLUMNS:
                         rates["R_" + col] = 0.0
                         rate_mask["R_" + col] = flag
-                rows.append(_build_row(study, label, measured[label], rates, rate_mask))
+                row_values, row_mask = _build_row(study, measured[label], rates, rate_mask)
+                ids.append((study.patient_id, study.study_id, label))
+                values.append(row_values)
+                masks.append(row_mask)
+                truths.append(_truth_code(study.vertebra_truth[label]))
             previous = measured
             prev_date = study.acquisition_date
-    return FeatureTable(columns=list(ALL_COLUMNS), rows=rows, provenance={
+    shape = (len(ids), len(ALL_COLUMNS))
+    return FeatureTable(instance_ids=ids, matrix=np.reshape(values, shape),
+                        mask=np.reshape(masks, shape), truth=truths, provenance={
         "manifest": str(manifest_path),
         "policy": policy,
         "erosion_radius_mm": erosion_radius_mm,
@@ -273,18 +266,19 @@ def save_table(table: FeatureTable, path) -> None:
     plus a JSON sidecar carrying provenance and the imputation mask."""
     path = Path(path)
     lines = [",".join(ID_COLUMNS + ALL_COLUMNS + [TRUTH_COLUMN])]
-    for r in table.rows:
-        cells = [r.patient_id, r.study_id, str(r.vertebra)]
-        for v in r.values:
+    for (pid, sid, vertebra), values, truth in zip(table.instance_ids, table.matrix,
+                                                   table.truth):
+        cells = [pid, sid, str(vertebra)]
+        for v in values:
             cells.append("" if np.isnan(v) else repr(float(v)))
-        cells.append(r.truth)
+        cells.append(truth)
         lines.append(",".join(cells))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     sidecar = {
         "provenance": table.provenance,
         "columns": ALL_COLUMNS,
-        "mask": ["".join("1" if m else "0" for m in r.mask) for r in table.rows],
+        "mask": ["".join("1" if m else "0" for m in row) for row in table.mask],
     }
     sidecar_path = path.with_suffix(path.suffix + ".meta.json")
     sidecar_path.write_text(json.dumps(sidecar, indent=2) + "\n", encoding="utf-8")
@@ -312,26 +306,28 @@ def load_table(path) -> FeatureTable:
                 f"{sidecar_path}: mask has {len(mask_rows)} rows, "
                 f"{path} has {len(lines) - 1} data rows")
 
-    rows = []
+    n, width = len(lines) - 1, len(ALL_COLUMNS)
+    ids, truths = [], []
+    matrix = np.empty((n, width))
+    mask = np.empty((n, width), dtype=bool)
     for i, line in enumerate(lines[1:]):
         cells = line.split(",")
         if len(cells) != len(expected):
             raise ValueError(f"{path}:{i + 2}: row has {len(cells)} cells, "
                              f"expected {len(expected)}")
-        values = np.array([np.nan if c == "" else float(c)
-                           for c in cells[3:3 + len(ALL_COLUMNS)]])
+        matrix[i] = [np.nan if c == "" else float(c) for c in cells[3:3 + width]]
         if mask_rows is not None:
-            if len(mask_rows[i]) != len(ALL_COLUMNS):
+            if len(mask_rows[i]) != width:
                 raise ValueError(
                     f"{sidecar_path}: mask for {path}:{i + 2} has "
-                    f"{len(mask_rows[i])} flags, expected {len(ALL_COLUMNS)}")
-            mask = np.array([c == "1" for c in mask_rows[i]], dtype=bool)
+                    f"{len(mask_rows[i])} flags, expected {width}")
+            mask[i] = [c == "1" for c in mask_rows[i]]
         else:
-            mask = np.isnan(values)
+            mask[i] = np.isnan(matrix[i])
         truth = cells[-1]
         if truth not in ("O", "N"):
             raise ValueError(f"{path}: unknown truth label {truth!r}")
-        rows.append(FeatureVector(patient_id=cells[0], study_id=cells[1],
-                                  vertebra=int(cells[2]), values=values,
-                                  mask=mask, truth=truth))
-    return FeatureTable(columns=list(ALL_COLUMNS), rows=rows, provenance=provenance)
+        ids.append((cells[0], cells[1], int(cells[2])))
+        truths.append(truth)
+    return FeatureTable(instance_ids=ids, matrix=matrix, mask=mask, truth=truths,
+                        provenance=provenance)

@@ -60,28 +60,6 @@ class CellHeights:
         object.__setattr__(self, "column_counts", c)
 
 
-@dataclass
-class HeightFeatures:
-    """Table-1 height features for one vertebra; NaN marks missing values."""
-
-    h_c: float = np.nan
-    h_a: float = np.nan
-    h_p: float = np.nan
-    h_l: float = np.nan
-    h_r: float = np.nan
-    h_avg: float = np.nan
-    h_avg_5: float = np.nan
-    contrastP: float = np.nan
-    contrastN: float = np.nan
-    contrastA: float = np.nan
-    vid: float = np.nan
-    Anterior: float = np.nan
-    Center: float = np.nan
-    Posterior: float = np.nan
-    manualMean: float = np.nan
-    meanH: float = np.nan
-
-
 @dataclass(frozen=True)
 class ColumnTable:
     """Axial columns of one vertebral body.
@@ -156,13 +134,28 @@ def column_table(lm: LabelMap, label: int, frame: LocalFrame) -> ColumnTable:
                        res_a=res_a, res_l=res_l, slice_spacing=slice_sp)
 
 
+def arc_index(phi: np.ndarray) -> np.ndarray:
+    """Compass arc (0..7) of a clockwise-from-anterior azimuth in radians;
+    each arc is centred on a multiple of 45 degrees."""
+    arc = np.floor((phi + np.pi / ARC_COUNT) / (2.0 * np.pi / ARC_COUNT)).astype(int)
+    return arc % ARC_COUNT
+
+
+def cell_index(rho: np.ndarray, arc: np.ndarray,
+               layout: CompassLayout = CompassLayout()) -> np.ndarray:
+    """Compass cell (0..16) from a radius normalized to the footprint edge
+    and an arc index: the ring is chosen by the layout's fractions."""
+    return np.where(rho < layout.r1_fraction, 0,
+                    np.where(rho < layout.r2_fraction, 1 + arc, 9 + arc))
+
+
 def assign_cells(cols: ColumnTable, layout: CompassLayout = CompassLayout()) -> np.ndarray:
     """Compass cell index (0..16) for every column of the footprint."""
     if cols.n_columns == 0:
         raise ValueError("empty footprint")
     r = np.hypot(cols.a, cols.l)
     phi = np.arctan2(-cols.l, cols.a)     # clockwise from anterior, seen from superior
-    arc = np.floor((phi + np.pi / ARC_COUNT) / (2.0 * np.pi / ARC_COUNT)).astype(int) % ARC_COUNT
+    arc = arc_index(phi)
 
     radius = np.zeros(ARC_COUNT)
     global_max = float(r.max())
@@ -171,15 +164,13 @@ def assign_cells(cols: ColumnTable, layout: CompassLayout = CompassLayout()) -> 
         radius[k] = r[sel].max() if sel.any() else global_max
     safe = np.where(radius > 0, radius, 1.0)
     rho = np.where(radius[arc] > 0, r / safe[arc], 0.0)
-
-    return np.where(rho < layout.r1_fraction, 0,
-                    np.where(rho < layout.r2_fraction, 1 + arc, 9 + arc))
+    return cell_index(rho, arc, layout)
 
 
-def cell_heights(lm: LabelMap, label: int, frame: LocalFrame,
+def cell_heights(cols: ColumnTable, label: int,
                  layout: CompassLayout = CompassLayout()) -> CellHeights:
-    """Median endplate-to-endplate column height per compass cell."""
-    cols = column_table(lm, label, frame)
+    """Median endplate-to-endplate column height per compass cell of the
+    columns ``column_table`` built for ``label``."""
     cells = assign_cells(cols, layout)
     heights = np.full(N_CELLS, np.nan)
     counts = np.zeros(N_CELLS, dtype=np.int64)
@@ -223,10 +214,10 @@ def regional_summaries(ch: CellHeights) -> dict[str, float]:
     return out
 
 
-def sagittal_heights(lm: LabelMap, label: int, frame: LocalFrame) -> dict[str, float]:
-    """Mid-sagittal edge heights: Anterior/Center/Posterior over the 20%
-    extent bands of the mid-line slab, their mean, and the slab-wide mean."""
-    cols = column_table(lm, label, frame)
+def sagittal_heights(cols: ColumnTable, label: int) -> dict[str, float]:
+    """Mid-sagittal edge heights of the columns ``column_table`` built for
+    ``label``: Anterior/Center/Posterior over the 20% extent bands of the
+    mid-line slab, their mean, and the slab-wide mean."""
     slab = np.abs(cols.l) <= cols.res_l * (1.0 + _EPS)
     slab &= ~np.isnan(cols.height)
     if not slab.any():

@@ -24,8 +24,8 @@ from .grids import (GridGeometry, LabelMap, Volume, ROLE_CANAL, ROLE_FAT,
 from .frames import LocalFrame, make_frame
 from .manifest import (CohortManifest, NEOPLASTIC, OSTEOPOROTIC, PatientEntry,
                        StudyRecord, UNFRACTURED, save_manifest)
+from .morphometry import N_CELLS, CompassLayout, arc_index, cell_index
 
-N_CELLS = 17
 MIN_CELL_HEIGHT_MM = 1.0
 
 AIR_HU = -1000
@@ -41,10 +41,6 @@ CANAL_LABEL = 103
 # default neoplastic focal lesion, so the anterior-half trabecular probe
 # sees it.
 ANTERIOR_LESION_CELLS = (0, 1, 2, 8, 9, 10, 16)
-
-# Ring boundary fractions; must match the measurement side's defaults.
-R1_FRACTION = 1.0 / 3.0
-R2_FRACTION = 2.0 / 3.0
 
 
 @dataclass(frozen=True)
@@ -170,8 +166,9 @@ def height_field(spec: VertebraSpec, rho: np.ndarray, theta: np.ndarray) -> np.n
     """Target column height at normalized radius ``rho`` and clockwise azimuth
     ``theta``; equals the cell target exactly at each cell center."""
     h = np.asarray(spec.cell_heights)
-    node1 = 0.5 * (R1_FRACTION + R2_FRACTION)   # inner-ring node radius
-    node2 = 0.5 * (R2_FRACTION + 1.0)           # outer-ring node radius
+    layout = CompassLayout()                    # the measurement side's rings
+    node1 = 0.5 * (layout.r1_fraction + layout.r2_fraction)   # inner-ring node radius
+    node2 = 0.5 * (layout.r2_fraction + 1.0)                  # outer-ring node radius
     ring1 = _ring_values(theta, h[1:9])
     ring2 = _ring_values(theta, h[9:17])
 
@@ -185,16 +182,6 @@ def height_field(spec: VertebraSpec, rho: np.ndarray, theta: np.ndarray) -> np.n
     out[mid] = (1.0 - w2[mid]) * ring1[mid] + w2[mid] * ring2[mid]
     out[outer] = ring2[outer]
     return out
-
-
-def cell_index_field(rho: np.ndarray, theta: np.ndarray,
-                     r1_fraction: float = R1_FRACTION,
-                     r2_fraction: float = R2_FRACTION) -> np.ndarray:
-    """Compass cell index (0..16) for normalized radius and clockwise azimuth."""
-    arc = np.floor(((theta + np.pi / 8.0) / (np.pi / 4.0))).astype(int) % 8
-    cell = np.where(rho < r1_fraction, 0,
-                    np.where(rho < r2_fraction, 1 + arc, 9 + arc))
-    return cell
 
 
 def _frame_coords(grid: GridGeometry, frame: LocalFrame):
@@ -243,7 +230,7 @@ def render_vertebra(spec: VertebraSpec, frame: LocalFrame, grid: GridGeometry,
     hu = np.zeros(body.shape, dtype=np.float64)
     deltas = np.asarray(spec.cell_hu_delta)
     if np.any(deltas != 0.0):
-        cells = cell_index_field(rho, theta)
+        cells = cell_index(rho, arc_index(theta))
         hu[body] = spec.trabecular_hu + deltas[cells[body]]
     else:
         hu[body] = spec.trabecular_hu

@@ -18,7 +18,8 @@ from vcfclass.densitometry import density_features, trabecular_region
 from vcfclass.evaluation import fisher_exact_two_sided
 from vcfclass.features import load_table, rate
 from vcfclass.folds import kfold_split
-from vcfclass.morphometry import cell_heights, regional_summaries, sagittal_heights
+from vcfclass.morphometry import (cell_heights, column_table, regional_summaries,
+                                  sagittal_heights)
 from vcfclass.phantom import uniform_heights, wedge_heights
 from vcfclass.svm import SvmParams, dual_objective, kernel_matrix, train_svm
 
@@ -142,14 +143,14 @@ def test_criterion_2_fisher_oracle_exhaustive():
 
 def test_criterion_3_compass_geometry():
     _, lm_u, _ = render_single(body_spec(uniform_heights(20.0)))
-    ch = cell_heights(lm_u, 1, WORLD_FRAME)
+    ch = cell_heights(column_table(lm_u, 1, WORLD_FRAME), 1)
     assert np.all(np.abs(ch.heights - 20.0) <= SPACING_Z + 1e-9)
 
     _, lm_w, _ = render_single(body_spec(wedge_heights(10.0, 20.0)))
-    chw = cell_heights(lm_w, 1, WORLD_FRAME)
+    chw = cell_heights(column_table(lm_w, 1, WORLD_FRAME), 1)
     for cell, target in ((9, 10.0), (1, 10.0), (13, 20.0), (5, 20.0)):
         assert abs(chw.heights[cell] - target) <= SPACING_Z + 1e-9, cell
-    sg = sagittal_heights(lm_w, 1, WORLD_FRAME)
+    sg = sagittal_heights(column_table(lm_w, 1, WORLD_FRAME), 1)
     assert abs(sg["Anterior"] - 10.0) <= SPACING_Z + 1e-9
     assert abs(sg["Posterior"] - 20.0) <= SPACING_Z + 1e-9
     rs = regional_summaries(chw)

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import tree_hash
 from vcfclass.cli import main
+from vcfclass.crossval import outer_folds
 from vcfclass.features import load_table
 
 
@@ -135,6 +136,28 @@ def test_cv_invalid_svm_params_exit_2(cli_features, tmp_path, flag, value):
                  "--k", "4", flag, value, "--out", str(tmp_path / "r")])
     assert code == 2
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--k", "4", "--group-by-patient"], "--k 4 exceeds the 3 patients"),
+    (["--k", "4", "--inner-folds", "10"], "--inner-folds 10 exceeds the 9 instances"),
+    (["--k", "2", "--group-by-patient", "--inner-folds", "7"], "--inner-folds 7"),
+])
+def test_cv_fold_flags_beyond_data_exit_2(cli_features, tmp_path, capsys, flags, message):
+    assert len(load_table(cli_features)) == 12
+    code = main(["cv", "--table", str(cli_features), "--conditions", "measured",
+                 *flags, "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_cv_inner_folds_at_smallest_training_split(cli_features, tmp_path):
+    table = load_table(cli_features)
+    smallest = len(table) - int(np.bincount(outer_folds(table, 4, 0, False)).max())
+    assert main(["cv", "--table", str(cli_features), "--conditions", "measured",
+                 "--k", "4", "--members", "1", "--inner-folds", str(smallest),
+                 "--out", str(tmp_path / "r")]) == 0
 
 
 def test_cv_save_models_reloadable(cli_features, tmp_path):

@@ -3,8 +3,7 @@ import pytest
 
 from vcfclass.committee import CommitteeConfig, SelectionConfig
 from vcfclass.crossval import cross_validate, imputation_constants, impute
-from vcfclass.features import (ALL_COLUMNS, FeatureTable, FeatureVector,
-                               condition_columns)
+from vcfclass.features import ALL_COLUMNS, FeatureTable, condition_columns
 from vcfclass.folds import kfold_split
 from vcfclass.svm import SvmParams
 
@@ -77,16 +76,13 @@ def synthetic_table(n=60, seed=0, oracle=True):
     """Table whose meanTrab column equals the class sign when oracle=True."""
     rng = np.random.default_rng(seed)
     truth = np.where(rng.random(n) < 0.5, "N", "O")
-    rows = []
-    for i in range(n):
-        values = rng.normal(size=36)
-        mask = np.zeros(36, dtype=bool)
-        if oracle:
-            values[ALL_COLUMNS.index("meanTrab")] = 1.0 if truth[i] == "N" else -1.0
-        rows.append(FeatureVector(
-            patient_id=f"P{i % 12:03d}", study_id=f"P{i % 12:03d}-S{i // 12:02d}",
-            vertebra=(i % 3) + 1, values=values, mask=mask, truth=str(truth[i])))
-    return FeatureTable(columns=list(ALL_COLUMNS), rows=rows)
+    values = rng.normal(size=(n, 36))
+    if oracle:
+        values[:, ALL_COLUMNS.index("meanTrab")] = np.where(truth == "N", 1.0, -1.0)
+    ids = [(f"P{i % 12:03d}", f"P{i % 12:03d}-S{i // 12:02d}", (i % 3) + 1)
+           for i in range(n)]
+    return FeatureTable(instance_ids=ids, matrix=values,
+                        mask=np.zeros((n, 36), dtype=bool), truth=truth)
 
 
 FAST_CFG = CommitteeConfig(n_members=2,
@@ -151,9 +147,7 @@ def test_single_class_fold_skipped_with_warning():
     # A single minority instance lands in exactly one test fold, leaving that
     # fold's training split single-class.
     from dataclasses import replace
-    rows = [replace(r, truth="N" if i == 0 else "O")
-            for i, r in enumerate(table.rows)]
-    skew = FeatureTable(columns=list(ALL_COLUMNS), rows=rows)
+    skew = replace(table, truth=["N"] + ["O"] * (len(table) - 1))
     with pytest.warns(UserWarning, match="single class"):
         res = cross_validate(skew, "measured", FAST_CFG, k=12, seed=1)
     assert res.skipped_folds

@@ -1,11 +1,14 @@
 import json
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from vcfclass.features import (ALL_COLUMNS, DEMOGRAPHIC_COLUMNS,
-                               MEASURED_COLUMNS, RATE_COLUMNS, assemble,
-                               condition_columns, load_table, rate, save_table)
+                               MEASURED_COLUMNS, RATE_COLUMNS, FeatureTable,
+                               assemble, condition_columns, load_table, rate,
+                               save_table)
 from vcfclass.phantom import CohortSpec, generate_cohort
 
 
@@ -68,21 +71,18 @@ def test_policy_zero(two_study_cohort):
     manifest, root = two_study_cohort
     table = assemble(manifest, root, policy="zero")
     assert len(table) == 2
-    first = table.rows[0]
     rate_idx = [ALL_COLUMNS.index(c) for c in RATE_COLUMNS]
-    assert np.all(first.values[rate_idx] == 0.0)
-    assert np.all(first.mask[rate_idx])
-    second = table.rows[1]
-    assert not np.all(second.values[rate_idx] == 0.0)
+    assert np.all(table.matrix[0, rate_idx] == 0.0)
+    assert np.all(table.mask[0, rate_idx])
+    assert not np.all(table.matrix[1, rate_idx] == 0.0)
 
 
 def test_policy_carry(two_study_cohort):
     manifest, root = two_study_cohort
     table = assemble(manifest, root, policy="carry")
-    first = table.rows[0]
     rate_idx = [ALL_COLUMNS.index(c) for c in RATE_COLUMNS]
-    assert np.all(first.values[rate_idx] == 0.0)
-    assert not np.any(first.mask[rate_idx])
+    assert np.all(table.matrix[0, rate_idx] == 0.0)
+    assert not np.any(table.mask[0, rate_idx])
     with pytest.raises(ValueError, match="policy"):
         assemble(manifest, root, policy="bogus")
 
@@ -98,10 +98,10 @@ def test_rates_match_manual_computation(two_study_cohort):
     dt = years_between(s0.acquisition_date, s1.acquisition_date)
     label = s1.fractured_labels()[0]
     table = assemble(manifest, root, policy="zero")
-    row = table.rows[1]
+    assert table.instance_ids[1] == (s1.patient_id, s1.study_id, label)
     j = ALL_COLUMNS.index("R_h_avg")
     expected = (m1[label]["h_avg"] - m0[label]["h_avg"]) / dt
-    assert row.values[j] == pytest.approx(expected, rel=1e-12)
+    assert table.matrix[1, j] == pytest.approx(expected, rel=1e-12)
     assert expected < 0   # fractured bodies lose height
 
 
@@ -122,11 +122,11 @@ def test_demographics_and_vid(two_study_cohort):
     manifest, root = two_study_cohort
     table = assemble(manifest, root, policy="zero")
     study = manifest.patients[0].studies[0]
-    row = table.rows[0]
-    g = row.values[ALL_COLUMNS.index("Gender")]
+    row = table.matrix[0]
+    g = row[ALL_COLUMNS.index("Gender")]
     assert g == (0.0 if study.gender == "F" else 1.0)
-    assert row.values[ALL_COLUMNS.index("Age")] == pytest.approx(study.age)
-    assert row.values[ALL_COLUMNS.index("vid")] == 11.0   # second vertebra, level 11
+    assert row[ALL_COLUMNS.index("Age")] == pytest.approx(study.age)
+    assert row[ALL_COLUMNS.index("vid")] == 11.0   # second vertebra, level 11
 
 
 def test_row_count_matches_manifest(small_cohort):
@@ -160,18 +160,65 @@ def test_missing_neighbor_sets_mask(small_cohort):
     _, manifest, root = small_cohort
     table = assemble(manifest, root, policy="zero")
     j = ALL_COLUMNS.index("contrastN")
-    bottom_rows = [r for r in table.rows if r.vertebra == 3]
+    bottom_rows = [i for i, (_, _, vertebra) in enumerate(table.instance_ids)
+                   if vertebra == 3]
     assert bottom_rows
-    for r in bottom_rows:
-        assert np.isnan(r.values[j]) and r.mask[j]
+    for i in bottom_rows:
+        assert np.isnan(table.matrix[i, j]) and table.mask[i, j]
 
 
 def test_duplicate_instance_ids_rejected(two_study_cohort):
-    from vcfclass.features import FeatureTable
     manifest, root = two_study_cohort
     table = assemble(manifest, root, policy="zero")
-    with pytest.raises(ValueError, match="duplicate"):
-        FeatureTable(columns=list(ALL_COLUMNS), rows=table.rows + [table.rows[0]])
+    first = table.instance_ids[0]
+    with pytest.raises(ValueError, match=re.escape(f"duplicate instance id {first}")):
+        FeatureTable(instance_ids=table.instance_ids + [first],
+                     matrix=np.vstack([table.matrix, table.matrix[:1]]),
+                     mask=np.vstack([table.mask, table.mask[:1]]),
+                     truth=np.append(table.truth, table.truth[0]))
+
+
+def _small_columns(n=3):
+    return dict(instance_ids=[("P", "S", v) for v in range(n)],
+                matrix=np.arange(n * 36, dtype=float).reshape(n, 36),
+                mask=np.zeros((n, 36), dtype=bool), truth=["O", "N", "O"][:n])
+
+
+@pytest.mark.parametrize("field, value", [
+    ("instance_ids", [("P", "S", 0), ("P", "S", 1)]),
+    ("matrix", np.zeros((2, 36))),
+    ("matrix", np.zeros((3, 35))),
+    ("mask", np.zeros((4, 36), dtype=bool)),
+    ("mask", np.zeros((3, 37), dtype=bool)),
+    ("truth", ["O", "N"]),
+    ("truth", [["O"], ["N"], ["O"]]),
+])
+def test_mismatched_shapes_rejected(field, value):
+    columns = _small_columns()
+    columns[field] = value
+    with pytest.raises(ValueError, match="shape"):
+        FeatureTable(**columns)
+
+
+def test_arrays_read_only():
+    columns = _small_columns()
+    table = FeatureTable(**columns)
+    for name in ("matrix", "mask", "truth"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(table, name)[0] = getattr(table, name)[1]
+    columns["matrix"][0, 0] = -1.0          # the caller's array is not shared
+    assert table.matrix[0, 0] == 0.0
+    assert np.array_equal(table.patient_ids, ["P", "P", "P"])
+
+
+def test_replace_leaves_source_unchanged():
+    table = FeatureTable(**_small_columns())
+    flipped = replace(table, truth=["N", "O", "N"])
+    assert list(table.truth) == ["O", "N", "O"]
+    assert list(flipped.truth) == ["N", "O", "N"]
+    assert not flipped.truth.flags.writeable
+    assert np.array_equal(flipped.matrix, table.matrix)
+    assert flipped.instance_ids == table.instance_ids
 
 
 def _saved_table(two_study_cohort, tmp_path):

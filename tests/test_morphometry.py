@@ -4,8 +4,8 @@ import pytest
 from helpers import WORLD_FRAME, body_spec, render_single
 from vcfclass.frames import vertebra_frame
 from vcfclass.grids import GridGeometry, LabelMap
-from vcfclass.morphometry import (CompassLayout, assign_cells, cell_heights,
-                                  column_table, contrast_features,
+from vcfclass.morphometry import (ColumnTable, CompassLayout, assign_cells,
+                                  cell_heights, column_table, contrast_features,
                                   regional_summaries, sagittal_heights)
 from vcfclass.phantom import uniform_heights
 
@@ -52,7 +52,7 @@ def test_partition_covers_every_column(uniform_lm):
     cells = assign_cells(cols)
     assert cells.shape == (cols.n_columns,)
     assert set(np.unique(cells)) <= set(range(17))
-    ch = cell_heights(uniform_lm, 1, WORLD_FRAME)
+    ch = cell_heights(cols, 1)
     assert int(ch.column_counts.sum()) == cols.n_columns
 
 
@@ -85,13 +85,13 @@ def test_empty_footprint_rejected(uniform_lm):
 # cell heights
 
 def test_uniform_cells_all_20(uniform_lm):
-    ch = cell_heights(uniform_lm, 1, WORLD_FRAME)
+    ch = cell_heights(column_table(uniform_lm, 1, WORLD_FRAME), 1)
     assert np.all(np.abs(ch.heights - 20.0) <= SPACING_Z)
     assert float(ch.heights.max() - ch.heights.min()) <= 2 * SPACING_Z
 
 
 def test_wedge_cells_match_targets(wedge_lm):
-    ch = cell_heights(wedge_lm, 1, WORLD_FRAME)
+    ch = cell_heights(column_table(wedge_lm, 1, WORLD_FRAME), 1)
     assert abs(ch.heights[9] - 10.0) <= SPACING_Z    # outer anterior
     assert abs(ch.heights[1] - 10.0) <= SPACING_Z + 1e-9   # inner anterior
     assert abs(ch.heights[13] - 20.0) <= SPACING_Z   # outer posterior
@@ -107,21 +107,21 @@ def test_all_cells_missing_rejected():
     labels[2, 4, 5] = 1
     labels[2, 5, 4] = 1
     lm = LabelMap(geometry=geo, labels=labels, legend={1: "VERTEBRA:12"})
-    with pytest.raises(ValueError, match="missing"):
-        cell_heights(lm, 1, WORLD_FRAME)
+    with pytest.raises(ValueError, match="cells missing for label 1"):
+        cell_heights(column_table(lm, 1, WORLD_FRAME), 1)
 
 
 # ---------------------------------------------------------------------------
 # regional summaries
 
 def test_constant_field_summaries(uniform_lm):
-    rs = regional_summaries(cell_heights(uniform_lm, 1, WORLD_FRAME))
+    rs = regional_summaries(cell_heights(column_table(uniform_lm, 1, WORLD_FRAME), 1))
     for key, v in rs.items():
         assert abs(v - 20.0) <= SPACING_Z, key
 
 
 def test_wedge_region_ordering(wedge_lm):
-    rs = regional_summaries(cell_heights(wedge_lm, 1, WORLD_FRAME))
+    rs = regional_summaries(cell_heights(column_table(wedge_lm, 1, WORLD_FRAME), 1))
     assert rs["h_a"] < rs["h_avg"] < rs["h_p"]
 
 
@@ -141,13 +141,13 @@ def test_only_center_cell_present():
 # sagittal heights
 
 def test_uniform_sagittal(uniform_lm):
-    sg = sagittal_heights(uniform_lm, 1, WORLD_FRAME)
+    sg = sagittal_heights(column_table(uniform_lm, 1, WORLD_FRAME), 1)
     for key in ("Anterior", "Center", "Posterior", "manualMean", "meanH"):
         assert abs(sg[key] - 20.0) <= SPACING_Z, key
 
 
 def test_wedge_sagittal(wedge_lm):
-    sg = sagittal_heights(wedge_lm, 1, WORLD_FRAME)
+    sg = sagittal_heights(column_table(wedge_lm, 1, WORLD_FRAME), 1)
     assert abs(sg["Anterior"] - 10.0) <= SPACING_Z
     assert abs(sg["Posterior"] - 20.0) <= SPACING_Z
     assert abs(sg["manualMean"] - 15.0) <= SPACING_Z
@@ -156,8 +156,17 @@ def test_wedge_sagittal(wedge_lm):
 def test_biconcave_center_below_anterior():
     heights = tuple([12.0] + [12.0] * 8 + [20.0] * 8)   # sunken middle, tall rim
     _, lm, _ = render_single(body_spec(heights))
-    sg = sagittal_heights(lm, 1, WORLD_FRAME)
+    sg = sagittal_heights(column_table(lm, 1, WORLD_FRAME), 1)
     assert sg["Center"] < sg["Anterior"]
+
+
+def test_empty_sagittal_slab_names_label():
+    # Two columns, both more than one column width off the mid-line.
+    cols = ColumnTable(a=np.array([0.0, 0.0]), l=np.array([-3.0, 3.0]),
+                       height=np.array([10.0, 10.0]), voxels=np.array([10, 10]),
+                       res_a=1.0, res_l=1.0, slice_spacing=1.0)
+    with pytest.raises(ValueError, match="mid-sagittal slab for label 7"):
+        sagittal_heights(cols, 7)
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +200,9 @@ def test_contrast_zero_neighbor_missing():
 # invariance properties
 
 def _all_features(lm, frame):
-    ch = cell_heights(lm, 1, frame)
-    out = dict(regional_summaries(ch))
-    out.update(sagittal_heights(lm, 1, frame))
+    cols = column_table(lm, 1, frame)
+    out = dict(regional_summaries(cell_heights(cols, 1)))
+    out.update(sagittal_heights(cols, 1))
     return out
 
 

@@ -6,11 +6,12 @@ from helpers import (WORLD_FRAME, body_spec, column_extents,
 from vcfclass.frames import vertebra_frame
 from vcfclass.grids import GridGeometry, load_labelmap, load_volume
 from vcfclass.manifest import NEOPLASTIC, OSTEOPOROTIC
-from vcfclass.morphometry import cell_heights, regional_summaries
+from vcfclass.morphometry import (arc_index, cell_heights, cell_index,
+                                  column_table, regional_summaries)
 from vcfclass.phantom import (ANTERIOR_LESION_CELLS, CohortSpec, FocalLesion,
                               N_CELLS, ProgressionModel, advance,
-                              cell_index_field, generate_cohort, height_field,
-                              render_vertebra, uniform_heights, wedge_heights)
+                              generate_cohort, height_field, render_vertebra,
+                              uniform_heights, wedge_heights)
 
 
 def test_uniform_columns_span_target():
@@ -210,7 +211,7 @@ def test_monotone_progression(small_cohort):
     for study in patient.studies:
         lm = load_labelmap(root / study.labelmap_path)
         frame = vertebra_frame(lm, label)
-        ch = cell_heights(lm, label, frame)
+        ch = cell_heights(column_table(lm, label, frame), label)
         series.append(regional_summaries(ch)["h_avg"])
     assert all(b < a for a, b in zip(series, series[1:])), series
 
@@ -231,7 +232,7 @@ def test_height_field_matches_cells_at_centers():
     rho = np.array([0.0] + [node1] * 8 + [node2] * 8)
     theta = np.array([0.0] + [k * np.pi / 4 for k in range(8)] * 2)
     assert np.allclose(height_field(spec, rho, theta), heights)
-    cells = cell_index_field(rho, theta)
+    cells = cell_index(rho, arc_index(theta))
     assert list(cells) == list(range(N_CELLS))
 
 

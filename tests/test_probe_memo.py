@@ -8,7 +8,7 @@ import pytest
 import vcfclass.committee as committee_mod
 from vcfclass.committee import CommitteeConfig, SelectionConfig, greedy_forward_select
 from vcfclass.crossval import cross_validate
-from vcfclass.features import ALL_COLUMNS, FeatureTable, FeatureVector, assemble
+from vcfclass.features import ALL_COLUMNS, FeatureTable, assemble
 from vcfclass.svm import SvmParams
 
 CONDITIONS = ("measured", "longitudinal", "combined")
@@ -27,11 +27,8 @@ def synthetic_table(n=48, seed=0):
     values[:, ALL_COLUMNS.index("meanTrab")] = sign + rng.normal(scale=0.8, size=n)
     values[:, ALL_COLUMNS.index("R_meanTrab")] = sign + rng.normal(scale=1.5, size=n)
     mask = rng.random(values.shape) < 0.05
-    rows = [FeatureVector(patient_id=f"P{i % 12:03d}", study_id=f"P{i % 12:03d}-S{i // 12}",
-                          vertebra=i % 3 + 1, values=values[i], mask=mask[i],
-                          truth=str(truth[i]))
-            for i in range(n)]
-    return FeatureTable(columns=list(ALL_COLUMNS), rows=rows)
+    ids = [(f"P{i % 12:03d}", f"P{i % 12:03d}-S{i // 12}", i % 3 + 1) for i in range(n)]
+    return FeatureTable(instance_ids=ids, matrix=values, mask=mask, truth=truth)
 
 
 @pytest.fixture(scope="module")
