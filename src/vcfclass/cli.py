@@ -24,8 +24,8 @@ import numpy as np
 from . import __version__
 from .committee import CommitteeConfig, SelectionConfig, save_committee
 from .crossval import (cross_validate, load_predictions, outer_folds,
-                       predictions_path, save_predictions)
-from .evaluation import compare, emit_report
+                       predictions_path, save_predictions, single_class_folds)
+from .evaluation import accuracy, compare, confusion_from_result, emit_report
 from .features import (CONDITIONS, FIRST_STUDY_POLICIES, assemble_from_path,
                        load_table, save_table)
 from .morphometry import CompassLayout
@@ -122,25 +122,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_phantom(args) -> int:
-    if args.patients < 1:
-        raise UsageError(f"--patients must be >= 1, got {args.patients}")
-    if args.vertebrae < 1:
-        raise UsageError(f"--vertebrae must be >= 1, got {args.vertebrae}")
-    if args.studies < 1:
-        raise UsageError(f"--studies must be >= 1, got {args.studies}")
-    if not 0.0 <= args.fraction_neoplastic <= 1.0:
-        raise UsageError("--fraction-neoplastic must lie in [0, 1]")
-    studies = args.studies
-    if args.studies_max is not None:
-        if args.studies_max < args.studies:
-            raise UsageError("--studies-max must be >= --studies")
-        studies = (args.studies, args.studies_max)
+    studies = (args.studies if args.studies_max is None
+               else (args.studies, args.studies_max))
+    try:
+        spec = CohortSpec(
+            n_patients=args.patients, studies_per_patient=studies,
+            study_interval=args.interval, fraction_neoplastic=args.fraction_neoplastic,
+            vertebrae_per_patient=args.vertebrae, spacing=tuple(args.spacing),
+            seed=args.seed, noise_sd=args.noise)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     out = args.out or _default_out("cohort")
-    spec = CohortSpec(
-        n_patients=args.patients, studies_per_patient=studies,
-        study_interval=args.interval, fraction_neoplastic=args.fraction_neoplastic,
-        vertebrae_per_patient=args.vertebrae, spacing=tuple(args.spacing),
-        seed=args.seed, noise_sd=args.noise)
     manifest = generate_cohort(spec, out)
     _write_config(out / "run_config.json", "phantom", {
         "patients": spec.n_patients, "studies": list(studies) if isinstance(studies, tuple) else studies,
@@ -156,8 +148,14 @@ def cmd_phantom(args) -> int:
 def cmd_extract(args) -> int:
     if not args.manifest.is_file():
         raise UsageError(f"no such manifest: {args.manifest}")
+    if not (np.isfinite(args.erosion_mm) and args.erosion_mm >= 0):
+        raise UsageError(f"--erosion-mm must be finite and >= 0, got {args.erosion_mm}")
+    try:
+        layout = CompassLayout(r1_fraction=args.r1_fraction,
+                               r2_fraction=args.r2_fraction)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     out = args.out or _default_out("features.csv")
-    layout = CompassLayout(r1_fraction=args.r1_fraction, r2_fraction=args.r2_fraction)
     table = assemble_from_path(args.manifest, policy=args.policy, layout=layout,
                                erosion_radius_mm=args.erosion_mm)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -205,13 +203,16 @@ def cmd_cv(args) -> int:
         if args.k > n_patients:
             raise UsageError(f"--k {args.k} exceeds the {n_patients} patients "
                              f"that --group-by-patient assigns to folds")
+    folds = outer_folds(table, args.k, args.seed, args.group_by_patient)
     if args.selection == "greedy_forward":
-        folds = outer_folds(table, args.k, args.seed, args.group_by_patient)
         smallest = len(table) - int(np.bincount(folds).max())
         if args.inner_folds > smallest:
             raise UsageError(f"--inner-folds {args.inner_folds} exceeds the "
                              f"{smallest} instances of the smallest outer "
                              f"training split")
+    if len(single_class_folds(table.truth, folds, args.k)) == args.k:
+        raise UsageError(f"--k {args.k}: every outer training split holds a "
+                         f"single class, so no fold can be evaluated")
 
     out = args.out or _default_out("results")
     out.mkdir(parents=True, exist_ok=True)
@@ -225,8 +226,9 @@ def cmd_cv(args) -> int:
             for f_idx, committee in enumerate(res.fold_models):
                 save_committee(committee, out / f"committee_{cond}_fold{f_idx}.json")
         results.append(res)
-        print(f"{cond}: accuracy {res.accuracy():.3f} "
-              f"({res.misclassifications()} misclassified of {res.n_evaluated})")
+        cm = confusion_from_result(res)
+        print(f"{cond}: accuracy {accuracy(cm):.3f} "
+              f"({cm.misclassified} misclassified of {cm.grand_total})")
 
     report = compare(results, metadata={"seed": args.seed, "k": args.k})
     emit_report(report, results, out, heatmaps=args.heatmaps)

@@ -37,24 +37,6 @@ class CvResult:
     def evaluated(self) -> np.ndarray:
         return self.predictions != ""
 
-    @property
-    def n_evaluated(self) -> int:
-        return int(self.evaluated.sum())
-
-    def accuracy(self) -> float:
-        sel = self.evaluated
-        if not sel.any():
-            raise ValueError("no evaluated instances")
-        return float((self.predictions[sel] == self.truth[sel]).mean())
-
-    def misclassifications(self) -> int:
-        sel = self.evaluated
-        return int((self.predictions[sel] != self.truth[sel]).sum())
-
-    def correct_incorrect(self) -> tuple[int, int]:
-        wrong = self.misclassifications()
-        return self.n_evaluated - wrong, wrong
-
 
 def imputation_constants(values: np.ndarray, mask: np.ndarray,
                          columns: list[str]) -> np.ndarray:
@@ -87,10 +69,16 @@ def _truth_to_signs(truth: np.ndarray) -> np.ndarray:
 
 def outer_folds(table: FeatureTable, k: int, seed: int,
                 group_by_patient: bool) -> np.ndarray:
-    """Outer fold index per instance: stratified by truth, and with
-    ``group_by_patient`` each patient's instances in one fold."""
+    """Outer fold index per instance: stratified by truth or, with
+    ``group_by_patient``, each patient's instances in one (unstratified) fold."""
     return kfold_split(len(table), k=k, seed=seed, stratify_by=table.truth,
                        group_by=table.patient_ids if group_by_patient else None)
+
+
+def single_class_folds(truth: np.ndarray, folds: np.ndarray, k: int) -> list[int]:
+    """Outer folds whose training split holds a single class; cross-validation
+    skips them."""
+    return [f for f in range(k) if np.unique(truth[folds != f]).size < 2]
 
 
 def cross_validate(table: FeatureTable, condition: str,
@@ -117,16 +105,15 @@ def cross_validate(table: FeatureTable, condition: str,
 
     predictions = np.full(n, "", dtype=object)
     decision = np.full(n, np.nan)
-    skipped: list[int] = []
+    skipped = single_class_folds(truth, folds, k)
     models: list[Committee] = []
     fills: list[np.ndarray] = []
     for f in range(k):
         tr = folds != f
         te = folds == f
-        if np.unique(y[tr]).size < 2:
+        if f in skipped:
             warnings.warn(f"fold {f}: training split has a single class; skipped",
                           stacklevel=2)
-            skipped.append(f)
             continue
         fill = imputation_constants(values[tr], mask[tr], columns)
         Xtr = impute(values[tr], mask[tr], fill)

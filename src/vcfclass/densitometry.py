@@ -59,8 +59,9 @@ def _trabecular_crop(lm: LabelMap, label: int, frame: LocalFrame,
     body = view.mask
     if view.voxel_count == 0:
         raise ValueError(f"label {label} absent from the label map")
-    if erosion_radius_mm < 0:
-        raise ValueError("erosion radius must be nonnegative")
+    if not (np.isfinite(erosion_radius_mm) and erosion_radius_mm >= 0):
+        raise ValueError(
+            f"erosion radius must be finite and nonnegative, got {erosion_radius_mm}")
     if erosion_radius_mm > 0:
         # The box holds the whole body and erosion treats the space beyond it
         # as background, so the in-box erosion equals the full-grid one.

@@ -8,6 +8,7 @@ stable without floating-point factorials.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from math import comb
 from pathlib import Path
 
@@ -167,15 +168,11 @@ def compare(results: list[CvResult], metadata: dict | None = None) -> Comparison
                                           misclassifications=cm.misclassified,
                                           n=cm.grand_total, confusion=cm))
     pairs = []
-    for i in range(len(results)):
-        for j in range(i + 1, len(results)):
-            ca, wa = results[i].correct_incorrect()
-            cb, wb = results[j].correct_incorrect()
-            tab = ((ca, wa), (cb, wb))
-            pairs.append(PairComparison(condition_a=results[i].condition,
-                                        condition_b=results[j].condition,
-                                        table=tab,
-                                        p_value=fisher_exact_two_sided(tab)))
+    for a, b in combinations(summaries, 2):
+        tab = ((a.confusion.correct, a.misclassifications),
+               (b.confusion.correct, b.misclassifications))
+        pairs.append(PairComparison(condition_a=a.condition, condition_b=b.condition,
+                                    table=tab, p_value=fisher_exact_two_sided(tab)))
     return ComparisonReport(conditions=summaries, pairs=pairs,
                             metadata=dict(metadata or {}))
 
@@ -226,7 +223,7 @@ def emit_report(report: ComparisonReport, results: list[CvResult], out_dir,
     if not results or not report.conditions:
         raise ValueError("nothing to report")
     for r in results:
-        if r.n_evaluated == 0:
+        if not r.evaluated.any():
             raise ValueError(f"condition {r.condition}: no evaluated predictions")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -35,6 +35,7 @@ MEASURED_COLUMNS = HEIGHT_COLUMNS + DENSITY_COLUMNS          # 18
 # Rates exist for every measured feature except the level id and meanH.
 RATE_BASE_COLUMNS = [c for c in MEASURED_COLUMNS if c not in ("vid", "meanH")]
 RATE_COLUMNS = ["R_" + c for c in RATE_BASE_COLUMNS]         # 16
+_RATE_BASE_POS = [MEASURED_COLUMNS.index(c) for c in RATE_BASE_COLUMNS]
 DEMOGRAPHIC_COLUMNS = ["Gender", "Age"]                      # 2
 ALL_COLUMNS = MEASURED_COLUMNS + RATE_COLUMNS + DEMOGRAPHIC_COLUMNS   # 36
 
@@ -60,12 +61,11 @@ def condition_columns(condition: str) -> list[str]:
     raise ValueError(f"unknown condition {condition!r}; expected one of {CONDITIONS}")
 
 
-def rate(current: float, previous: float, dt_years: float) -> float:
-    """Per-year rate of change; NaN when either endpoint is missing."""
+def rate(current, previous, dt_years: float):
+    """Per-year rate of change, elementwise; NaN where either endpoint is
+    missing."""
     if dt_years <= 0:
         raise ValueError(f"dt must be positive, got {dt_years}")
-    if np.isnan(current) or np.isnan(previous):
-        return np.nan
     return (current - previous) / dt_years
 
 
@@ -115,7 +115,7 @@ def _truth_code(value: str) -> str:
 # ---------------------------------------------------------------------------
 # per-study extraction
 
-def measured_study_features(vol: Volume, lm: LabelMap, study: StudyRecord,
+def measured_study_features(vol: Volume, lm: LabelMap,
                             layout: CompassLayout = CompassLayout(),
                             erosion_radius_mm: float = densitometry.DEFAULT_EROSION_MM,
                             ) -> dict[int, dict[str, float]]:
@@ -158,7 +158,7 @@ def measured_features(study: StudyRecord, base_dir,
     try:
         vol = load_volume(base / study.volume_path)
         lm = load_labelmap(base / study.labelmap_path)
-        return measured_study_features(vol, lm, study, layout, erosion_radius_mm)
+        return measured_study_features(vol, lm, layout, erosion_radius_mm)
     except Exception as exc:
         raise RuntimeError(f"study {study.study_id}: {exc}") from exc
 
@@ -169,26 +169,6 @@ def demographics(study: StudyRecord) -> dict[str, float]:
 
 # ---------------------------------------------------------------------------
 # longitudinal assembly
-
-def _build_row(study: StudyRecord, measured: dict[str, float],
-               rates: dict[str, float], rate_mask: dict[str, bool],
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """One instance's (36,) values and missing-value mask."""
-    values = np.full(len(ALL_COLUMNS), np.nan)
-    mask = np.zeros(len(ALL_COLUMNS), dtype=bool)
-    demo = demographics(study)
-    for i, col in enumerate(ALL_COLUMNS):
-        if col in measured:
-            values[i] = measured[col]
-        elif col in rates:
-            values[i] = rates[col]
-            mask[i] = rate_mask.get(col, False)
-        else:
-            values[i] = demo[col]
-        if np.isnan(values[i]):
-            mask[i] = True
-    return values, mask
-
 
 def assemble(manifest: CohortManifest, base_dir, policy: str = "zero",
              layout: CompassLayout = CompassLayout(),
@@ -204,38 +184,38 @@ def assemble(manifest: CohortManifest, base_dir, policy: str = "zero",
     policy = policy.lower()
     if policy not in FIRST_STUDY_POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {FIRST_STUDY_POLICIES}")
+    no_mask = np.zeros(len(ALL_COLUMNS), dtype=bool)
+    first_mask = np.isin(ALL_COLUMNS, RATE_COLUMNS) if policy == "zero" else no_mask
+    first_rates = np.zeros(len(RATE_COLUMNS))
     ids, values, masks, truths = [], [], [], []
     for patient in manifest.patients:
-        previous: dict[int, dict[str, float]] | None = None
+        previous: dict[int, np.ndarray] | None = None
         prev_date = None
         for study in patient.studies:
             measured = measured_features(study, base_dir, layout, erosion_radius_mm)
+            current = {label: np.array([feats[c] for c in MEASURED_COLUMNS])
+                       for label, feats in measured.items()}
+            demo = [demographics(study)[c] for c in DEMOGRAPHIC_COLUMNS]
             for label in study.fractured_labels():
-                if label not in measured:
+                if label not in current:
                     raise RuntimeError(
                         f"study {study.study_id}: fractured label {label} "
                         f"absent from the label map legend")
-                rates: dict[str, float] = {}
-                rate_mask: dict[str, bool] = {}
                 if previous is not None and label in previous:
-                    dt_years = years_between(prev_date, study.acquisition_date)
-                    for col in RATE_BASE_COLUMNS:
-                        r = rate(measured[label][col], previous[label][col], dt_years)
-                        rates["R_" + col] = r
-                        rate_mask["R_" + col] = bool(np.isnan(r))
+                    rates = rate(current[label][_RATE_BASE_POS],
+                                 previous[label][_RATE_BASE_POS],
+                                 years_between(prev_date, study.acquisition_date))
+                    policy_mask = no_mask
+                elif policy == "exclude":
+                    continue
                 else:
-                    if policy == "exclude":
-                        continue
-                    flag = policy == "zero"
-                    for col in RATE_BASE_COLUMNS:
-                        rates["R_" + col] = 0.0
-                        rate_mask["R_" + col] = flag
-                row_values, row_mask = _build_row(study, measured[label], rates, rate_mask)
+                    rates, policy_mask = first_rates, first_mask
+                row = np.concatenate((current[label], rates, demo))
                 ids.append((study.patient_id, study.study_id, label))
-                values.append(row_values)
-                masks.append(row_mask)
+                values.append(row)
+                masks.append(policy_mask | np.isnan(row))
                 truths.append(_truth_code(study.vertebra_truth[label]))
-            previous = measured
+            previous = current
             prev_date = study.acquisition_date
     shape = (len(ids), len(ALL_COLUMNS))
     return FeatureTable(instance_ids=ids, matrix=np.reshape(values, shape),

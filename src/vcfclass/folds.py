@@ -14,8 +14,9 @@ def kfold_split(n: int, k: int = 10, seed: int = 0, stratify_by=None,
     Stratified mode deals each class's (seeded-shuffled) instances round-robin
     with a running fold pointer, so fold sizes stay within 1 of n/k and each
     fold's class counts within 1 of the global ratio. With ``group_by`` set,
-    whole groups go to the currently smallest fold (stratification then only
-    best-effort); a group larger than n/k draws a warning, not an error.
+    whole groups go to the currently smallest fold and ``stratify_by`` is not
+    read, so grouped folds are not stratified; a group larger than n/k draws a
+    warning, not an error.
     """
     if k < 2:
         raise ValueError("k must be at least 2")

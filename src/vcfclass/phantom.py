@@ -120,7 +120,8 @@ class CohortSpec:
 
     def __post_init__(self):
         if self.n_patients < 1 or self.vertebrae_per_patient < 1:
-            raise ValueError("counts must be >= 1")
+            raise ValueError(f"counts must be >= 1, got n_patients={self.n_patients}, "
+                             f"vertebrae_per_patient={self.vertebrae_per_patient}")
         if isinstance(self.studies_per_patient, int):
             if self.studies_per_patient < 1:
                 raise ValueError("studies_per_patient must be >= 1")
@@ -130,8 +131,15 @@ class CohortSpec:
                 raise ValueError(f"bad studies range {self.studies_per_patient}")
         if not 0.0 <= self.fraction_neoplastic <= 1.0:
             raise ValueError("fraction_neoplastic must lie in [0, 1]")
-        if self.study_interval <= 0:
-            raise ValueError("study_interval must be positive")
+        if not (np.isfinite(self.study_interval) and self.study_interval > 0):
+            raise ValueError(
+                f"study_interval must be finite and positive, got {self.study_interval}")
+        if len(self.spacing) != 3 or not all(np.isfinite(s) and s > 0
+                                             for s in self.spacing):
+            raise ValueError(
+                f"spacing needs three finite positive values, got {self.spacing}")
+        if not (np.isfinite(self.noise_sd) and self.noise_sd >= 0):
+            raise ValueError(f"noise_sd must be finite and >= 0, got {self.noise_sd}")
 
 
 def uniform_heights(height_mm: float) -> tuple[float, ...]:

@@ -1,7 +1,8 @@
 """Shared fixtures-in-code: single-vertebra phantom builders, tree hashing,
 the independent oracles (dense-QP projected gradient, exact hypergeometric
 enumeration) used to cross-check the production paths, and verbatim copies of
-replaced code paths (SMO step, full-grid label scans) kept as references."""
+replaced code paths (SMO step, full-grid label scans, dict-built feature rows)
+kept as references."""
 
 from __future__ import annotations
 
@@ -15,10 +16,15 @@ from scipy import ndimage
 
 from vcfclass.densitometry import (DEFAULT_EROSION_MM, MIN_LABEL_VOXELS,
                                    _ball_structure)
+from vcfclass.features import (ALL_COLUMNS, FIRST_STUDY_POLICIES,
+                               RATE_BASE_COLUMNS, FeatureTable, _truth_code,
+                               demographics, measured_features)
 from vcfclass.frames import make_frame
 from vcfclass.grids import (FormatError, GridGeometry, LabelMap, Volume,
                             check_paired_geometry)
-from vcfclass.morphometry import MIN_COLUMN_VOXELS, ColumnTable, _axis_resolution
+from vcfclass.manifest import CohortManifest, StudyRecord, years_between
+from vcfclass.morphometry import (MIN_COLUMN_VOXELS, ColumnTable, CompassLayout,
+                                  _axis_resolution)
 from vcfclass.phantom import VertebraSpec, render_vertebra
 
 WORLD_FRAME = make_frame((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, 1.0, 0.0))
@@ -402,3 +408,97 @@ def reference_check_vertebra_connectivity(lm: LabelMap) -> None:
         if n != 1:
             raise FormatError(
                 f"vertebra label {lab} splits into {n} 26-connected components")
+
+
+# ---------------------------------------------------------------------------
+# reference assembly: rows built through name-keyed rate dicts and a 36-way
+# column lookup, as they stood before whole-row concatenation, kept verbatim
+# so tests can require identical tables
+
+def reference_rate(current: float, previous: float, dt_years: float) -> float:
+    """Per-year rate of change; NaN when either endpoint is missing."""
+    if dt_years <= 0:
+        raise ValueError(f"dt must be positive, got {dt_years}")
+    if np.isnan(current) or np.isnan(previous):
+        return np.nan
+    return (current - previous) / dt_years
+
+
+def reference_build_row(study: StudyRecord, measured: dict[str, float],
+                        rates: dict[str, float], rate_mask: dict[str, bool],
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """One instance's (36,) values and missing-value mask."""
+    values = np.full(len(ALL_COLUMNS), np.nan)
+    mask = np.zeros(len(ALL_COLUMNS), dtype=bool)
+    demo = demographics(study)
+    for i, col in enumerate(ALL_COLUMNS):
+        if col in measured:
+            values[i] = measured[col]
+        elif col in rates:
+            values[i] = rates[col]
+            mask[i] = rate_mask.get(col, False)
+        else:
+            values[i] = demo[col]
+        if np.isnan(values[i]):
+            mask[i] = True
+    return values, mask
+
+
+def reference_assemble(manifest: CohortManifest, base_dir, policy: str = "zero",
+                       layout: CompassLayout = CompassLayout(),
+                       erosion_radius_mm: float = DEFAULT_EROSION_MM,
+                       manifest_path: str = "") -> FeatureTable:
+    """One feature row per (fractured vertebra, study) instance.
+
+    Rates compare against the same vertebra in the immediately preceding
+    study. First-study instances follow ``policy``: 'exclude' drops the row,
+    'zero' emits zero rates with their mask bits set, 'carry' emits zero
+    rates treated as observed.
+    """
+    policy = policy.lower()
+    if policy not in FIRST_STUDY_POLICIES:
+        raise ValueError(f"unknown policy {policy!r}; expected one of {FIRST_STUDY_POLICIES}")
+    ids, values, masks, truths = [], [], [], []
+    for patient in manifest.patients:
+        previous: dict[int, dict[str, float]] | None = None
+        prev_date = None
+        for study in patient.studies:
+            measured = measured_features(study, base_dir, layout, erosion_radius_mm)
+            for label in study.fractured_labels():
+                if label not in measured:
+                    raise RuntimeError(
+                        f"study {study.study_id}: fractured label {label} "
+                        f"absent from the label map legend")
+                rates: dict[str, float] = {}
+                rate_mask: dict[str, bool] = {}
+                if previous is not None and label in previous:
+                    dt_years = years_between(prev_date, study.acquisition_date)
+                    for col in RATE_BASE_COLUMNS:
+                        r = reference_rate(measured[label][col], previous[label][col],
+                                           dt_years)
+                        rates["R_" + col] = r
+                        rate_mask["R_" + col] = bool(np.isnan(r))
+                else:
+                    if policy == "exclude":
+                        continue
+                    flag = policy == "zero"
+                    for col in RATE_BASE_COLUMNS:
+                        rates["R_" + col] = 0.0
+                        rate_mask["R_" + col] = flag
+                row_values, row_mask = reference_build_row(study, measured[label],
+                                                           rates, rate_mask)
+                ids.append((study.patient_id, study.study_id, label))
+                values.append(row_values)
+                masks.append(row_mask)
+                truths.append(_truth_code(study.vertebra_truth[label]))
+            previous = measured
+            prev_date = study.acquisition_date
+    shape = (len(ids), len(ALL_COLUMNS))
+    return FeatureTable(instance_ids=ids, matrix=np.reshape(values, shape),
+                        mask=np.reshape(masks, shape), truth=truths, provenance={
+        "manifest": str(manifest_path),
+        "policy": policy,
+        "erosion_radius_mm": erosion_radius_mm,
+        "r1_fraction": layout.r1_fraction,
+        "r2_fraction": layout.r2_fraction,
+    })

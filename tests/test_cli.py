@@ -56,6 +56,50 @@ def test_phantom_usage_errors():
     assert "\n" not in r.stderr.strip()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--patients", "0"], "n_patients=0"),
+    (["--vertebrae", "0"], "vertebrae_per_patient=0"),
+    (["--studies", "0"], "studies_per_patient"),
+    (["--studies", "3", "--studies-max", "2"], "studies range"),
+    (["--fraction-neoplastic", "1.5"], "fraction_neoplastic"),
+    (["--interval", "0"], "study_interval"),
+    (["--interval", "inf"], "study_interval"),
+    (["--spacing", "0", "1", "1"], "spacing"),
+    (["--spacing", "1", "nan", "1"], "spacing"),
+    (["--noise", "-1"], "noise_sd"),
+    (["--noise", "nan"], "noise_sd"),
+])
+def test_phantom_bad_settings_exit_2(tmp_path, capsys, flags, message):
+    out = tmp_path / "coh"
+    assert main(["phantom", *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "\n" not in err
+    assert message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--r1-fraction", "0.8"], "need 0 < r1 < r2 < 1"),
+    (["--r2-fraction", "nan"], "need 0 < r1 < r2 < 1"),
+    (["--erosion-mm", "nan"], "--erosion-mm"),
+    (["--erosion-mm", "inf"], "--erosion-mm"),
+    (["--erosion-mm", "-1"], "--erosion-mm"),
+])
+def test_extract_bad_settings_exit_2(cli_cohort, tmp_path, capsys, monkeypatch,
+                                     flags, message):
+    def no_reads(*args, **kwargs):
+        raise AssertionError("a study was read before the settings were checked")
+
+    monkeypatch.setattr("vcfclass.features.measured_features", no_reads)
+    out = tmp_path / "feat" / "features.csv"
+    assert main(["extract", "--manifest", str(cli_cohort / "manifest.json"),
+                 *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "\n" not in err
+    assert message in err
+    assert not out.parent.exists()
+
+
 def test_extract_csv_shape(cli_features):
     header = cli_features.read_text().splitlines()[0].split(",")
     assert len(header) == 3 + 36 + 1
@@ -150,6 +194,22 @@ def test_cv_fold_flags_beyond_data_exit_2(cli_features, tmp_path, capsys, flags,
     assert code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
+
+
+def test_cv_every_outer_fold_single_class_exit_2(cli_features, tmp_path, capsys):
+    # Each of the 3 patients holds one class, so both patient-grouped folds
+    # leave a single class to train on.
+    table = load_table(cli_features)
+    folds = outer_folds(table, 2, 0, True)
+    assert all(np.unique(table.truth[folds != f]).size == 1 for f in range(2))
+    out = tmp_path / "r"
+    code = main(["cv", "--table", str(cli_features), "--conditions", "measured",
+                 "--k", "2", "--group-by-patient", "--members", "1", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "\n" not in err
+    assert "--k 2: every outer training split holds a single class" in err
+    assert not out.exists()
 
 
 def test_cv_inner_folds_at_smallest_training_split(cli_features, tmp_path):

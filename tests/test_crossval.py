@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from vcfclass.committee import CommitteeConfig, SelectionConfig
-from vcfclass.crossval import cross_validate, imputation_constants, impute
+from vcfclass.crossval import (cross_validate, imputation_constants, impute,
+                               outer_folds, single_class_folds)
+from vcfclass.evaluation import accuracy, confusion_from_result
 from vcfclass.features import ALL_COLUMNS, FeatureTable, condition_columns
 from vcfclass.folds import kfold_split
 from vcfclass.svm import SvmParams
@@ -94,8 +96,9 @@ def test_oracle_feature_reaches_perfect_accuracy():
     table = synthetic_table(seed=1)
     for condition in ("measured", "combined"):
         res = cross_validate(table, condition, FAST_CFG, k=5, seed=2)
-        assert res.accuracy() == 1.0
-        assert res.misclassifications() == 0
+        cm = confusion_from_result(res)
+        assert accuracy(cm) == 1.0
+        assert cm.misclassified == 0
 
 
 def test_fold_partition_in_result():
@@ -103,7 +106,8 @@ def test_fold_partition_in_result():
     res = cross_validate(table, "measured", FAST_CFG, k=5, seed=4)
     assert res.fold_assignment.shape == (len(table),)
     assert np.all(res.evaluated)
-    assert res.n_evaluated == len(table)
+    assert res.evaluated.sum() == len(table)
+    assert confusion_from_result(res).grand_total == len(table)
 
 
 def test_leakage_guard_standardization_from_training_fold_only():
@@ -151,7 +155,11 @@ def test_single_class_fold_skipped_with_warning():
     with pytest.warns(UserWarning, match="single class"):
         res = cross_validate(skew, "measured", FAST_CFG, k=12, seed=1)
     assert res.skipped_folds
-    assert res.n_evaluated < len(skew)
+    folds = outer_folds(skew, 12, 1, group_by_patient=False)
+    assert res.skipped_folds == single_class_folds(skew.truth, folds, 12)
+    assert not res.evaluated[np.isin(folds, res.skipped_folds)].any()
+    assert res.evaluated.sum() < len(skew)
+    assert confusion_from_result(res).grand_total == res.evaluated.sum()
 
 
 def test_deterministic_cv():

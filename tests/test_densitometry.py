@@ -63,6 +63,15 @@ def test_oversized_erosion_rejected(case):
         trabecular_region(lm, 1, frame, erosion_radius_mm=25.0)
 
 
+@pytest.mark.parametrize("radius", [np.nan, np.inf, -1.0])
+def test_non_finite_or_negative_erosion_rejected(case, radius):
+    vol, lm, frame = case
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        trabecular_region(lm, 1, frame, erosion_radius_mm=radius)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        density_features(vol, lm, 1, frame, erosion_radius_mm=radius)
+
+
 def test_normalize_anchors():
     assert normalize(-100.0, 50.0, -100.0) == 0.0
     assert normalize(50.0, 50.0, -100.0) == 100.0

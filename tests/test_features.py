@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from helpers import reference_assemble
 from vcfclass.features import (ALL_COLUMNS, DEMOGRAPHIC_COLUMNS,
                                MEASURED_COLUMNS, RATE_COLUMNS, FeatureTable,
                                assemble, condition_columns, load_table, rate,
@@ -49,6 +50,19 @@ def test_rate_properties_randomized():
         dt = float(rng.uniform(0.05, 4.0))
         assert rate(a, b, dt) == -rate(b, a, dt)
         assert rate(a, b, dt / 2) == pytest.approx(2.0 * rate(a, b, dt), rel=1e-12)
+
+
+def test_rate_elementwise_with_nan():
+    current = np.array([17.0, np.nan, 4.0, np.nan, 2.5])
+    previous = np.array([20.0, 3.0, np.nan, np.nan, 2.5])
+    got = rate(current, previous, 0.5)
+    assert got.shape == (5,)
+    assert got[0] == -6.0 and got[4] == 0.0
+    assert np.isnan(got[1:4]).all()
+    for c, p, g in zip(current, previous, got):
+        assert np.array_equal(rate(c, p, 0.5), g, equal_nan=True)
+    with pytest.raises(ValueError, match="dt"):
+        rate(current, previous, 0.0)
 
 
 @pytest.fixture(scope="module")
@@ -254,3 +268,29 @@ def test_sidecar_mask_width_checked(two_study_cohort, tmp_path):
     sidecar.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=r"meta\.json: mask for .*features\.csv:3 has 35 flags, expected 36"):
         load_table(path)
+
+
+@pytest.fixture(scope="module")
+def ranged_cohort(tmp_path_factory):
+    # One to three studies per patient; the end vertebrae lack a neighbour,
+    # so their contrasts (and those contrasts' rates) are missing.
+    out = tmp_path_factory.mktemp("ranged")
+    spec = CohortSpec(n_patients=4, studies_per_patient=(1, 3), vertebrae_per_patient=3,
+                      seed=3, spacing=(1.5, 1.5, 1.5))
+    return generate_cohort(spec, out), out
+
+
+@pytest.mark.parametrize("policy", ["zero", "exclude", "carry"])
+def test_assemble_matches_dict_built_rows(ranged_cohort, policy):
+    manifest, root = ranged_cohort
+    got = assemble(manifest, root, policy=policy)
+    want = reference_assemble(manifest, root, policy=policy)
+    counts = {len(p.studies) for p in manifest.patients}
+    assert min(counts) == 1 and max(counts) > 2
+    contrast = [ALL_COLUMNS.index(c) for c in ("contrastP", "contrastN")]
+    assert np.isnan(want.matrix[:, contrast]).any()
+    assert got.instance_ids == want.instance_ids
+    assert np.array_equal(got.matrix, want.matrix, equal_nan=True)
+    assert np.array_equal(got.mask, want.mask)
+    assert np.array_equal(got.truth, want.truth)
+    assert got.provenance == want.provenance

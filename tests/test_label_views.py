@@ -20,17 +20,17 @@ _FULL_GRID = (slice(None), slice(None), slice(None))
 
 def _load(root, study):
     return (load_volume(root / study.volume_path),
-            load_labelmap(root / study.labelmap_path), study)
+            load_labelmap(root / study.labelmap_path))
 
 
-def _without_canal(vol, lm, study):
+def _without_canal(vol, lm):
     canal = lm.label_for_role(ROLE_CANAL)
     labels = np.where(lm.labels == canal, 0, lm.labels)
     legend = {k: v for k, v in lm.legend.items() if k != canal}
-    return vol, LabelMap(geometry=lm.geometry, labels=labels, legend=legend), study
+    return vol, LabelMap(geometry=lm.geometry, labels=labels, legend=legend)
 
 
-def _cut_at_vertebra(vol, lm, study, label=1):
+def _cut_at_vertebra(vol, lm, label=1):
     """The study cut so that ``label`` touches the grid's first z plane and
     both x faces; other labels are cut where they reach past it."""
     zz, _, xx = np.nonzero(lm.labels == label)
@@ -42,7 +42,7 @@ def _cut_at_vertebra(vol, lm, study, label=1):
     geo = GridGeometry(dims=(x1 - x0, ny, nz - z0), spacing=lm.spacing,
                        origin=(ox + x0 * sx, oy, oz + z0 * sz))
     return (Volume(geometry=geo, data=vol.data[sub]),
-            LabelMap(geometry=geo, labels=lm.labels[sub], legend=lm.legend), study)
+            LabelMap(geometry=geo, labels=lm.labels[sub], legend=lm.legend))
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +75,7 @@ def _forbidden_view(self, label):
     raise AssertionError("the reference path must not read per-label views")
 
 
-def _reference_features(monkeypatch, vol, lm, study, erosion_mm):
+def _reference_features(monkeypatch, vol, lm, erosion_mm):
     """``measured_study_features`` with every label-map read on the full grid."""
     with monkeypatch.context() as m:
         m.setattr(LabelMap, "view", _forbidden_view)
@@ -85,7 +85,7 @@ def _reference_features(monkeypatch, vol, lm, study, erosion_mm):
         m.setattr(densitometry, "_trabecular_crop",
                   lambda lm, label, frame, r:
                   (_FULL_GRID, reference_trabecular_region(lm, label, frame, r)))
-        return measured_study_features(vol, lm, study, erosion_radius_mm=erosion_mm)
+        return measured_study_features(vol, lm, erosion_radius_mm=erosion_mm)
 
 
 def _fresh(lm):
@@ -95,9 +95,9 @@ def _fresh(lm):
 @pytest.mark.parametrize("erosion_mm", [0.0, 3.0])
 @pytest.mark.parametrize("name", CASES)
 def test_features_identical_to_full_grid_reference(cases, monkeypatch, name, erosion_mm):
-    vol, lm, study = cases[name]
-    expected = _reference_features(monkeypatch, vol, lm, study, erosion_mm)
-    got = measured_study_features(vol, _fresh(lm), study, erosion_radius_mm=erosion_mm)
+    vol, lm = cases[name]
+    expected = _reference_features(monkeypatch, vol, lm, erosion_mm)
+    got = measured_study_features(vol, _fresh(lm), erosion_radius_mm=erosion_mm)
     assert got.keys() == expected.keys()
     for label, feats in expected.items():
         assert got[label].keys() == feats.keys()
@@ -109,7 +109,7 @@ def test_features_identical_to_full_grid_reference(cases, monkeypatch, name, ero
 @pytest.mark.parametrize("erosion_mm", [0.0, 3.0])
 @pytest.mark.parametrize("name", CASES)
 def test_trabecular_mask_identical_to_full_grid_reference(cases, name, erosion_mm):
-    _, lm, _ = cases[name]
+    _, lm = cases[name]
     for label in lm.vertebra_labels():
         frame = vertebra_frame(lm, label)
         got = trabecular_region(lm, label, frame, erosion_mm)
@@ -119,7 +119,7 @@ def test_trabecular_mask_identical_to_full_grid_reference(cases, name, erosion_m
 
 @pytest.mark.parametrize("name", CASES)
 def test_view_lists_full_grid_voxels_in_order(cases, name):
-    vol, lm, _ = cases[name]
+    vol, lm = cases[name]
     reference_check_vertebra_connectivity(lm)
     check_vertebra_connectivity(lm)
     for label in lm.legend:
@@ -133,14 +133,14 @@ def test_view_lists_full_grid_voxels_in_order(cases, name):
 
 
 def test_edge_case_touches_the_grid_faces(cases):
-    _, lm, _ = cases["edge"]
+    _, lm = cases["edge"]
     bz, _, bx = lm.view(1).box
     assert bz.start == 0
     assert (bx.start, bx.stop) == (0, lm.dims[0])
 
 
 def test_absent_label_gets_an_empty_view(cases):
-    _, lm, _ = cases["canal"]
+    _, lm = cases["canal"]
     view = lm.view(999)
     assert view.voxel_count == 0
     assert view.index.shape == (0, 3) and view.coords.shape == (0, 3)

@@ -247,3 +247,17 @@ def test_vertebra_spec_validation():
         CohortSpec(fraction_neoplastic=1.5)
     with pytest.raises(ValueError, match="counts"):
         CohortSpec(n_patients=0)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"spacing": (0.0, 1.0, 1.0)}, "spacing"),
+    ({"spacing": (1.0, np.inf, 1.0)}, "spacing"),
+    ({"spacing": (1.0, 1.0)}, "spacing"),
+    ({"noise_sd": -1.0}, "noise_sd"),
+    ({"noise_sd": np.nan}, "noise_sd"),
+    ({"study_interval": np.inf}, "study_interval"),
+    ({"study_interval": np.nan}, "study_interval"),
+])
+def test_cohort_spec_rejects_bad_geometry_and_noise(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        CohortSpec(**kwargs)
