@@ -179,13 +179,6 @@ def cmd_cv(args) -> int:
     repeated = sorted({c for c in conditions if conditions.count(c) > 1})
     if repeated:
         raise UsageError(f"--conditions names {','.join(repeated)} more than once")
-    table = load_table(args.table)
-    if args.k < 2 or args.k > len(table):
-        raise UsageError(f"--k {args.k} invalid for {len(table)} instances")
-    if args.shuffle_labels:
-        rng = np.random.default_rng(np.random.SeedSequence([args.seed, 0xD15C]))
-        table = replace(table, truth=table.truth[rng.permutation(len(table))])
-
     try:
         cfg = CommitteeConfig(
             n_members=args.members,
@@ -198,6 +191,12 @@ def cmd_cv(args) -> int:
             seed=args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    table = load_table(args.table)
+    if args.k < 2 or args.k > len(table):
+        raise UsageError(f"--k {args.k} invalid for {len(table)} instances")
+    if args.shuffle_labels:
+        rng = np.random.default_rng(np.random.SeedSequence([args.seed, 0xD15C]))
+        table = replace(table, truth=table.truth[rng.permutation(len(table))])
     if args.group_by_patient:
         n_patients = np.unique(table.patient_ids).size
         if args.k > n_patients:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .folds import kfold_split
+from .folds import check_seed, kfold_split
 from .svm import SvmModel, SvmParams, train_svm
 
 SELECTION_METHODS = ("none", "greedy_forward")
@@ -43,6 +43,7 @@ class CommitteeConfig:
     def __post_init__(self):
         if self.n_members < 1:
             raise ValueError("n_members must be >= 1")
+        check_seed(self.seed)
 
 
 def _inner_cv_accuracy(X, y, feature_subset, inner_folds, params, seed) -> float:

@@ -74,8 +74,14 @@ def confusion(truth, predictions) -> ConfusionMatrix2:
     return ConfusionMatrix2(counts=counts)
 
 
+def _require_evaluated(res: CvResult) -> np.ndarray:
+    if not res.evaluated.any():
+        raise ValueError(f"condition {res.condition}: no evaluated predictions")
+    return res.evaluated
+
+
 def confusion_from_result(res: CvResult) -> ConfusionMatrix2:
-    sel = res.evaluated
+    sel = _require_evaluated(res)
     return confusion(res.truth[sel], res.predictions[sel])
 
 
@@ -223,8 +229,7 @@ def emit_report(report: ComparisonReport, results: list[CvResult], out_dir,
     if not results or not report.conditions:
         raise ValueError("nothing to report")
     for r in results:
-        if not r.evaluated.any():
-            raise ValueError(f"condition {r.condition}: no evaluated predictions")
+        _require_evaluated(r)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []

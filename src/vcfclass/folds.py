@@ -7,6 +7,13 @@ import warnings
 import numpy as np
 
 
+def check_seed(value, field: str = "seed") -> None:
+    """Raise ValueError naming ``field`` unless ``value`` is a non-negative
+    integer, the entropy ``np.random.SeedSequence`` accepts."""
+    if not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValueError(f"{field} must be a non-negative integer, got {value!r}")
+
+
 def kfold_split(n: int, k: int = 10, seed: int = 0, stratify_by=None,
                 group_by=None) -> np.ndarray:
     """Fold index (0..k-1) per instance.

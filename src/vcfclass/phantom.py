@@ -21,6 +21,7 @@ from scipy import ndimage
 
 from .grids import (GridGeometry, LabelMap, Volume, ROLE_CANAL, ROLE_FAT,
                     ROLE_MUSCLE, save_labelmap, save_volume, vertebra_role)
+from .folds import check_seed
 from .frames import LocalFrame, make_frame
 from .manifest import (CohortManifest, NEOPLASTIC, OSTEOPOROTIC, PatientEntry,
                        StudyRecord, UNFRACTURED, save_manifest)
@@ -140,6 +141,7 @@ class CohortSpec:
                 f"spacing needs three finite positive values, got {self.spacing}")
         if not (np.isfinite(self.noise_sd) and self.noise_sd >= 0):
             raise ValueError(f"noise_sd must be finite and >= 0, got {self.noise_sd}")
+        check_seed(self.seed)
 
 
 def uniform_heights(height_mm: float) -> tuple[float, ...]:

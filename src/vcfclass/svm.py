@@ -1,8 +1,8 @@
 """Soft-margin kernel SVM trained by sequential minimal optimization.
 
-The solver follows Platt's working-pair scheme: an outer loop alternating
-full sweeps with non-bound sweeps, a second-choice heuristic maximizing the
-error gap, and seeded scan offsets so training is deterministic. Features are
+The solver pairs the maximal KKT violator with the partner that second-order
+working-set selection picks, and falls back to a seeded scan when that pair
+is pinched against the box, so training is deterministic. Features are
 z-scored with training statistics stored on the model.
 """
 
@@ -13,10 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .folds import check_seed
+
 KERNELS = ("linear", "rbf")
 
 _BOUND_EPS = 1e-8
 _STEP_EPS = 1e-12
+_TAU = 1e-12            # curvature floor in pair selection, as in LIBSVM
 
 
 @dataclass(frozen=True)
@@ -38,8 +41,9 @@ class SvmParams:
             raise ValueError(f"gamma must be finite and positive, got {self.gamma!r}")
         if not _finite_positive(self.tol):
             raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
-        if self.max_passes < 1:
-            raise ValueError(f"max_passes must be >= 1, got {self.max_passes!r}")
+        if not isinstance(self.max_passes, (int, np.integer)) or self.max_passes < 1:
+            raise ValueError(f"max_passes must be an integer >= 1, got {self.max_passes!r}")
+        check_seed(self.seed)
         if self.class_weights is not None:
             weights = tuple(self.class_weights)    # a tuple keeps params hashable
             if len(weights) != 2 or not all(map(_finite_positive, weights)):
@@ -55,10 +59,14 @@ def _finite_positive(v) -> bool:
 def kernel_matrix(X: np.ndarray, Y: np.ndarray, kernel: str, gamma: float | None) -> np.ndarray:
     if kernel == "linear":
         return X @ Y.T
-    sq = (np.sum(X * X, axis=1)[:, None] + np.sum(Y * Y, axis=1)[None, :]
-          - 2.0 * (X @ Y.T))
+    g = X @ Y.T
+    g *= 2.0
+    xx = np.sum(X * X, axis=1)
+    sq = np.add.outer(xx, xx if Y is X else np.sum(Y * Y, axis=1))
+    sq -= g
     np.maximum(sq, 0.0, out=sq)
-    return np.exp(-gamma * sq)
+    sq *= -gamma
+    return np.exp(sq, out=sq)
 
 
 def dual_objective(alpha: np.ndarray, y: np.ndarray, K: np.ndarray) -> float:
@@ -83,6 +91,8 @@ class SvmModel:
     train_y: np.ndarray | None = field(default=None, repr=False)
     train_alpha: np.ndarray | None = field(default=None, repr=False)
     train_C: np.ndarray | None = field(default=None, repr=False)
+    train_steps: int | None = field(default=None, repr=False)        # SMO pair updates
+    train_exhausted: bool | None = field(default=None, repr=False)   # step budget ran out
 
     def _standardize(self, X: np.ndarray) -> np.ndarray:
         """Pick the model's columns out of full-width rows and z-score them."""
@@ -169,60 +179,64 @@ def train_svm(X: np.ndarray, y: np.ndarray, params: SvmParams = SvmParams(),
     w_neg, w_pos = params.class_weights or (1.0, 1.0)
     Cv = params.C * np.where(y < 0, w_neg, w_pos)
 
-    alpha, bias = _smo(K, y, Cv, params.tol, params.max_passes,
-                       np.random.default_rng(np.random.SeedSequence([params.seed])))
+    alpha, bias, steps, exhausted = _smo(
+        K, y, Cv, params.tol, params.max_passes,
+        np.random.default_rng(np.random.SeedSequence([params.seed])))
 
     sv = alpha > 0
     return SvmModel(kernel=params.kernel, gamma=gamma, C=params.C, tol=params.tol,
                     feature_indices=feature_indices, mean=mean, std=std,
                     support_vectors=Xs[sv], dual_coef=alpha[sv] * y[sv], bias=bias,
-                    train_X=Xs, train_y=y, train_alpha=alpha, train_C=Cv)
+                    train_X=Xs, train_y=y, train_alpha=alpha, train_C=Cv,
+                    train_steps=steps, train_exhausted=exhausted)
 
 
 def _smo(K: np.ndarray, y: np.ndarray, Cv: np.ndarray, tol: float,
          max_passes: int, rng: np.random.Generator):
-    """Maximal-violating-pair SMO.
+    """SMO with second-order working-set selection (WSS2: Fan, Chen & Lin,
+    JMLR 2005). Returns ``(alpha, bias, steps, exhausted)``: ``steps`` counts
+    the pair updates made, and ``exhausted`` says the step budget ran out.
 
-    ``errors`` caches E_i = u_i - y_i with u = K (alpha*y) and no threshold;
-    pairwise updates depend only on error differences, so the threshold is
-    fitted once at termination from the KKT interval. The stopping rule
-    (violation gap <= 2*tol) is exactly the per-example KKT certificate for
-    that threshold. The pair budget is ``max_passes`` sweep-equivalents
-    (n steps each).
+    E_i = u_i - y_i with u = K (alpha*y) and no threshold; pairwise updates
+    depend only on error differences, so the threshold is fitted once at
+    termination from the KKT interval. The stopping rule (violation gap
+    <= 2*tol) is exactly the per-example KKT certificate for that threshold.
+    The step budget is ``max_passes`` sweep-equivalents (n steps each).
 
-    ``e_up``/``e_low`` copy ``errors`` inside I_up/I_low and hold +inf/-inf
-    outside. They take the same update as ``errors`` and change membership
-    only at the two examples a step moves, so choosing the pair is one
-    argmin and one argmax. The pair arithmetic runs on Python floats.
+    Row 0 of ``E`` holds E_i inside I_up (+inf outside), row 1 inside I_low
+    (-inf outside). Every box has C_i > 0, so every example is in one set or
+    both, and E_i is whichever entry is finite. A step adds one
+    ``d1*K[i1] + d2*K[i2]`` row to both rows and re-derives membership at the
+    two moved examples only. i is the I_up minimum; its partner j in I_low
+    maximizes (E_j - E_i)^2 / a_ij over E_j > E_i, with the curvature
+    a_ij = K_ii + K_jj - 2 K_ij built once and floored at ``_TAU``; the floor
+    also keeps 0/0 out of the scores, so j always lies in I_low. The pair
+    arithmetic runs on Python floats.
     """
     n = y.size
-    errors = -y.copy()                    # u - y with all-zero alpha
     alpha = [0.0] * n
     ys = y.tolist()
     Cs = Cv.tolist()
+    diag = K.diagonal()
+    kdiag = diag.tolist()
+    curv = np.add.outer(diag, diag)
+    curv -= 2.0 * K
+    np.maximum(curv, _TAU, out=curv)
 
-    # I_up: alpha may grow (raises y*u); I_low: alpha may shrink.
-    def in_up(i: int) -> bool:
-        return alpha[i] < Cs[i] if ys[i] > 0 else alpha[i] > 0
+    # At alpha = 0, u - y = -y, I_up = {y > 0} and I_low = {y < 0}.
+    E = np.where([y > 0, y < 0], -y, [[math.inf], [-math.inf]])
+    e_up, e_low = E
+    delta, row, score = np.empty(n), np.empty(n), np.empty(n)
 
-    def in_low(i: int) -> bool:
-        return alpha[i] > 0 if ys[i] > 0 else alpha[i] < Cs[i]
+    def error(i: int) -> float:
+        e = e_up.item(i)
+        return e_low.item(i) if e == math.inf else e
 
-    def index_sets():
-        return (np.array([in_up(i) for i in range(n)], dtype=bool),
-                np.array([in_low(i) for i in range(n)], dtype=bool))
-
-    up, low = index_sets()
-    e_up = np.where(up, errors, np.inf)
-    e_low = np.where(low, errors, -np.inf)
-
-    def take_step(i1: int, i2: int) -> bool:
-        nonlocal errors, e_up, e_low
+    def take_step(i1: int, i2: int, e1: float, e2: float) -> bool:
         if i1 == i2:
             return False
         a1o, a2o = alpha[i1], alpha[i2]
         y1, y2 = ys[i1], ys[i2]
-        e1, e2 = errors.item(i1), errors.item(i2)
         s = y1 * y2
         if s < 0:
             L = max(0.0, a2o - a1o)
@@ -232,8 +246,7 @@ def _smo(K: np.ndarray, y: np.ndarray, Cv: np.ndarray, tol: float,
             H = min(Cs[i2], a1o + a2o)
         if L >= H - _STEP_EPS:
             return False
-        k11, k12, k22 = K.item(i1, i1), K.item(i1, i2), K.item(i2, i2)
-        eta = k11 + k22 - 2.0 * k12
+        eta = kdiag[i1] + kdiag[i2] - 2.0 * K.item(i1, i2)
         if eta > _STEP_EPS:
             a2 = a2o + y2 * (e1 - e2) / eta
             a2 = min(max(a2, L), H)
@@ -262,47 +275,55 @@ def _smo(K: np.ndarray, y: np.ndarray, Cv: np.ndarray, tol: float,
             a2 = 0.0
         elif a2 > Cs[i2] * (1.0 - _BOUND_EPS):
             a2 = Cs[i2]
-        d1 = y1 * (a1 - a1o)
-        d2 = y2 * (a2 - a2o)
-        delta = d1 * K[i1] + d2 * K[i2]
-        errors += delta
-        e_up += delta                      # +-inf entries stay infinite
-        e_low += delta
+        np.multiply(K[i1], y1 * (a1 - a1o), out=delta)
+        np.multiply(K[i2], y2 * (a2 - a2o), out=row)
+        np.add(delta, row, out=delta)
+        np.add(E, delta, out=E)            # +-inf entries stay infinite
         alpha[i1] = a1
         alpha[i2] = a2
-        for i in (i1, i2):
-            e_up[i] = errors[i] if in_up(i) else np.inf
-            e_low[i] = errors[i] if in_low(i) else -np.inf
+        for i, a, e in ((i1, a1, e1 + delta.item(i1)),
+                        (i2, a2, e2 + delta.item(i2))):
+            if ys[i] > 0:
+                in_up, in_low = a < Cs[i], a > 0
+            else:
+                in_up, in_low = a > 0, a < Cs[i]
+            e_up[i] = e if in_up else math.inf
+            e_low[i] = e if in_low else -math.inf
         return True
 
     max_steps = max_passes * max(n, 8)
-    for _ in range(max_steps):
-        i_up = int(e_up.argmin())
-        i_low = int(e_low.argmax())
-        lo, hi = e_up.item(i_up), e_low.item(i_low)
-        if lo == np.inf or hi == -np.inf:
+    steps = 0
+    while steps < max_steps:
+        i = int(e_up.argmin())
+        lo, hi = e_up.item(i), e_low.item(e_low.argmax())
+        if lo == math.inf or hi == -math.inf:
             break                          # an index set is empty (errors are finite)
         if hi - lo <= 2.0 * tol:
             break                          # KKT holds within tol for all
-        if take_step(i_up, i_low):
-            continue
-        # Maximal pair pinched against the box: scan for any productive
-        # partner, seeded so training stays deterministic.
-        moved = False
-        start = int(rng.integers(n))
-        for k in range(n):
-            j = (start + k) % n
-            if take_step(j, i_low) or take_step(i_up, j):
-                moved = True
-                break
-        if not moved:
-            break                          # no pair admits progress
-    up, low = index_sets()
+        np.subtract(e_low, lo, out=score)  # -inf outside I_low
+        np.maximum(score, 0.0, out=score)
+        np.multiply(score, score, out=score)
+        np.divide(score, curv[i], out=score)
+        j = int(score.argmax())
+        ej = e_low.item(j)
+        if not take_step(i, j, lo, ej):
+            # Chosen pair pinched against the box: scan for any productive
+            # partner, seeded so training stays deterministic.
+            start = int(rng.integers(n))
+            for m in range(n):
+                k = (start + m) % n
+                ek = error(k)
+                if take_step(k, j, ek, ej) or take_step(i, k, lo, ek):
+                    break
+            else:
+                break                      # no pair admits progress
+        steps += 1
     alpha = np.array(alpha, dtype=np.float64)
-    # Recompute the cache before fitting the threshold; incremental updates
+    # Recompute errors before fitting the threshold; incremental updates
     # accumulate a little dust over thousands of steps.
-    errors[:] = K @ (alpha * y) - y
-
+    errors = K @ (alpha * y) - y
+    up = np.where(y > 0, alpha < Cv, alpha > 0)     # I_up: alpha may grow
+    low = np.where(y > 0, alpha > 0, alpha < Cv)    # I_low: alpha may shrink
     if up.any() and low.any():
         bias = -0.5 * (float(errors[up].min()) + float(errors[low].max()))
     elif up.any():
@@ -311,4 +332,4 @@ def _smo(K: np.ndarray, y: np.ndarray, Cv: np.ndarray, tol: float,
         bias = -float(errors[low].max())
     else:
         bias = 0.0
-    return alpha, bias
+    return alpha, bias, steps, steps == max_steps

@@ -170,8 +170,9 @@ def fisher_enumeration_oracle(table, convention: str = "mass") -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# reference SMO: the solver as it stood before the incremental index sets,
-# kept verbatim so tests can require bit-identical alphas and bias
+# reference SMO: the first-order solver as it stood before the incremental
+# index sets, its arithmetic kept verbatim so tests can compare the
+# second-order solver's certificate, dual objective and step count against it
 
 _BOUND_EPS = 1e-8
 _STEP_EPS = 1e-12
@@ -179,7 +180,8 @@ _STEP_EPS = 1e-12
 
 def reference_smo(K: np.ndarray, y: np.ndarray, Cv: np.ndarray, tol: float,
                   max_passes: int, rng: np.random.Generator):
-    """Maximal-violating-pair SMO.
+    """Maximal-violating-pair SMO; returns ``(alpha, bias, steps)``, where
+    ``steps`` counts the pair updates made.
 
     ``errors`` caches E_i = u_i - y_i with u = K (alpha*y) and no threshold;
     pairwise updates depend only on error differences, so the threshold is
@@ -189,6 +191,7 @@ def reference_smo(K: np.ndarray, y: np.ndarray, Cv: np.ndarray, tol: float,
     (n steps each).
     """
     n = y.size
+    steps = 0
     alpha = np.zeros(n)
     errors = -y.copy()                    # u - y with all-zero alpha
 
@@ -263,6 +266,7 @@ def reference_smo(K: np.ndarray, y: np.ndarray, Cv: np.ndarray, tol: float,
         if errors[i_low] - errors[i_up] <= 2.0 * tol:
             break                          # KKT holds within tol for all
         if take_step(i_up, i_low):
+            steps += 1
             continue
         # Maximal pair pinched against the box: scan for any productive
         # partner, seeded so training stays deterministic.
@@ -275,6 +279,7 @@ def reference_smo(K: np.ndarray, y: np.ndarray, Cv: np.ndarray, tol: float,
                 break
         if not moved:
             break                          # no pair admits progress
+        steps += 1
     # Recompute the cache before fitting the threshold; incremental updates
     # accumulate a little dust over thousands of steps.
     errors[:] = K @ (alpha * y) - y
@@ -289,7 +294,15 @@ def reference_smo(K: np.ndarray, y: np.ndarray, Cv: np.ndarray, tol: float,
         bias = -float(errors[low].max())
     else:
         bias = 0.0
-    return alpha, bias
+    return alpha, bias, steps
+
+
+def reference_rbf_kernel(X: np.ndarray, Y: np.ndarray, gamma: float) -> np.ndarray:
+    """The RBF branch of ``kernel_matrix`` before it was built in place."""
+    sq = (np.sum(X * X, axis=1)[:, None] + np.sum(Y * Y, axis=1)[None, :]
+          - 2.0 * (X @ Y.T))
+    np.maximum(sq, 0.0, out=sq)
+    return np.exp(-gamma * sq)
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,7 @@ def test_phantom_usage_errors():
     (["--spacing", "1", "nan", "1"], "spacing"),
     (["--noise", "-1"], "noise_sd"),
     (["--noise", "nan"], "noise_sd"),
+    (["--seed", "-1"], "seed must be a non-negative integer, got -1"),
 ])
 def test_phantom_bad_settings_exit_2(tmp_path, capsys, flags, message):
     out = tmp_path / "coh"
@@ -196,6 +197,16 @@ def test_cv_fold_flags_beyond_data_exit_2(cli_features, tmp_path, capsys, flags,
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("shuffle", [[], ["--shuffle-labels"]], ids=["plain", "shuffled"])
+def test_cv_negative_seed_exit_2(cli_features, tmp_path, capsys, shuffle):
+    out = tmp_path / "out"
+    assert main(["cv", "--table", str(cli_features), "--conditions", "measured",
+                 "--k", "4", "--seed", "-1", *shuffle, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err == "error: seed must be a non-negative integer, got -1"
+    assert not out.exists()
+
+
 def test_cv_every_outer_fold_single_class_exit_2(cli_features, tmp_path, capsys):
     # Each of the 3 patients holds one class, so both patient-grouped folds
     # leave a single class to train on.
@@ -241,6 +252,19 @@ def test_report_regenerates_identical_files(cli_features, tmp_path):
     assert main(["report", "--results", str(out), "--out", str(out2)]) == 0
     for name in ("metrics.csv", "comparisons.csv", "report.txt"):
         assert (out / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_report_without_evaluated_predictions_names_condition(tmp_path, capsys):
+    # Every fold skipped: the file lists instances but no predictions.
+    (tmp_path / "predictions_measured.csv").write_text(
+        "patient_id,study_id,vertebra,truth,prediction,decision,fold\n"
+        "P01,S1,12,O,,,0\n"
+        "P02,S1,13,N,,,1\n", encoding="utf-8")
+    assert main(["report", "--results", str(tmp_path), "--out",
+                 str(tmp_path / "rep")]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err == "error: condition measured: no evaluated predictions"
+    assert not (tmp_path / "rep").exists()
 
 
 def test_report_missing_dir_exit_2(tmp_path):

@@ -122,6 +122,12 @@ def test_inner_accuracy_scores_only_evaluated_rows():
     assert acc == 1.0
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, None])
+def test_config_rejects_bad_seed(seed):
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        CommitteeConfig(seed=seed)
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="n_members"):
         CommitteeConfig(n_members=0)

@@ -261,3 +261,9 @@ def test_vertebra_spec_validation():
 def test_cohort_spec_rejects_bad_geometry_and_noise(kwargs, message):
     with pytest.raises(ValueError, match=message):
         CohortSpec(**kwargs)
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, np.float64(3.0)])
+def test_cohort_spec_rejects_bad_seed(seed):
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        CohortSpec(seed=seed)

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from helpers import qp_dual_oracle, reference_smo
+from helpers import qp_dual_oracle, reference_rbf_kernel, reference_smo
+from vcfclass.committee import _model_to_json
 from vcfclass.svm import (SvmParams, _smo, dual_objective, kernel_matrix,
                           train_svm)
 
@@ -129,6 +132,7 @@ def test_param_validation():
     ("class_weights", (1.0,)), ("class_weights", (1.0, 2.0, 3.0)),
     ("class_weights", (1.0, 0.0)), ("class_weights", (-1.0, 1.0)),
     ("class_weights", (float("nan"), 1.0)), ("class_weights", (1.0, float("inf"))),
+    ("seed", -1), ("seed", 1.5), ("seed", "3"), ("max_passes", 2.5),
 ])
 def test_invalid_params_rejected(field, value):
     with pytest.raises(ValueError, match=field):
@@ -197,9 +201,20 @@ def _seeded(seed):
     return np.random.default_rng(np.random.SeedSequence([seed]))
 
 
-def test_solver_bit_identical_to_reference():
+def _kkt_gap(errors, y, Cv, alpha):
+    """max E over I_low minus min E over I_up; the solver stops at <= 2*tol."""
+    up = np.where(y > 0, alpha < Cv, alpha > 0)
+    low = np.where(y > 0, alpha > 0, alpha < Cv)
+    return float(errors[low].max() - errors[up].min())
+
+
+def test_second_order_solver_certifies_against_reference():
+    # Every problem is solved to convergence by both solvers: the
+    # second-order one must certify KKT, reach the first-order reference's
+    # dual objective and take at most 0.6x its pair updates. One-pass
+    # budgets are solved twice, once to report the exhausted budget.
     rng = np.random.default_rng(21)
-    exhausted = 0
+    steps = ref_steps = exhausted = 0
     for p in range(240):
         n = int(rng.integers(12, 61))
         discrete = p % 4 >= 2
@@ -219,29 +234,71 @@ def test_solver_bit_identical_to_reference():
         m = train_svm(X, y, params)
         Cv = _per_row_cv(params, y)
         assert np.array_equal(m.train_C, Cv), p
-        K = kernel_matrix(m.train_X, m.train_X, params.kernel, m.gamma)
-        alpha, bias = reference_smo(K, y, Cv, params.tol, params.max_passes,
-                                    _seeded(p))
-        assert np.array_equal(m.train_alpha, alpha), p
-        assert m.bias == bias, p
         if params.max_passes == 1:
-            full, _ = reference_smo(K, y, Cv, params.tol, 500, _seeded(p))
-            exhausted += not np.array_equal(alpha, full)
+            one_pass = m
+            m = train_svm(X, y, replace(params, max_passes=500))
+            # The one-pass run follows the full run's path until its budget.
+            assert one_pass.train_exhausted == (m.train_steps >= max(n, 8)), p
+            exhausted += one_pass.train_exhausted
+        K = kernel_matrix(m.train_X, m.train_X, params.kernel, m.gamma)
+        alpha, _, ref = reference_smo(K, y, Cv, params.tol, 500, _seeded(p))
+        assert ref < 500 * max(n, 8), p           # the reference converges
+        assert not m.train_exhausted, p
+        assert m.kkt_violations() == 0, p
+        obj, ref_obj = dual_objective(m.train_alpha, y, K), dual_objective(alpha, y, K)
+        assert abs(obj - ref_obj) <= 1e-3 * max(1.0, abs(ref_obj)), p
+        steps += m.train_steps
+        ref_steps += ref
+    assert steps <= 0.6 * ref_steps, (steps, ref_steps)
     assert exhausted > 0       # some one-pass budgets ran out before KKT
 
 
-def test_fallback_scan_bit_identical_to_reference():
-    # Example 0 starts as the maximal I_up member but its box is 1e-13 wide,
-    # so the maximal pair's step is refused and the seeded scan looks for a
-    # partner. With every box that narrow the scan finds none.
+def test_fallback_scan_when_chosen_pair_is_pinched():
+    # Example 0 starts as the I_up minimum but its box is 1e-13 wide, so the
+    # chosen pair's step is refused and the seeded scan looks for a partner.
+    # With every box that narrow the scan finds none.
     pts = np.random.default_rng(22).normal(size=(7, 2))
     K = kernel_matrix(pts, pts, "rbf", 0.5)
     y = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0, -1.0])
-    for Cv in (np.array([1e-13, 1, 1, 1, 1, 1, 1.0]), np.full(7, 1e-13)):
-        for seed in range(5):
-            rng = _seeded(seed)
-            alpha, bias = _smo(K, y, Cv, 1e-3, 500, rng)
-            ref_alpha, ref_bias = reference_smo(K, y, Cv, 1e-3, 500, _seeded(seed))
-            assert rng.bit_generator.state != _seeded(seed).bit_generator.state
-            assert np.array_equal(alpha, ref_alpha)
-            assert bias == ref_bias
+    partly, every = np.array([1e-13, 1, 1, 1, 1, 1, 1.0]), np.full(7, 1e-13)
+
+    def solve(Cv, seed):
+        rng = _seeded(seed)
+        alpha, _, steps, exhausted = _smo(K, y, Cv, 1e-3, 500, rng)
+        assert rng.bit_generator.state != _seeded(seed).bit_generator.state
+        assert not exhausted
+        return alpha, steps
+
+    for seed in range(5):
+        alpha, steps = solve(every, seed)
+        assert steps == 0 and not alpha.any()
+        alpha, steps = solve(partly, seed)
+        assert steps > 0
+        # Example 0 cannot move; the others certify among themselves.
+        free = slice(1, None)
+        errors = K @ (alpha * y) - y
+        assert _kkt_gap(errors[free], y[free], partly[free], alpha[free]) <= 2e-3
+        ref, _, _ = reference_smo(K, y, partly, 1e-3, 500, _seeded(seed))
+        assert abs(dual_objective(alpha, y, K) - dual_objective(ref, y, K)) <= 1e-3
+
+
+@pytest.mark.parametrize("same", [True, False], ids=["Y is X", "Y is not X"])
+def test_rbf_kernel_matrix_equals_reference_expression(same):
+    rng = np.random.default_rng(23)
+    X = rng.normal(size=(37, 4))
+    Y = X if same else rng.normal(size=(23, 4))
+    for gamma in (0.05, 0.7, 3.0):
+        assert np.array_equal(kernel_matrix(X, Y, "rbf", gamma),
+                              reference_rbf_kernel(X, Y, gamma))
+
+
+def test_step_readout_is_training_state_only():
+    rng = np.random.default_rng(24)
+    X = rng.normal(size=(40, 3))
+    y = np.where(X[:, 0] + 0.3 * rng.normal(size=40) > 0, 1.0, -1.0)
+    m = train_svm(X, y, SvmParams(seed=4))
+    assert m.train_steps > 0 and m.train_exhausted is False
+    assert m.kkt_violations() == 0
+    assert not {"train_steps", "train_exhausted"} & set(_model_to_json(m))
+    short = train_svm(X, y, SvmParams(seed=4, max_passes=1))
+    assert short.train_steps <= 40
