@@ -135,17 +135,16 @@ def train_committee(X: np.ndarray, y: np.ndarray, cfg: CommitteeConfig,
     members = []
     for m_idx in range(cfg.n_members):
         member_seed = int(np.random.SeedSequence([cfg.seed, m_idx]).generate_state(1)[0])
-        params = replace(cfg.member_params, seed=member_seed)
         if cfg.selection.method == "greedy_forward" and X.shape[1] >= 2:
             subset = greedy_forward_select(
-                X, y, range(X.shape[1]), cfg.selection.inner_folds, params,
+                X, y, range(X.shape[1]), cfg.selection.inner_folds, cfg.member_params,
                 max_features=cfg.selection.max_features, seed=member_seed,
                 probes=probes)
             if not subset:
                 subset = list(range(X.shape[1]))
         else:
             subset = list(range(X.shape[1]))
-        members.append(train_svm(X, y, params, feature_indices=subset))
+        members.append(train_svm(X, y, cfg.member_params, feature_indices=subset))
     return Committee(members=members, feature_names=list(feature_names), config=cfg)
 
 
@@ -199,7 +198,8 @@ def load_committee(path) -> Committee:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if doc.get("format") != "vcfclass-committee":
         raise ValueError(f"{path}: not a committee model file")
-    params = doc.get("member_params", {})        # absent in older files: defaults
+    params = dict(doc.get("member_params", {}))  # absent in older files: defaults
+    params.pop("seed", None)                     # older files carry a solver seed
     cfg = CommitteeConfig(
         n_members=doc["n_members"],
         member_params=SvmParams(**params),

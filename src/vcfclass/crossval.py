@@ -136,12 +136,15 @@ def cross_validate(table: FeatureTable, condition: str,
 # ---------------------------------------------------------------------------
 # prediction files
 
+PREDICTIONS_HEADER = "patient_id,study_id,vertebra,truth,prediction,decision,fold"
+
+
 def predictions_path(out_dir: Path, condition: str) -> Path:
     return out_dir / f"predictions_{condition}.csv"
 
 
 def save_predictions(res: CvResult, path: Path) -> None:
-    lines = ["patient_id,study_id,vertebra,truth,prediction,decision,fold"]
+    lines = [PREDICTIONS_HEADER]
     for i, (pid, sid, vert) in enumerate(res.ids):
         dec = "" if np.isnan(res.decision[i]) else repr(float(res.decision[i]))
         lines.append(f"{pid},{sid},{vert},{res.truth[i]},{res.predictions[i]},"
@@ -151,9 +154,17 @@ def save_predictions(res: CvResult, path: Path) -> None:
 
 def load_predictions(path: Path, condition: str) -> CvResult:
     lines = path.read_text(encoding="utf-8").splitlines()
+    if not lines or lines[0] != PREDICTIONS_HEADER:
+        raise ValueError(f"{path}: header is not {PREDICTIONS_HEADER!r}")
+    if len(lines) == 1:
+        raise ValueError(f"{path}: no prediction rows")
+    width = PREDICTIONS_HEADER.count(",") + 1
     ids, truth, preds, decision, folds = [], [], [], [], []
-    for line in lines[1:]:
-        pid, sid, vert, t, p, dec, fold = line.split(",")
+    for n, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
+        if len(cells) != width:
+            raise ValueError(f"{path}:{n}: row has {len(cells)} cells, expected {width}")
+        pid, sid, vert, t, p, dec, fold = cells
         ids.append((pid, sid, int(vert)))
         truth.append(t)
         preds.append(p)

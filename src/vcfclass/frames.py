@@ -76,10 +76,6 @@ def make_frame(centroid, axis_si, axis_ap) -> LocalFrame:
                       axis_ap=tuple(ap), axis_lr=tuple(lr))
 
 
-def _label_world_coords(lm: LabelMap, label: int) -> np.ndarray:
-    return lm.view(label).coords
-
-
 def vertebra_frame(lm: LabelMap, label: int, anterior_hint=None) -> LocalFrame:
     """Derive the local frame for one vertebra label.
 
@@ -90,7 +86,7 @@ def vertebra_frame(lm: LabelMap, label: int, anterior_hint=None) -> LocalFrame:
     """
     if label not in lm.legend:
         raise ValueError(f"label {label} not present in legend")
-    coords = _label_world_coords(lm, label)
+    coords = lm.view(label).coords
     if coords.shape[0] < MIN_FRAME_VOXELS:
         raise ValueError(
             f"label {label} has {coords.shape[0]} voxels, below the "
@@ -125,7 +121,7 @@ def _canal_hint(lm: LabelMap, label: int, body_coords, body_centroid, si):
     canal_label = lm.label_for_role(ROLE_CANAL)
     if canal_label is None:
         return None
-    canal = _label_world_coords(lm, canal_label)
+    canal = lm.view(canal_label).coords
     if canal.shape[0] == 0:
         return None
     # Use only the canal slab covering the vertebra's axial span.

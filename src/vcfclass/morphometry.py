@@ -83,9 +83,6 @@ class ColumnTable:
     def n_columns(self) -> int:
         return self.a.size
 
-    def qualified(self) -> np.ndarray:
-        return self.voxels >= MIN_COLUMN_VOXELS
-
 
 def _axis_resolution(axis: np.ndarray, spacing) -> float:
     """Length of one voxel step along a (unit) direction."""

@@ -1,9 +1,9 @@
 """Soft-margin kernel SVM trained by sequential minimal optimization.
 
 The solver pairs the maximal KKT violator with the partner that second-order
-working-set selection picks, and falls back to a seeded scan when that pair
-is pinched against the box, so training is deterministic. Features are
-z-scored with training statistics stored on the model.
+working-set selection picks and moves that pair by one curvature-floored
+step, so training is deterministic and needs no seed. Features are z-scored
+with training statistics stored on the model.
 """
 
 from __future__ import annotations
@@ -13,13 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .folds import check_seed
-
 KERNELS = ("linear", "rbf")
 
 _BOUND_EPS = 1e-8
-_STEP_EPS = 1e-12
-_TAU = 1e-12            # curvature floor in pair selection, as in LIBSVM
+_TAU = 1e-12            # curvature floor, as in LIBSVM
 
 
 @dataclass(frozen=True)
@@ -30,7 +27,6 @@ class SvmParams:
     tol: float = 1e-3               # KKT tolerance
     max_passes: int = 500           # sweep-equivalent step budget
     class_weights: tuple[float, float] | None = None   # (C multiplier for -1, for +1)
-    seed: int = 0
 
     def __post_init__(self):
         if self.kernel not in KERNELS:
@@ -43,7 +39,6 @@ class SvmParams:
             raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
         if not isinstance(self.max_passes, (int, np.integer)) or self.max_passes < 1:
             raise ValueError(f"max_passes must be an integer >= 1, got {self.max_passes!r}")
-        check_seed(self.seed)
         if self.class_weights is not None:
             weights = tuple(self.class_weights)    # a tuple keeps params hashable
             if len(weights) != 2 or not all(map(_finite_positive, weights)):
@@ -151,7 +146,7 @@ def train_svm(X: np.ndarray, y: np.ndarray, params: SvmParams = SvmParams(),
     """Fit the dual soft-margin problem with SMO.
 
     ``X`` is raw (already imputed) data; ``y`` holds ±1 labels with both
-    classes present. Deterministic for a given ``params.seed``.
+    classes present. Training is deterministic.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -179,9 +174,7 @@ def train_svm(X: np.ndarray, y: np.ndarray, params: SvmParams = SvmParams(),
     w_neg, w_pos = params.class_weights or (1.0, 1.0)
     Cv = params.C * np.where(y < 0, w_neg, w_pos)
 
-    alpha, bias, steps, exhausted = _smo(
-        K, y, Cv, params.tol, params.max_passes,
-        np.random.default_rng(np.random.SeedSequence([params.seed])))
+    alpha, bias, steps, exhausted = _smo(K, y, Cv, params.tol, params.max_passes)
 
     sv = alpha > 0
     return SvmModel(kernel=params.kernel, gamma=gamma, C=params.C, tol=params.tol,
@@ -192,7 +185,7 @@ def train_svm(X: np.ndarray, y: np.ndarray, params: SvmParams = SvmParams(),
 
 
 def _smo(K: np.ndarray, y: np.ndarray, Cv: np.ndarray, tol: float,
-         max_passes: int, rng: np.random.Generator):
+         max_passes: int):
     """SMO with second-order working-set selection (WSS2: Fan, Chen & Lin,
     JMLR 2005). Returns ``(alpha, bias, steps, exhausted)``: ``steps`` counts
     the pair updates made, and ``exhausted`` says the step budget ran out.
@@ -206,19 +199,25 @@ def _smo(K: np.ndarray, y: np.ndarray, Cv: np.ndarray, tol: float,
     Row 0 of ``E`` holds E_i inside I_up (+inf outside), row 1 inside I_low
     (-inf outside). Every box has C_i > 0, so every example is in one set or
     both, and E_i is whichever entry is finite. A step adds one
-    ``d1*K[i1] + d2*K[i2]`` row to both rows and re-derives membership at the
+    ``d1*K[i] + d2*K[j]`` row to both rows and re-derives membership at the
     two moved examples only. i is the I_up minimum; its partner j in I_low
     maximizes (E_j - E_i)^2 / a_ij over E_j > E_i, with the curvature
     a_ij = K_ii + K_jj - 2 K_ij built once and floored at ``_TAU``; the floor
-    also keeps 0/0 out of the scores, so j always lies in I_low. The pair
-    arithmetic runs on Python floats.
+    also keeps 0/0 out of the scores, so j always lies in I_low and j != i.
+
+    Every pair takes the same step, alpha_j += y_j (E_i - E_j) / a_ij clipped
+    to the pair's segment [L, H]. Snapping keeps I_up and I_low membership
+    exact, so i and j each have room to move and the segment is never empty;
+    a flat direction (a_ij = tau) gets a step of at least 2*tol/tau, which the
+    clip turns into the segment end the linear objective favours. No step is
+    refused, so the loop ends only on the KKT certificate or the budget. The
+    pair arithmetic runs on Python floats.
     """
     n = y.size
     alpha = [0.0] * n
     ys = y.tolist()
     Cs = Cv.tolist()
     diag = K.diagonal()
-    kdiag = diag.tolist()
     curv = np.add.outer(diag, diag)
     curv -= 2.0 * K
     np.maximum(curv, _TAU, out=curv)
@@ -227,69 +226,6 @@ def _smo(K: np.ndarray, y: np.ndarray, Cv: np.ndarray, tol: float,
     E = np.where([y > 0, y < 0], -y, [[math.inf], [-math.inf]])
     e_up, e_low = E
     delta, row, score = np.empty(n), np.empty(n), np.empty(n)
-
-    def error(i: int) -> float:
-        e = e_up.item(i)
-        return e_low.item(i) if e == math.inf else e
-
-    def take_step(i1: int, i2: int, e1: float, e2: float) -> bool:
-        if i1 == i2:
-            return False
-        a1o, a2o = alpha[i1], alpha[i2]
-        y1, y2 = ys[i1], ys[i2]
-        s = y1 * y2
-        if s < 0:
-            L = max(0.0, a2o - a1o)
-            H = min(Cs[i2], Cs[i1] + a2o - a1o)
-        else:
-            L = max(0.0, a1o + a2o - Cs[i1])
-            H = min(Cs[i2], a1o + a2o)
-        if L >= H - _STEP_EPS:
-            return False
-        eta = kdiag[i1] + kdiag[i2] - 2.0 * K.item(i1, i2)
-        if eta > _STEP_EPS:
-            a2 = a2o + y2 * (e1 - e2) / eta
-            a2 = min(max(a2, L), H)
-        else:
-            # Flat or numerically indefinite direction: the 1-D dual is not
-            # strictly concave, so the maximum sits at a segment end.
-            v = y2 * (e1 - e2)
-            dl, dh = L - a2o, H - a2o
-            obj_l = v * dl - 0.5 * eta * dl * dl
-            obj_h = v * dh - 0.5 * eta * dh * dh
-            if obj_l > obj_h + _STEP_EPS:
-                a2 = L
-            elif obj_h > obj_l + _STEP_EPS:
-                a2 = H
-            else:
-                return False
-        if abs(a2 - a2o) < _STEP_EPS * (a2 + a2o + _STEP_EPS):
-            return False
-        a1 = a1o + s * (a2o - a2)
-        # Snap grime at the box boundary to exact bounds.
-        if a1 < _BOUND_EPS * Cs[i1]:
-            a1 = 0.0
-        elif a1 > Cs[i1] * (1.0 - _BOUND_EPS):
-            a1 = Cs[i1]
-        if a2 < _BOUND_EPS * Cs[i2]:
-            a2 = 0.0
-        elif a2 > Cs[i2] * (1.0 - _BOUND_EPS):
-            a2 = Cs[i2]
-        np.multiply(K[i1], y1 * (a1 - a1o), out=delta)
-        np.multiply(K[i2], y2 * (a2 - a2o), out=row)
-        np.add(delta, row, out=delta)
-        np.add(E, delta, out=E)            # +-inf entries stay infinite
-        alpha[i1] = a1
-        alpha[i2] = a2
-        for i, a, e in ((i1, a1, e1 + delta.item(i1)),
-                        (i2, a2, e2 + delta.item(i2))):
-            if ys[i] > 0:
-                in_up, in_low = a < Cs[i], a > 0
-            else:
-                in_up, in_low = a > 0, a < Cs[i]
-            e_up[i] = e if in_up else math.inf
-            e_low[i] = e if in_low else -math.inf
-        return True
 
     max_steps = max_passes * max(n, 8)
     steps = 0
@@ -306,17 +242,39 @@ def _smo(K: np.ndarray, y: np.ndarray, Cv: np.ndarray, tol: float,
         np.divide(score, curv[i], out=score)
         j = int(score.argmax())
         ej = e_low.item(j)
-        if not take_step(i, j, lo, ej):
-            # Chosen pair pinched against the box: scan for any productive
-            # partner, seeded so training stays deterministic.
-            start = int(rng.integers(n))
-            for m in range(n):
-                k = (start + m) % n
-                ek = error(k)
-                if take_step(k, j, ek, ej) or take_step(i, k, lo, ek):
-                    break
+        a1o, a2o = alpha[i], alpha[j]
+        y1, y2 = ys[i], ys[j]
+        s = y1 * y2
+        if s < 0:
+            L = max(0.0, a2o - a1o)
+            H = min(Cs[j], Cs[i] + a2o - a1o)
+        else:
+            L = max(0.0, a1o + a2o - Cs[i])
+            H = min(Cs[j], a1o + a2o)
+        a2 = min(max(a2o + y2 * (lo - ej) / curv.item(i, j), L), H)
+        a1 = a1o + s * (a2o - a2)
+        # Snap grime at the box boundary to exact bounds.
+        if a1 < _BOUND_EPS * Cs[i]:
+            a1 = 0.0
+        elif a1 > Cs[i] * (1.0 - _BOUND_EPS):
+            a1 = Cs[i]
+        if a2 < _BOUND_EPS * Cs[j]:
+            a2 = 0.0
+        elif a2 > Cs[j] * (1.0 - _BOUND_EPS):
+            a2 = Cs[j]
+        np.multiply(K[i], y1 * (a1 - a1o), out=delta)
+        np.multiply(K[j], y2 * (a2 - a2o), out=row)
+        np.add(delta, row, out=delta)
+        np.add(E, delta, out=E)            # +-inf entries stay infinite
+        alpha[i] = a1
+        alpha[j] = a2
+        for k, a, e in ((i, a1, lo + delta.item(i)), (j, a2, ej + delta.item(j))):
+            if ys[k] > 0:
+                in_up, in_low = a < Cs[k], a > 0
             else:
-                break                      # no pair admits progress
+                in_up, in_low = a > 0, a < Cs[k]
+            e_up[k] = e if in_up else math.inf
+            e_low[k] = e if in_low else -math.inf
         steps += 1
     alpha = np.array(alpha, dtype=np.float64)
     # Recompute errors before fitting the threshold; incremental updates

@@ -1,9 +1,4 @@
-import sys
-from pathlib import Path
-
 import pytest
-
-sys.path.insert(0, str(Path(__file__).parent))
 
 from helpers import body_spec, render_single
 from vcfclass.phantom import CohortSpec, generate_cohort, uniform_heights, wedge_heights

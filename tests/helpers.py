@@ -1,12 +1,15 @@
 """Shared fixtures-in-code: single-vertebra phantom builders, tree hashing,
-the independent oracles (dense-QP projected gradient, exact hypergeometric
-enumeration) used to cross-check the production paths, and verbatim copies of
-replaced code paths (SMO step, full-grid label scans, dict-built feature rows)
-kept as references."""
+a child-process CLI runner, the independent oracles (dense-QP projected
+gradient, exact hypergeometric enumeration) used to cross-check the
+production paths, and verbatim copies of replaced code paths (SMO step,
+full-grid label scans, dict-built feature rows) kept as references."""
 
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -26,6 +29,18 @@ from vcfclass.manifest import CohortManifest, StudyRecord, years_between
 from vcfclass.morphometry import (MIN_COLUMN_VOXELS, ColumnTable, CompassLayout,
                                   _axis_resolution)
 from vcfclass.phantom import VertebraSpec, render_vertebra
+
+_PACKAGE_ROOT = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_cli(*args) -> subprocess.CompletedProcess:
+    """Run ``python -m vcfclass.cli`` in a child process that imports the
+    package from this checkout's ``src``."""
+    path = os.pathsep.join(p for p in (_PACKAGE_ROOT, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "vcfclass.cli", *args],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
 
 WORLD_FRAME = make_frame((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, 1.0, 0.0))
 

@@ -1,19 +1,12 @@
 import json
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-from helpers import tree_hash
+from helpers import run_cli, tree_hash
 from vcfclass.cli import main
 from vcfclass.crossval import outer_folds
 from vcfclass.features import load_table
-
-
-def run_cli(*args):
-    return subprocess.run([sys.executable, "-m", "vcfclass.cli", *args],
-                          capture_output=True, text=True)
 
 
 @pytest.fixture(scope="module")
@@ -264,6 +257,27 @@ def test_report_without_evaluated_predictions_names_condition(tmp_path, capsys):
                  str(tmp_path / "rep")]) == 1
     err = capsys.readouterr().err.strip()
     assert err == "error: condition measured: no evaluated predictions"
+    assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("patient_id,study_id,vertebra,truth,prediction,decision,fold\n",
+     "{path}: no prediction rows"),
+    ("patient_id,study_id,vertebra,truth,prediction,decision,fold\n"
+     "P01,S1,12,O,O,-0.5,0\n"
+     "P02,S1,13,N,N,0.5\n",
+     "{path}:3: row has 6 cells, expected 7"),
+    ("patient,study,vertebra,truth,prediction,decision,fold\n"
+     "P01,S1,12,O,O,-0.5,0\n",
+     "{path}: header is not "
+     "'patient_id,study_id,vertebra,truth,prediction,decision,fold'"),
+], ids=["header only", "short row", "wrong header"])
+def test_report_malformed_predictions_named(tmp_path, capsys, text, message):
+    path = tmp_path / "predictions_measured.csv"
+    path.write_text(text, encoding="utf-8")
+    assert main(["report", "--results", str(tmp_path), "--out",
+                 str(tmp_path / "rep")]) == 1
+    assert capsys.readouterr().err.strip() == "error: " + message.format(path=path)
     assert not (tmp_path / "rep").exists()
 
 

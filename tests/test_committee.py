@@ -56,8 +56,7 @@ def test_single_member_no_selection_equals_plain_svm():
     cfg = CommitteeConfig(n_members=1, selection=SelectionConfig(method="none"),
                           seed=4)
     committee = train_committee(X, y, cfg)
-    member_seed = int(np.random.SeedSequence([4, 0]).generate_state(1)[0])
-    single = train_svm(X, y, SvmParams(seed=member_seed))
+    single = train_svm(X, y, SvmParams())
     probe = np.random.default_rng(0).normal(size=(10, X.shape[1]))
     probe[:, 0] = np.where(np.arange(10) % 2 == 0, 1.0, -1.0)
     assert np.array_equal(committee.decision_values(probe),
@@ -109,6 +108,24 @@ def test_file_without_member_params_loads_defaults(tmp_path):
     del doc["member_params"]
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert load_committee(path).config == replace(cfg, member_params=SvmParams())
+
+
+def test_file_with_member_seed_loads_same_config(tmp_path):
+    # Older files wrote a per-member solver seed under member_params; the
+    # solver no longer reads one, so loading drops it and saving omits it.
+    X, y = labeled_noise(n=40, d=3, seed=11)
+    cfg = CommitteeConfig(n_members=2, member_params=SvmParams(C=2.0), seed=5)
+    committee = train_committee(X, y, cfg)
+    path = tmp_path / "committee.json"
+    save_committee(committee, path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert "seed" not in doc["member_params"]
+    doc["member_params"]["seed"] = 123
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    old = load_committee(path)
+    assert old.config == cfg
+    probe = np.random.default_rng(4).normal(size=(15, 3))
+    assert np.array_equal(old.decision_values(probe), committee.decision_values(probe))
 
 
 def test_inner_accuracy_scores_only_evaluated_rows():

@@ -1,13 +1,15 @@
 """Per-label views against the full-grid scans they replace: the same voxels
 in the same order, identical measured features and trabecular masks."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from helpers import (reference_check_vertebra_connectivity, reference_column_table,
                      reference_label_world_coords, reference_mean_density,
                      reference_trabecular_region)
-from vcfclass import densitometry, frames, morphometry
+from vcfclass import densitometry, morphometry
 from vcfclass.densitometry import trabecular_region
 from vcfclass.features import measured_study_features
 from vcfclass.frames import vertebra_frame
@@ -71,15 +73,17 @@ def cases(small_cohort, anisotropic_root):
 CASES = ("canal", "no_canal", "anisotropic", "edge")
 
 
-def _forbidden_view(self, label):
-    raise AssertionError("the reference path must not read per-label views")
+def _full_grid_view(lm, label):
+    """Stands in for ``LabelMap.view`` on the reference path: its world
+    coordinates come from a full-grid scan, and reading any other view
+    attribute fails."""
+    return SimpleNamespace(coords=reference_label_world_coords(lm, label))
 
 
 def _reference_features(monkeypatch, vol, lm, erosion_mm):
     """``measured_study_features`` with every label-map read on the full grid."""
     with monkeypatch.context() as m:
-        m.setattr(LabelMap, "view", _forbidden_view)
-        m.setattr(frames, "_label_world_coords", reference_label_world_coords)
+        m.setattr(LabelMap, "view", _full_grid_view)
         m.setattr(morphometry, "column_table", reference_column_table)
         m.setattr(densitometry, "mean_density", reference_mean_density)
         m.setattr(densitometry, "_trabecular_crop",
