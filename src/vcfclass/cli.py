@@ -229,7 +229,7 @@ def cmd_cv(args) -> int:
         print(f"{cond}: accuracy {accuracy(cm):.3f} "
               f"({cm.misclassified} misclassified of {cm.grand_total})")
 
-    report = compare(results, metadata={"seed": args.seed, "k": args.k})
+    report = compare(results)
     emit_report(report, results, out, heatmaps=args.heatmaps)
     for pair in report.pairs:
         print(f"fisher {pair.condition_a} vs {pair.condition_b}: p = {pair.p_value:.6g}")

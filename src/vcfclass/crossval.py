@@ -15,7 +15,7 @@ import numpy as np
 
 from .committee import Committee, CommitteeConfig, train_committee
 from .features import (ALL_COLUMNS, CONTRAST_COLUMNS, FeatureTable,
-                       condition_columns)
+                       condition_columns, optional_float, read_csv_rows)
 from .folds import kfold_split
 
 
@@ -28,7 +28,6 @@ class CvResult:
     decision: np.ndarray
     fold_assignment: np.ndarray
     k: int
-    seed: int
     skipped_folds: list[int] = field(default_factory=list)
     fold_models: list[Committee] = field(default_factory=list, repr=False)
     fold_imputation: list[np.ndarray] = field(default_factory=list, repr=False)
@@ -38,10 +37,9 @@ class CvResult:
         return self.predictions != ""
 
 
-def imputation_constants(values: np.ndarray, mask: np.ndarray,
-                         columns: list[str]) -> np.ndarray:
+def imputation_constants(values: np.ndarray, columns: list[str]) -> np.ndarray:
     """Per-feature fill values from training data only: contrasts fall back to
-    1.0, rates to 0.0, everything else to the training mean of observed
+    1.0, rates to 0.0, everything else to the training mean of non-NaN
     entries."""
     fill = np.zeros(len(columns))
     for j, col in enumerate(columns):
@@ -50,15 +48,15 @@ def imputation_constants(values: np.ndarray, mask: np.ndarray,
         elif col.startswith("R_"):
             fill[j] = 0.0
         else:
-            observed = values[~mask[:, j], j]
+            observed = values[:, j]
             observed = observed[~np.isnan(observed)]
             fill[j] = float(observed.mean()) if observed.size else 0.0
     return fill
 
 
-def impute(values: np.ndarray, mask: np.ndarray, fill: np.ndarray) -> np.ndarray:
+def impute(values: np.ndarray, fill: np.ndarray) -> np.ndarray:
     out = values.copy()
-    use = mask | np.isnan(out)
+    use = np.isnan(out)
     out[use] = np.broadcast_to(fill, out.shape)[use]
     return out
 
@@ -96,7 +94,6 @@ def cross_validate(table: FeatureTable, condition: str,
     columns = condition_columns(condition)
     col_idx = [ALL_COLUMNS.index(c) for c in columns]
     values = table.matrix[:, col_idx]
-    mask = table.mask[:, col_idx]
     truth = table.truth
     y = _truth_to_signs(truth)
     n = len(table)
@@ -115,9 +112,9 @@ def cross_validate(table: FeatureTable, condition: str,
             warnings.warn(f"fold {f}: training split has a single class; skipped",
                           stacklevel=2)
             continue
-        fill = imputation_constants(values[tr], mask[tr], columns)
-        Xtr = impute(values[tr], mask[tr], fill)
-        Xte = impute(values[te], mask[te], fill)
+        fill = imputation_constants(values[tr], columns)
+        Xtr = impute(values[tr], fill)
+        Xte = impute(values[te], fill)
         fold_seed = int(np.random.SeedSequence([seed, f]).generate_state(1)[0])
         committee = train_committee(Xtr, y[tr], replace(cfg, seed=fold_seed),
                                     feature_names=columns, probes=probes)
@@ -129,14 +126,17 @@ def cross_validate(table: FeatureTable, condition: str,
 
     return CvResult(condition=condition, ids=table.instance_ids, truth=truth,
                     predictions=predictions.astype(str), decision=decision,
-                    fold_assignment=folds, k=k, seed=seed, skipped_folds=skipped,
+                    fold_assignment=folds, k=k, skipped_folds=skipped,
                     fold_models=models, fold_imputation=fills)
 
 
 # ---------------------------------------------------------------------------
 # prediction files
 
-PREDICTIONS_HEADER = "patient_id,study_id,vertebra,truth,prediction,decision,fold"
+PREDICTIONS_COLUMNS = [("patient_id", str), ("study_id", str), ("vertebra", int),
+                       ("truth", str), ("prediction", str),
+                       ("decision", optional_float), ("fold", int)]
+PREDICTIONS_HEADER = ",".join(name for name, _ in PREDICTIONS_COLUMNS)
 
 
 def predictions_path(out_dir: Path, condition: str) -> Path:
@@ -153,24 +153,12 @@ def save_predictions(res: CvResult, path: Path) -> None:
 
 
 def load_predictions(path: Path, condition: str) -> CvResult:
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != PREDICTIONS_HEADER:
-        raise ValueError(f"{path}: header is not {PREDICTIONS_HEADER!r}")
-    if len(lines) == 1:
+    rows = read_csv_rows(path, PREDICTIONS_COLUMNS)
+    if not rows:
         raise ValueError(f"{path}: no prediction rows")
-    width = PREDICTIONS_HEADER.count(",") + 1
-    ids, truth, preds, decision, folds = [], [], [], [], []
-    for n, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != width:
-            raise ValueError(f"{path}:{n}: row has {len(cells)} cells, expected {width}")
-        pid, sid, vert, t, p, dec, fold = cells
-        ids.append((pid, sid, int(vert)))
-        truth.append(t)
-        preds.append(p)
-        decision.append(float(dec) if dec else np.nan)
-        folds.append(int(fold))
+    pid, sid, vert, truth, preds, decision, folds = zip(*rows)
     fold_arr = np.array(folds)
-    return CvResult(condition=condition, ids=ids, truth=np.array(truth),
-                    predictions=np.array(preds), decision=np.array(decision),
-                    fold_assignment=fold_arr, k=int(fold_arr.max()) + 1, seed=-1)
+    return CvResult(condition=condition, ids=list(zip(pid, sid, vert)),
+                    truth=np.array(truth), predictions=np.array(preds),
+                    decision=np.array(decision), fold_assignment=fold_arr,
+                    k=int(fold_arr.max()) + 1)

@@ -7,7 +7,7 @@ stable without floating-point factorials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -154,10 +154,9 @@ class PairComparison:
 class ComparisonReport:
     conditions: list[ConditionSummary]
     pairs: list[PairComparison]
-    metadata: dict = field(default_factory=dict)
 
 
-def compare(results: list[CvResult], metadata: dict | None = None) -> ComparisonReport:
+def compare(results: list[CvResult]) -> ComparisonReport:
     """Accuracy, misclassification counts, and pairwise Fisher tests on
     correct/incorrect tables across feature-set conditions."""
     if not results:
@@ -179,8 +178,7 @@ def compare(results: list[CvResult], metadata: dict | None = None) -> Comparison
                (b.confusion.correct, b.misclassifications))
         pairs.append(PairComparison(condition_a=a.condition, condition_b=b.condition,
                                     table=tab, p_value=fisher_exact_two_sided(tab)))
-    return ComparisonReport(conditions=summaries, pairs=pairs,
-                            metadata=dict(metadata or {}))
+    return ComparisonReport(conditions=summaries, pairs=pairs)
 
 
 # ---------------------------------------------------------------------------

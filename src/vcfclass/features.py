@@ -3,16 +3,15 @@
 Measured features (18) are the height-compass and sagittal heights, level id,
 contrasts, and the two normalized densities; longitudinal features (16) are
 their per-year rates between consecutive studies of the same patient; the two
-demographics complete the vector. Missing values are tracked in a boolean
-mask and serialized as empty CSV fields (imputed values keep their mask bit,
-recorded in the sidecar).
+demographics complete the vector. A missing value is NaN in the matrix and an
+empty field in the CSV, which holds the whole table.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -46,7 +45,7 @@ TRUTH_COLUMN = "truth"
 
 CONDITIONS = ("measured", "longitudinal", "combined")
 
-FIRST_STUDY_POLICIES = ("exclude", "zero", "carry")
+FIRST_STUDY_POLICIES = ("exclude", "zero")
 
 
 def condition_columns(condition: str) -> list[str]:
@@ -77,9 +76,7 @@ class FeatureTable:
 
     instance_ids: list[tuple[str, str, int]]    # (patient, study, vertebra)
     matrix: np.ndarray          # (n, 36) float64, NaN where missing
-    mask: np.ndarray            # (n, 36) bool, True where not genuinely measured
     truth: np.ndarray           # (n,) 'O' | 'N'
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         ids = list(self.instance_ids)
@@ -90,7 +87,6 @@ class FeatureTable:
             seen.add(instance_id)
         n, width = len(ids), len(ALL_COLUMNS)
         for name, dtype, shape in (("matrix", np.float64, (n, width)),
-                                   ("mask", bool, (n, width)),
                                    ("truth", str, (n,))):
             a = np.array(getattr(self, name), dtype=dtype)
             if a.shape != shape:
@@ -173,21 +169,18 @@ def demographics(study: StudyRecord) -> dict[str, float]:
 def assemble(manifest: CohortManifest, base_dir, policy: str = "zero",
              layout: CompassLayout = CompassLayout(),
              erosion_radius_mm: float = densitometry.DEFAULT_EROSION_MM,
-             manifest_path: str = "") -> FeatureTable:
+             ) -> FeatureTable:
     """One feature row per (fractured vertebra, study) instance.
 
     Rates compare against the same vertebra in the immediately preceding
     study. First-study instances follow ``policy``: 'exclude' drops the row,
-    'zero' emits zero rates with their mask bits set, 'carry' emits zero
-    rates treated as observed.
+    'zero' emits zero rates.
     """
     policy = policy.lower()
     if policy not in FIRST_STUDY_POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {FIRST_STUDY_POLICIES}")
-    no_mask = np.zeros(len(ALL_COLUMNS), dtype=bool)
-    first_mask = np.isin(ALL_COLUMNS, RATE_COLUMNS) if policy == "zero" else no_mask
     first_rates = np.zeros(len(RATE_COLUMNS))
-    ids, values, masks, truths = [], [], [], []
+    ids, values, truths = [], [], []
     for patient in manifest.patients:
         previous: dict[int, np.ndarray] | None = None
         prev_date = None
@@ -205,27 +198,18 @@ def assemble(manifest: CohortManifest, base_dir, policy: str = "zero",
                     rates = rate(current[label][_RATE_BASE_POS],
                                  previous[label][_RATE_BASE_POS],
                                  years_between(prev_date, study.acquisition_date))
-                    policy_mask = no_mask
                 elif policy == "exclude":
                     continue
                 else:
-                    rates, policy_mask = first_rates, first_mask
-                row = np.concatenate((current[label], rates, demo))
+                    rates = first_rates
                 ids.append((study.patient_id, study.study_id, label))
-                values.append(row)
-                masks.append(policy_mask | np.isnan(row))
+                values.append(np.concatenate((current[label], rates, demo)))
                 truths.append(_truth_code(study.vertebra_truth[label]))
             previous = current
             prev_date = study.acquisition_date
-    shape = (len(ids), len(ALL_COLUMNS))
-    return FeatureTable(instance_ids=ids, matrix=np.reshape(values, shape),
-                        mask=np.reshape(masks, shape), truth=truths, provenance={
-        "manifest": str(manifest_path),
-        "policy": policy,
-        "erosion_radius_mm": erosion_radius_mm,
-        "r1_fraction": layout.r1_fraction,
-        "r2_fraction": layout.r2_fraction,
-    })
+    return FeatureTable(instance_ids=ids,
+                        matrix=np.reshape(values, (len(ids), len(ALL_COLUMNS))),
+                        truth=truths)
 
 
 def assemble_from_path(manifest_path, policy: str = "zero",
@@ -235,15 +219,59 @@ def assemble_from_path(manifest_path, policy: str = "zero",
     manifest_path = Path(manifest_path)
     manifest = load_manifest(manifest_path)
     return assemble(manifest, manifest_path.parent, policy, layout,
-                    erosion_radius_mm, manifest_path=str(manifest_path))
+                    erosion_radius_mm)
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
+def optional_float(cell: str) -> float:
+    """A CSV number cell; the empty field reads as NaN (missing)."""
+    return float(cell) if cell else np.nan
+
+
+def _truth_cell(cell: str) -> str:
+    if cell not in ("O", "N"):
+        raise ValueError(f"unknown truth label {cell!r}")
+    return cell
+
+
+def read_csv_rows(path, columns: list[tuple[str, Callable[[str], object]]]
+                  ) -> list[list]:
+    """Parsed data rows of a comma-separated file whose first line names
+    ``columns`` in order; each cell goes through its column's parser. Any
+    departure raises ValueError naming the file and, for a row, its line and
+    the offending column."""
+    path = Path(path)
+    header = ",".join(name for name, _ in columns)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if not lines:
+        raise ValueError(f"{path}: empty file")
+    if lines[0] != header:
+        raise ValueError(f"{path}: header is not {header!r}")
+    rows = []
+    for n, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
+        if len(cells) != len(columns):
+            raise ValueError(f"{path}:{n}: row has {len(cells)} cells, "
+                             f"expected {len(columns)}")
+        row = []
+        for cell, (name, parse) in zip(cells, columns):
+            try:
+                row.append(parse(cell))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{n}: column {name}: {exc}") from None
+        rows.append(row)
+    return rows
+
+
+_TABLE_COLUMNS = (list(zip(ID_COLUMNS, (str, str, int)))
+                  + [(c, optional_float) for c in ALL_COLUMNS]
+                  + [(TRUTH_COLUMN, _truth_cell)])
+
+
 def save_table(table: FeatureTable, path) -> None:
-    """CSV with canonical header, empty fields for missing values, truth last,
-    plus a JSON sidecar carrying provenance and the imputation mask."""
+    """CSV with canonical header, empty fields for missing values, truth last."""
     path = Path(path)
     lines = [",".join(ID_COLUMNS + ALL_COLUMNS + [TRUTH_COLUMN])]
     for (pid, sid, vertebra), values, truth in zip(table.instance_ids, table.matrix,
@@ -255,59 +283,13 @@ def save_table(table: FeatureTable, path) -> None:
         lines.append(",".join(cells))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    sidecar = {
-        "provenance": table.provenance,
-        "columns": ALL_COLUMNS,
-        "mask": ["".join("1" if m else "0" for m in row) for row in table.mask],
-    }
-    sidecar_path = path.with_suffix(path.suffix + ".meta.json")
-    sidecar_path.write_text(json.dumps(sidecar, indent=2) + "\n", encoding="utf-8")
-
 
 def load_table(path) -> FeatureTable:
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"no such feature table: {path}")
-    lines = path.read_text(encoding="utf-8").splitlines()
-    header = lines[0].split(",")
-    expected = ID_COLUMNS + ALL_COLUMNS + [TRUTH_COLUMN]
-    if header != expected:
-        raise ValueError(f"{path}: header does not match the canonical column order")
-
-    sidecar_path = path.with_suffix(path.suffix + ".meta.json")
-    mask_rows = None
-    provenance = {}
-    if sidecar_path.is_file():
-        sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
-        mask_rows = sidecar.get("mask")
-        provenance = sidecar.get("provenance", {})
-        if mask_rows is not None and len(mask_rows) != len(lines) - 1:
-            raise ValueError(
-                f"{sidecar_path}: mask has {len(mask_rows)} rows, "
-                f"{path} has {len(lines) - 1} data rows")
-
-    n, width = len(lines) - 1, len(ALL_COLUMNS)
-    ids, truths = [], []
-    matrix = np.empty((n, width))
-    mask = np.empty((n, width), dtype=bool)
-    for i, line in enumerate(lines[1:]):
-        cells = line.split(",")
-        if len(cells) != len(expected):
-            raise ValueError(f"{path}:{i + 2}: row has {len(cells)} cells, "
-                             f"expected {len(expected)}")
-        matrix[i] = [np.nan if c == "" else float(c) for c in cells[3:3 + width]]
-        if mask_rows is not None:
-            if len(mask_rows[i]) != width:
-                raise ValueError(
-                    f"{sidecar_path}: mask for {path}:{i + 2} has "
-                    f"{len(mask_rows[i])} flags, expected {width}")
-            mask[i] = [c == "1" for c in mask_rows[i]]
-        else:
-            mask[i] = np.isnan(matrix[i])
-        truth = cells[-1]
-        if truth not in ("O", "N"):
-            raise ValueError(f"{path}: unknown truth label {truth!r}")
-        ids.append((cells[0], cells[1], int(cells[2])))
-        truths.append(truth)
-    return FeatureTable(instance_ids=ids, matrix=matrix, mask=mask, truth=truths,
-                        provenance=provenance)
+    rows = read_csv_rows(path, _TABLE_COLUMNS)
+    return FeatureTable(instance_ids=[tuple(row[:3]) for row in rows],
+                        matrix=np.reshape([row[3:-1] for row in rows],
+                                          (len(rows), len(ALL_COLUMNS))),
+                        truth=[row[-1] for row in rows])

@@ -281,7 +281,6 @@ def _even(x: float) -> int:
 @dataclass
 class _PatientPlan:
     patient_id: str
-    kind: str | None                 # fracture etiology, None for all-unfractured
     gender: str
     age0: float
     dates: list[dt.date]
@@ -294,7 +293,7 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, *key]))
 
 
-def _plan_patient(spec: CohortSpec, idx: int, kind: str | None) -> _PatientPlan:
+def _plan_patient(spec: CohortSpec, idx: int, kind: str) -> _PatientPlan:
     rng = _rng(spec.seed, idx, 0)
     gender = "F" if rng.random() < 0.5 else "M"
     age0 = float(np.clip(rng.normal(57.0, 15.0), 25.0, 90.0))
@@ -325,7 +324,7 @@ def _plan_patient(spec: CohortSpec, idx: int, kind: str | None) -> _PatientPlan:
             trabecular_hu=trab0, cortical_hu=400, cortical_thickness=3.0,
             noise_sd=spec.noise_sd)
         # The topmost vertebra stays unfractured and serves as a contrast neighbor.
-        if j == 0 or kind is None:
+        if j == 0:
             truth[label] = UNFRACTURED
             models.append(None)
             base_specs.append(vspec)
@@ -346,11 +345,7 @@ def _plan_patient(spec: CohortSpec, idx: int, kind: str | None) -> _PatientPlan:
                 max(MIN_CELL_HEIGHT_MM,
                     (0.72 if c in lesion_cells else 0.94) * base_h + g)
                 for c, g in enumerate(jitter))
-            # Blastic (density-increasing) foci by default; lytic lesions are
-            # supported through ProgressionModel but keep the default cohort
-            # cleanly separable.
-            lesion_sign = 1.0
-            deltas = tuple(lesion_sign * 60.0 if c in lesion_cells else 0.0
+            deltas = tuple(60.0 if c in lesion_cells else 0.0
                            for c in range(N_CELLS))
             model = ProgressionModel(
                 kind=kind,
@@ -358,11 +353,11 @@ def _plan_patient(spec: CohortSpec, idx: int, kind: str | None) -> _PatientPlan:
                                   for c in range(N_CELLS)),
                 trabecular_rate=2.0 + 2.0 * rng.random(),
                 focal_lesion=FocalLesion(cells=lesion_cells,
-                                         hu_per_year=lesion_sign * (100.0 + 40.0 * rng.random())))
+                                         hu_per_year=100.0 + 40.0 * rng.random()))
             vspec = replace(vspec, cell_heights=heights, cell_hu_delta=deltas)
         base_specs.append(vspec)
         models.append(model)
-    return _PatientPlan(patient_id=f"P{idx:03d}", kind=kind, gender=gender,
+    return _PatientPlan(patient_id=f"P{idx:03d}", gender=gender,
                         age0=age0, dates=dates, base_specs=base_specs,
                         models=models, truth=truth)
 
@@ -462,8 +457,6 @@ def _paste_vertebra(hu, labels, vspec: VertebraSpec, frame: LocalFrame,
 def generate_cohort(spec: CohortSpec, out_dir) -> CohortManifest:
     """Write a full synthetic cohort (volumes, label maps, manifest.json) under
     ``out_dir`` and return the manifest. Deterministic for a given seed."""
-    if spec.vertebrae_per_patient < 1:
-        raise ValueError("zero vertebrae requested")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -2,7 +2,8 @@
 a child-process CLI runner, the independent oracles (dense-QP projected
 gradient, exact hypergeometric enumeration) used to cross-check the
 production paths, and verbatim copies of replaced code paths (SMO step,
-full-grid label scans, dict-built feature rows) kept as references."""
+full-grid label scans, dict-built feature rows with their missing-value mask,
+mask-aware imputation) kept as references."""
 
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from scipy import ndimage
 
 from vcfclass.densitometry import (DEFAULT_EROSION_MM, MIN_LABEL_VOXELS,
                                    _ball_structure)
-from vcfclass.features import (ALL_COLUMNS, FIRST_STUDY_POLICIES,
+from vcfclass.features import (ALL_COLUMNS, CONTRAST_COLUMNS,
                                RATE_BASE_COLUMNS, FeatureTable, _truth_code,
                                demographics, measured_features)
 from vcfclass.frames import make_frame
@@ -440,8 +441,12 @@ def reference_check_vertebra_connectivity(lm: LabelMap) -> None:
 
 # ---------------------------------------------------------------------------
 # reference assembly: rows built through name-keyed rate dicts and a 36-way
-# column lookup, as they stood before whole-row concatenation, kept verbatim
-# so tests can require identical tables
+# column lookup, as they stood before whole-row concatenation, with the
+# missing-value mask and the 'carry' policy that tables then carried beside
+# the matrix; kept verbatim so tests can require identical tables and, through
+# the mask-aware imputation below, identical imputed data
+
+REFERENCE_POLICIES = ("exclude", "zero", "carry")
 
 def reference_rate(current: float, previous: float, dt_years: float) -> float:
     """Per-year rate of change; NaN when either endpoint is missing."""
@@ -475,8 +480,9 @@ def reference_build_row(study: StudyRecord, measured: dict[str, float],
 def reference_assemble(manifest: CohortManifest, base_dir, policy: str = "zero",
                        layout: CompassLayout = CompassLayout(),
                        erosion_radius_mm: float = DEFAULT_EROSION_MM,
-                       manifest_path: str = "") -> FeatureTable:
-    """One feature row per (fractured vertebra, study) instance.
+                       ) -> tuple[FeatureTable, np.ndarray]:
+    """One feature row per (fractured vertebra, study) instance, and the
+    (n, 36) mask, True where a value is not genuinely measured.
 
     Rates compare against the same vertebra in the immediately preceding
     study. First-study instances follow ``policy``: 'exclude' drops the row,
@@ -484,8 +490,8 @@ def reference_assemble(manifest: CohortManifest, base_dir, policy: str = "zero",
     rates treated as observed.
     """
     policy = policy.lower()
-    if policy not in FIRST_STUDY_POLICIES:
-        raise ValueError(f"unknown policy {policy!r}; expected one of {FIRST_STUDY_POLICIES}")
+    if policy not in REFERENCE_POLICIES:
+        raise ValueError(f"unknown policy {policy!r}; expected one of {REFERENCE_POLICIES}")
     ids, values, masks, truths = [], [], [], []
     for patient in manifest.patients:
         previous: dict[int, dict[str, float]] | None = None
@@ -522,11 +528,31 @@ def reference_assemble(manifest: CohortManifest, base_dir, policy: str = "zero",
             previous = measured
             prev_date = study.acquisition_date
     shape = (len(ids), len(ALL_COLUMNS))
-    return FeatureTable(instance_ids=ids, matrix=np.reshape(values, shape),
-                        mask=np.reshape(masks, shape), truth=truths, provenance={
-        "manifest": str(manifest_path),
-        "policy": policy,
-        "erosion_radius_mm": erosion_radius_mm,
-        "r1_fraction": layout.r1_fraction,
-        "r2_fraction": layout.r2_fraction,
-    })
+    table = FeatureTable(instance_ids=ids, matrix=np.reshape(values, shape),
+                         truth=truths)
+    return table, np.reshape(masks, shape).astype(bool)
+
+
+def reference_imputation_constants(values: np.ndarray, mask: np.ndarray,
+                                   columns: list[str]) -> np.ndarray:
+    """Per-feature fill values from training data only: contrasts fall back to
+    1.0, rates to 0.0, everything else to the training mean of observed
+    entries."""
+    fill = np.zeros(len(columns))
+    for j, col in enumerate(columns):
+        if col in CONTRAST_COLUMNS:
+            fill[j] = 1.0
+        elif col.startswith("R_"):
+            fill[j] = 0.0
+        else:
+            observed = values[~mask[:, j], j]
+            observed = observed[~np.isnan(observed)]
+            fill[j] = float(observed.mean()) if observed.size else 0.0
+    return fill
+
+
+def reference_impute(values: np.ndarray, mask: np.ndarray, fill: np.ndarray) -> np.ndarray:
+    out = values.copy()
+    use = mask | np.isnan(out)
+    out[use] = np.broadcast_to(fill, out.shape)[use]
+    return out

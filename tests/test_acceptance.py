@@ -241,12 +241,12 @@ def test_criterion_7_cv_integrity():
     res = cross_validate(table, "measured", FAST_CFG, k=5, seed=7)
     columns = condition_columns("measured")
     col_idx = [ALL_COLUMNS.index(c) for c in columns]
-    values, mask = table.matrix[:, col_idx], table.mask[:, col_idx]
+    values = table.matrix[:, col_idx]
     fold_ids = [f for f in range(5) if f not in res.skipped_folds]
     for committee, fill, f in zip(res.fold_models, res.fold_imputation, fold_ids):
         tr = res.fold_assignment != f
-        assert np.array_equal(fill, imputation_constants(values[tr], mask[tr], columns))
-        Xtr = impute(values[tr], mask[tr], fill)
+        assert np.array_equal(fill, imputation_constants(values[tr], columns))
+        Xtr = impute(values[tr], fill)
         for member in committee.members:
             sel = list(member.feature_indices)
             assert np.array_equal(member.mean, Xtr[:, sel].mean(axis=0))

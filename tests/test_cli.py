@@ -101,6 +101,21 @@ def test_extract_csv_shape(cli_features):
     assert len(table) == 3 * 2 * 2     # patients x studies x fractured
 
 
+def test_extract_writes_table_and_run_config_only(cli_cohort, tmp_path, capsys):
+    out = tmp_path / "feat"
+    assert main(["extract", "--manifest", str(cli_cohort / "manifest.json"),
+                 "--out", str(out / "features.csv")]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "features.csv", "features.csv.run_config.json"]
+    cfg = json.loads((out / "features.csv.run_config.json").read_text())
+    assert cfg["command"] == "extract" and cfg["settings"]["policy"] == "zero"
+    capsys.readouterr()
+    assert main(["extract", "--manifest", str(cli_cohort / "manifest.json"),
+                 "--policy", "carry", "--out", str(tmp_path / "c" / "f.csv")]) == 2
+    assert "invalid choice: 'carry'" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
 def test_extract_policy_exclude(cli_cohort, tmp_path):
     csv = tmp_path / "ex.csv"
     assert main(["extract", "--manifest", str(cli_cohort / "manifest.json"),
@@ -142,6 +157,30 @@ def test_cv_deterministic_outputs(cli_features, tmp_path):
                  "predictions_measured.csv"):
         assert (tmp_path / "r1" / name).read_bytes() == \
             (tmp_path / "r2" / name).read_bytes()
+
+
+@pytest.mark.parametrize("cell, message", [
+    (None, "{path}: empty file"),
+    ((3, "h_c", "x"), "{path}:3: column h_c: could not convert string to float: 'x'"),
+    ((4, "vertebra", "2.5"),
+     "{path}:4: column vertebra: invalid literal for int() with base 10: '2.5'"),
+], ids=["empty", "non-numeric feature", "non-integer vertebra"])
+def test_cv_malformed_table_named(cli_features, tmp_path, capsys, cell, message):
+    lines = cli_features.read_text(encoding="utf-8").splitlines()
+    if cell is None:
+        lines = []
+    else:
+        line, column, value = cell
+        cells = lines[line - 1].split(",")
+        cells[lines[0].split(",").index(column)] = value
+        lines[line - 1] = ",".join(cells)
+    path = tmp_path / "features.csv"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    out = tmp_path / "res"
+    assert main(["cv", "--table", str(path), "--k", "2", "--members", "1",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.strip() == "error: " + message.format(path=path)
+    assert not out.exists()
 
 
 def test_cv_k_too_large_exit_2(cli_features, tmp_path):
@@ -271,7 +310,19 @@ def test_report_without_evaluated_predictions_names_condition(tmp_path, capsys):
      "P01,S1,12,O,O,-0.5,0\n",
      "{path}: header is not "
      "'patient_id,study_id,vertebra,truth,prediction,decision,fold'"),
-], ids=["header only", "short row", "wrong header"])
+    ("patient_id,study_id,vertebra,truth,prediction,decision,fold\n"
+     "P01,S1,12,O,O,-0.5,x\n",
+     "{path}:2: column fold: invalid literal for int() with base 10: 'x'"),
+    ("patient_id,study_id,vertebra,truth,prediction,decision,fold\n"
+     "P01,S1,12,O,O,-0.5,0\n"
+     "P02,S1,13,N,N,y,1\n",
+     "{path}:3: column decision: could not convert string to float: 'y'"),
+    ("patient_id,study_id,vertebra,truth,prediction,decision,fold\n"
+     "P01,S1,L1,O,O,-0.5,0\n",
+     "{path}:2: column vertebra: invalid literal for int() with base 10: 'L1'"),
+    ("", "{path}: empty file"),
+], ids=["header only", "short row", "wrong header", "bad fold", "bad decision",
+        "bad vertebra", "empty"])
 def test_report_malformed_predictions_named(tmp_path, capsys, text, message):
     path = tmp_path / "predictions_measured.csv"
     path.write_text(text, encoding="utf-8")

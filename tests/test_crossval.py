@@ -83,8 +83,7 @@ def synthetic_table(n=60, seed=0, oracle=True):
         values[:, ALL_COLUMNS.index("meanTrab")] = np.where(truth == "N", 1.0, -1.0)
     ids = [(f"P{i % 12:03d}", f"P{i % 12:03d}-S{i // 12:02d}", (i % 3) + 1)
            for i in range(n)]
-    return FeatureTable(instance_ids=ids, matrix=values,
-                        mask=np.zeros((n, 36), dtype=bool), truth=truth)
+    return FeatureTable(instance_ids=ids, matrix=values, truth=truth)
 
 
 FAST_CFG = CommitteeConfig(n_members=2,
@@ -116,12 +115,11 @@ def test_leakage_guard_standardization_from_training_fold_only():
     columns = condition_columns("measured")
     col_idx = [ALL_COLUMNS.index(c) for c in columns]
     values = table.matrix[:, col_idx]
-    mask = table.mask[:, col_idx]
     fold_ids = [f for f in range(5) if f not in res.skipped_folds]
     for committee, fill, f in zip(res.fold_models, res.fold_imputation, fold_ids):
         tr = res.fold_assignment != f
-        Xtr = impute(values[tr], mask[tr], fill)
-        expected_fill = imputation_constants(values[tr], mask[tr], columns)
+        Xtr = impute(values[tr], fill)
+        expected_fill = imputation_constants(values[tr], columns)
         assert np.array_equal(fill, expected_fill)
         for member in committee.members:
             sel = list(member.feature_indices)
@@ -136,12 +134,11 @@ def test_imputation_rules():
     values = np.array([[np.nan, np.nan, 10.0],
                        [2.0, 1.0, np.nan],
                        [3.0, 2.0, 30.0]])
-    mask = np.isnan(values)
-    fill = imputation_constants(values, mask, columns)
+    fill = imputation_constants(values, columns)
     assert fill[0] == 1.0          # contrast fallback
     assert fill[1] == 0.0          # rate fallback
     assert fill[2] == 20.0         # training mean of observed
-    out = impute(values, mask, fill)
+    out = impute(values, fill)
     assert out[0, 0] == 1.0 and out[0, 1] == 0.0 and out[1, 2] == 20.0
     assert not np.isnan(out).any()
 

@@ -131,7 +131,7 @@ def fake_result(condition, truth, predictions, k=2):
     return CvResult(condition=condition, ids=ids, truth=np.array(truth),
                     predictions=np.array(predictions),
                     decision=np.zeros(n), fold_assignment=np.arange(n) % k,
-                    k=k, seed=0)
+                    k=k)
 
 
 def test_compare_identical_results_p_one():

@@ -1,11 +1,12 @@
-import json
 import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from helpers import reference_assemble
+from helpers import (reference_assemble, reference_imputation_constants,
+                     reference_impute)
+from vcfclass.crossval import imputation_constants, impute, outer_folds
 from vcfclass.features import (ALL_COLUMNS, DEMOGRAPHIC_COLUMNS,
                                MEASURED_COLUMNS, RATE_COLUMNS, FeatureTable,
                                assemble, condition_columns, load_table, rate,
@@ -87,18 +88,15 @@ def test_policy_zero(two_study_cohort):
     assert len(table) == 2
     rate_idx = [ALL_COLUMNS.index(c) for c in RATE_COLUMNS]
     assert np.all(table.matrix[0, rate_idx] == 0.0)
-    assert np.all(table.mask[0, rate_idx])
     assert not np.all(table.matrix[1, rate_idx] == 0.0)
 
 
 def test_policy_carry(two_study_cohort):
+    # 'carry' gave the matrix of 'zero' and is no longer a policy.
     manifest, root = two_study_cohort
-    table = assemble(manifest, root, policy="carry")
-    rate_idx = [ALL_COLUMNS.index(c) for c in RATE_COLUMNS]
-    assert np.all(table.matrix[0, rate_idx] == 0.0)
-    assert not np.any(table.mask[0, rate_idx])
-    with pytest.raises(ValueError, match="policy"):
-        assemble(manifest, root, policy="bogus")
+    for policy in ("carry", "bogus"):
+        with pytest.raises(ValueError, match=f"unknown policy '{policy}'"):
+            assemble(manifest, root, policy=policy)
 
 
 def test_rates_match_manual_computation(two_study_cohort):
@@ -164,13 +162,12 @@ def test_csv_roundtrip_full_precision(small_cohort, tmp_path):
     a, b = table.matrix, again.matrix
     assert np.array_equal(np.isnan(a), np.isnan(b))
     assert np.array_equal(a[~np.isnan(a)], b[~np.isnan(b)])
-    assert np.array_equal(table.mask, again.mask)
     assert table.instance_ids == again.instance_ids
     assert np.array_equal(table.truth, again.truth)
 
 
 def test_missing_neighbor_sets_mask(small_cohort):
-    # The lowest vertebra has no inferior neighbor: contrastN missing+masked.
+    # The lowest vertebra has no inferior neighbor: contrastN is missing (NaN).
     _, manifest, root = small_cohort
     table = assemble(manifest, root, policy="zero")
     j = ALL_COLUMNS.index("contrastN")
@@ -178,7 +175,7 @@ def test_missing_neighbor_sets_mask(small_cohort):
                    if vertebra == 3]
     assert bottom_rows
     for i in bottom_rows:
-        assert np.isnan(table.matrix[i, j]) and table.mask[i, j]
+        assert np.isnan(table.matrix[i, j])
 
 
 def test_duplicate_instance_ids_rejected(two_study_cohort):
@@ -188,22 +185,21 @@ def test_duplicate_instance_ids_rejected(two_study_cohort):
     with pytest.raises(ValueError, match=re.escape(f"duplicate instance id {first}")):
         FeatureTable(instance_ids=table.instance_ids + [first],
                      matrix=np.vstack([table.matrix, table.matrix[:1]]),
-                     mask=np.vstack([table.mask, table.mask[:1]]),
                      truth=np.append(table.truth, table.truth[0]))
 
 
 def _small_columns(n=3):
     return dict(instance_ids=[("P", "S", v) for v in range(n)],
                 matrix=np.arange(n * 36, dtype=float).reshape(n, 36),
-                mask=np.zeros((n, 36), dtype=bool), truth=["O", "N", "O"][:n])
+                truth=["O", "N", "O"][:n])
 
 
 @pytest.mark.parametrize("field, value", [
     ("instance_ids", [("P", "S", 0), ("P", "S", 1)]),
     ("matrix", np.zeros((2, 36))),
     ("matrix", np.zeros((3, 35))),
-    ("mask", np.zeros((4, 36), dtype=bool)),
-    ("mask", np.zeros((3, 37), dtype=bool)),
+    ("matrix", np.zeros((4, 36))),
+    ("matrix", np.zeros((3, 37))),
     ("truth", ["O", "N"]),
     ("truth", [["O"], ["N"], ["O"]]),
 ])
@@ -217,7 +213,7 @@ def test_mismatched_shapes_rejected(field, value):
 def test_arrays_read_only():
     columns = _small_columns()
     table = FeatureTable(**columns)
-    for name in ("matrix", "mask", "truth"):
+    for name in ("matrix", "truth"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(table, name)[0] = getattr(table, name)[1]
     columns["matrix"][0, 0] = -1.0          # the caller's array is not shared
@@ -239,11 +235,20 @@ def _saved_table(two_study_cohort, tmp_path):
     manifest, root = two_study_cohort
     path = tmp_path / "features.csv"
     save_table(assemble(manifest, root, policy="zero"), path)
-    return path, path.with_suffix(".csv.meta.json")
+    return path
+
+
+def test_save_table_writes_only_the_csv(two_study_cohort, tmp_path):
+    path = _saved_table(two_study_cohort, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["features.csv"]
+    # A sidecar an older version wrote beside the table is not read.
+    path.with_suffix(".csv.meta.json").write_text("{not json", encoding="utf-8")
+    table = load_table(path)
+    assert len(table) == 2
 
 
 def test_row_with_wrong_cell_count_names_file_and_line(two_study_cohort, tmp_path):
-    path, _ = _saved_table(two_study_cohort, tmp_path)
+    path = _saved_table(two_study_cohort, tmp_path)
     lines = path.read_text().splitlines()
     lines[2] = "A," + lines[2]         # what an unquoted comma in an id does
     path.write_text("\n".join(lines) + "\n")
@@ -251,23 +256,41 @@ def test_row_with_wrong_cell_count_names_file_and_line(two_study_cohort, tmp_pat
         load_table(path)
 
 
-def test_sidecar_mask_row_count_checked(two_study_cohort, tmp_path):
-    path, sidecar = _saved_table(two_study_cohort, tmp_path)
-    doc = json.loads(sidecar.read_text())
-    n = len(doc["mask"])
-    doc["mask"] = doc["mask"][:-1]
-    sidecar.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=rf"meta\.json: mask has {n - 1} rows, .*features\.csv has {n} data rows"):
+@pytest.mark.parametrize("column, cell, message", [
+    (2, "x", "column vertebra: invalid literal for int() with base 10: 'x'"),
+    (3 + ALL_COLUMNS.index("h_a"), "x", "column h_a: could not convert string to float: 'x'"),
+    (-1, "X", "column truth: unknown truth label 'X'"),
+])
+def test_bad_cell_names_file_line_and_column(two_study_cohort, tmp_path,
+                                             column, cell, message):
+    path = _saved_table(two_study_cohort, tmp_path)
+    lines = path.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[column] = cell
+    lines[2] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as info:
         load_table(path)
+    assert str(info.value) == f"{path}:3: {message}"
 
 
-def test_sidecar_mask_width_checked(two_study_cohort, tmp_path):
-    path, sidecar = _saved_table(two_study_cohort, tmp_path)
-    doc = json.loads(sidecar.read_text())
-    doc["mask"][1] = doc["mask"][1][:-1]
-    sidecar.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=r"meta\.json: mask for .*features\.csv:3 has 35 flags, expected 36"):
+@pytest.mark.parametrize("text, message", [
+    ("", "{path}: empty file"),
+    ("patient_id,study_id\n", "{path}: header is not "),
+], ids=["empty", "wrong header"])
+def test_malformed_table_file_named(tmp_path, text, message):
+    path = tmp_path / "features.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as info:
         load_table(path)
+    assert str(info.value).startswith(message.format(path=path))
+
+
+def test_header_only_table_has_no_rows(tmp_path):
+    path = tmp_path / "features.csv"
+    save_table(FeatureTable(instance_ids=[], matrix=np.zeros((0, 36)), truth=[]), path)
+    table = load_table(path)
+    assert len(table) == 0 and table.matrix.shape == (0, 36)
 
 
 @pytest.fixture(scope="module")
@@ -280,17 +303,44 @@ def ranged_cohort(tmp_path_factory):
     return generate_cohort(spec, out), out
 
 
-@pytest.mark.parametrize("policy", ["zero", "exclude", "carry"])
+@pytest.mark.parametrize("policy", ["zero", "exclude"])
 def test_assemble_matches_dict_built_rows(ranged_cohort, policy):
     manifest, root = ranged_cohort
     got = assemble(manifest, root, policy=policy)
-    want = reference_assemble(manifest, root, policy=policy)
+    want, _ = reference_assemble(manifest, root, policy=policy)
     counts = {len(p.studies) for p in manifest.patients}
     assert min(counts) == 1 and max(counts) > 2
     contrast = [ALL_COLUMNS.index(c) for c in ("contrastP", "contrastN")]
     assert np.isnan(want.matrix[:, contrast]).any()
     assert got.instance_ids == want.instance_ids
     assert np.array_equal(got.matrix, want.matrix, equal_nan=True)
-    assert np.array_equal(got.mask, want.mask)
     assert np.array_equal(got.truth, want.truth)
-    assert got.provenance == want.provenance
+
+
+def test_nan_imputation_equals_mask_aware_reference(ranged_cohort):
+    """Imputation that reads only NaN gives the fills and imputed matrices of
+    the mask-aware reference run on the reference mask, for every training
+    split; and the old 'carry' policy gave the matrix of 'zero'."""
+    manifest, root = ranged_cohort
+    table = assemble(manifest, root, policy="zero")
+    want, mask = reference_assemble(manifest, root, policy="zero")
+    assert np.array_equal(table.matrix, want.matrix, equal_nan=True)
+    rate_idx = [ALL_COLUMNS.index(c) for c in RATE_COLUMNS]
+    # The mask marks more than NaN: the first studies' zero rates.
+    assert (mask & ~np.isnan(want.matrix))[:, rate_idx].any()
+    assert np.array_equal(mask & ~np.isnan(want.matrix),
+                          mask & (want.matrix == 0.0))
+    folds = outer_folds(table, 10, 0, group_by_patient=False)
+    for f in range(10):
+        tr = folds != f
+        values, ref_mask = table.matrix[tr], mask[tr]
+        fill = imputation_constants(values, ALL_COLUMNS)
+        assert np.array_equal(fill, reference_imputation_constants(
+            values, ref_mask, ALL_COLUMNS))
+        assert np.array_equal(impute(values, fill),
+                              reference_impute(values, ref_mask, fill))
+        assert np.array_equal(impute(table.matrix[~tr], fill),
+                              reference_impute(table.matrix[~tr], mask[~tr], fill))
+    carry, _ = reference_assemble(manifest, root, policy="carry")
+    assert carry.instance_ids == table.instance_ids
+    assert np.array_equal(carry.matrix, table.matrix, equal_nan=True)

@@ -19,16 +19,16 @@ CFG = CommitteeConfig(n_members=2,
 
 def synthetic_table(n=48, seed=0):
     """meanTrab follows the class sign with noise, one rate column carries a
-    weaker signal, and a few entries are masked so imputation runs."""
+    weaker signal, and a few entries are missing (NaN) so imputation runs."""
     rng = np.random.default_rng(seed)
     truth = np.where(rng.random(n) < 0.5, "N", "O")
     sign = np.where(truth == "N", 1.0, -1.0)
     values = rng.normal(size=(n, len(ALL_COLUMNS)))
     values[:, ALL_COLUMNS.index("meanTrab")] = sign + rng.normal(scale=0.8, size=n)
     values[:, ALL_COLUMNS.index("R_meanTrab")] = sign + rng.normal(scale=1.5, size=n)
-    mask = rng.random(values.shape) < 0.05
+    values[rng.random(values.shape) < 0.05] = np.nan
     ids = [(f"P{i % 12:03d}", f"P{i % 12:03d}-S{i // 12}", i % 3 + 1) for i in range(n)]
-    return FeatureTable(instance_ids=ids, matrix=values, mask=mask, truth=truth)
+    return FeatureTable(instance_ids=ids, matrix=values, truth=truth)
 
 
 @pytest.fixture(scope="module")
