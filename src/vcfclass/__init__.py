@@ -13,8 +13,9 @@ from .committee import (Committee, CommitteeConfig, SelectionConfig,
                         greedy_forward_select, load_committee, save_committee,
                         train_committee)
 from .crossval import CvResult, cross_validate
-from .densitometry import (DensityFeatures, density_features, mean_density,
-                           normalize, trabecular_region)
+from .densitometry import (DensityFeatures, StudyReference, density_features,
+                           mean_density, normalize, study_reference,
+                           trabecular_region)
 from .evaluation import (ComparisonReport, ConfusionMatrix2, accuracy, compare,
                          confusion, emit_report, fisher_exact_two_sided)
 from .features import (ALL_COLUMNS, FeatureTable, assemble, assemble_from_path,

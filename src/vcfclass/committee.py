@@ -46,19 +46,28 @@ class CommitteeConfig:
         check_seed(self.seed)
 
 
-def _inner_cv_accuracy(X, y, feature_subset, inner_folds, params, seed) -> float:
+def _inner_cv_accuracy(X, y, feature_subset, inner_folds, params, seed,
+                       bar: float) -> tuple[float, bool]:
+    """Inner k-fold accuracy of one probe as ``(score, exact)``. A fold whose
+    training rows hold one class is skipped and its rows are not scored. Before
+    each fit, if even every unscored row right could not lift the accuracy
+    above ``bar``, the probe stops and returns that upper bound with ``exact``
+    False."""
     folds = kfold_split(len(y), k=inner_folds, seed=seed, stratify_by=y)
+    scored = [folds == f for f in range(inner_folds)
+              if np.unique(y[folds != f]).size >= 2]
+    evaluated = unscored = sum(int(te.sum()) for te in scored)
+    if not evaluated:
+        return 0.0, True
     probe = replace(params, max_passes=min(params.max_passes, SELECTION_MAX_PASSES))
-    correct = evaluated = 0
-    for f in range(inner_folds):
-        tr = folds != f
-        te = folds == f
-        if np.unique(y[tr]).size < 2:
-            continue                       # a skipped fold's rows are not scored
-        model = train_svm(X[tr], y[tr], probe, feature_indices=feature_subset)
+    correct = 0
+    for te in scored:
+        if (correct + unscored) / evaluated <= bar:
+            return (correct + unscored) / evaluated, False
+        model = train_svm(X[~te], y[~te], probe, feature_indices=feature_subset)
         correct += int((model.predict(X[te]) == y[te]).sum())
-        evaluated += int(te.sum())
-    return correct / evaluated if evaluated else 0.0
+        unscored -= int(te.sum())
+    return correct / evaluated, True
 
 
 def _fingerprint(a: np.ndarray) -> tuple:
@@ -76,11 +85,18 @@ def greedy_forward_select(X: np.ndarray, y: np.ndarray, candidates,
     than 1e-4 (the majority-class fraction seeds the score). Ties fall to the
     lower feature index.
 
-    ``probes`` memoises inner accuracies by content: the key holds a digest
-    of the subset's columns, of ``y``, the inner folds, ``params`` and
-    ``seed``, which is all a probe reads. Callers sharing one dict across
-    tables (conditions over the same rows) score each distinct probe once;
-    ``None`` uses a fresh dict."""
+    A candidate is taken only if its accuracy beats ``bar``, the round's best
+    plus 1e-4, so a probe stops as soon as an upper bound on its accuracy
+    falls to ``bar``: before its first fit once ``bar`` reaches 1.0, else
+    after the fold that settles it. The subset is the one exhaustive scoring
+    picks.
+
+    ``probes`` memoises probes by content as ``(score, exact)``: the key holds
+    a digest of the subset's columns, of ``y``, the inner folds, ``params``
+    and ``seed``, which is all a probe reads. An entry that is only a bound
+    is scored again when a later bar lies below it. Callers sharing one dict
+    across tables (conditions over the same rows) score each distinct probe
+    once; ``None`` uses a fresh dict."""
     candidates = [int(c) for c in candidates]
     if len(candidates) < 2:
         raise ValueError("need at least two candidate features")
@@ -96,13 +112,14 @@ def greedy_forward_select(X: np.ndarray, y: np.ndarray, candidates,
         for c in candidates:
             if c in subset:
                 continue
+            bar = round_best + MIN_IMPROVEMENT
             key = (_fingerprint(X[:, subset + [c]]), *setting)
-            acc = probes.get(key)
-            if acc is None:
-                acc = probes[key] = _inner_cv_accuracy(
-                    X, y, subset + [c], inner_folds, params, seed)
-            if acc > round_best + MIN_IMPROVEMENT:
-                round_best, round_feat = acc, c
+            score, exact = probes.get(key, (np.inf, False))
+            if not exact and score > bar:
+                score, exact = probes[key] = _inner_cv_accuracy(
+                    X, y, subset + [c], inner_folds, params, seed, bar)
+            if score > bar:
+                round_best, round_feat = score, c
         if round_feat is None:
             break
         subset.append(round_feat)
@@ -132,7 +149,7 @@ def train_committee(X: np.ndarray, y: np.ndarray, cfg: CommitteeConfig,
     y = np.asarray(y, dtype=np.float64)
     if feature_names is None:
         feature_names = [f"f{i}" for i in range(X.shape[1])]
-    members = []
+    members, fitted = [], {}
     for m_idx in range(cfg.n_members):
         member_seed = int(np.random.SeedSequence([cfg.seed, m_idx]).generate_state(1)[0])
         if cfg.selection.method == "greedy_forward" and X.shape[1] >= 2:
@@ -144,7 +161,10 @@ def train_committee(X: np.ndarray, y: np.ndarray, cfg: CommitteeConfig,
                 subset = list(range(X.shape[1]))
         else:
             subset = list(range(X.shape[1]))
-        members.append(train_svm(X, y, cfg.member_params, feature_indices=subset))
+        if tuple(subset) not in fitted:    # train_svm is deterministic
+            fitted[tuple(subset)] = train_svm(X, y, cfg.member_params,
+                                              feature_indices=subset)
+        members.append(fitted[tuple(subset)])
     return Committee(members=members, feature_names=list(feature_names), config=cfg)
 
 

@@ -39,6 +39,9 @@ def mean_density(vol: Volume, lm: LabelMap, label: int,
 
 def _ball_structure(radius_mm: float, spacing) -> np.ndarray:
     """Discrete anisotropy-aware ball: lattice offsets within ``radius_mm``."""
+    if not (np.isfinite(radius_mm) and radius_mm >= 0):
+        raise ValueError(
+            f"erosion radius must be finite and nonnegative, got {radius_mm}")
     sx, sy, sz = spacing
     nx = int(np.floor(radius_mm / sx + 1e-9))
     ny = int(np.floor(radius_mm / sy + 1e-9))
@@ -52,33 +55,48 @@ def _ball_structure(radius_mm: float, spacing) -> np.ndarray:
     return dist2 <= radius_mm ** 2 + 1e-6
 
 
+@dataclass(frozen=True)
+class StudyReference:
+    """What every vertebra of one study shares: the muscle and fat reference
+    means (HU) and the erosion ball."""
+    muscle_hu: float
+    fat_hu: float
+    erosion_radius_mm: float
+    ball: np.ndarray          # (z, y, x) lattice offsets; one voxel at 0 mm
+
+
+def study_reference(vol: Volume, lm: LabelMap,
+                    erosion_radius_mm: float = DEFAULT_EROSION_MM) -> StudyReference:
+    """Read the reference regions' means and build the erosion ball once."""
+    check_paired_geometry(vol, lm)
+    means = []
+    for role in (ROLE_MUSCLE, ROLE_FAT):
+        ref_label = lm.label_for_role(role)
+        if ref_label is None:
+            raise ValueError(f"missing reference region: {role}")
+        means.append(mean_density(vol, lm, ref_label, min_voxels=1))
+    return StudyReference(*means, erosion_radius_mm,
+                          _ball_structure(erosion_radius_mm, lm.spacing))
+
+
 def _trabecular_crop(lm: LabelMap, label: int, frame: LocalFrame,
-                     erosion_radius_mm: float) -> tuple[tuple[slice, ...], np.ndarray]:
+                     erosion_radius_mm: float, ball: np.ndarray
+                     ) -> tuple[tuple[slice, ...], np.ndarray]:
     """The body's bounding box and the trabecular probe mask within it."""
     view = lm.view(label)
     body = view.mask
     if view.voxel_count == 0:
         raise ValueError(f"label {label} absent from the label map")
-    if not (np.isfinite(erosion_radius_mm) and erosion_radius_mm >= 0):
-        raise ValueError(
-            f"erosion radius must be finite and nonnegative, got {erosion_radius_mm}")
-    if erosion_radius_mm > 0:
-        # The box holds the whole body and erosion treats the space beyond it
-        # as background, so the in-box erosion equals the full-grid one.
-        steps = [int(np.floor(erosion_radius_mm / s + 1e-9))
-                 for s in reversed(lm.spacing)]  # (z, y, x) order
-        if any(body.shape[i] < 2 * steps[i] + 1 for i in range(3)):
-            raise ValueError(
-                f"{erosion_radius_mm} mm erosion annihilates label {label}; "
-                f"radius exceeds the body's half-extent")
-        structure = _ball_structure(erosion_radius_mm, lm.spacing)
-        eroded = ndimage.binary_erosion(body, structure=structure, border_value=0)
-        if not eroded.any():
-            raise ValueError(
-                f"{erosion_radius_mm} mm erosion annihilates label {label}; "
-                f"radius exceeds the body's half-extent")
+    # The box holds the whole body and erosion treats the space beyond it as
+    # background, so the in-box erosion equals the full-grid one.
+    if any(b < s for b, s in zip(body.shape, ball.shape)):
+        eroded = np.zeros_like(body)       # the ball fits nowhere in the box
     else:
-        eroded = body
+        eroded = ndimage.binary_erosion(body, structure=ball, border_value=0)
+    if not eroded.any():
+        raise ValueError(
+            f"{erosion_radius_mm} mm erosion annihilates label {label}; "
+            f"radius exceeds the body's half-extent")
 
     idx = np.argwhere(eroded)
     coords = lm.geometry.world_coords(idx + [s.start for s in view.box])
@@ -96,7 +114,8 @@ def trabecular_region(lm: LabelMap, label: int, frame: LocalFrame,
     """Boolean mask of the trabecular probe region: the body eroded by a
     discrete ball of ``erosion_radius_mm`` intersected with the anterior
     half-space through the centroid."""
-    box, crop = _trabecular_crop(lm, label, frame, erosion_radius_mm)
+    box, crop = _trabecular_crop(lm, label, frame, erosion_radius_mm,
+                                 _ball_structure(erosion_radius_mm, lm.spacing))
     mask = np.zeros(lm.labels.shape, dtype=bool)
     mask[box] = crop
     return mask
@@ -111,27 +130,18 @@ def normalize(raw_hu: float, muscle_hu: float, fat_hu: float) -> float:
 
 
 def density_features(vol: Volume, lm: LabelMap, label: int, frame: LocalFrame,
-                     erosion_radius_mm: float = DEFAULT_EROSION_MM) -> DensityFeatures:
-    """Whole-body and trabecular densities normalized against the muscle/fat
-    reference segmentations."""
-    check_paired_geometry(vol, lm)
-    refs = {}
-    for role in (ROLE_MUSCLE, ROLE_FAT):
-        ref_label = lm.label_for_role(role)
-        if ref_label is None:
-            raise ValueError(f"missing reference region: {role}")
-        refs[role] = mean_density(vol, lm, ref_label, min_voxels=1)
-    muscle_hu, fat_hu = refs[ROLE_MUSCLE], refs[ROLE_FAT]
-
+                     ref: StudyReference) -> DensityFeatures:
+    """Whole-body and trabecular densities normalized against the study's
+    muscle/fat reference means (``study_reference``)."""
     raw_den = mean_density(vol, lm, label)
-    box, trab = _trabecular_crop(lm, label, frame, erosion_radius_mm)
+    box, trab = _trabecular_crop(lm, label, frame, ref.erosion_radius_mm, ref.ball)
     raw_trab = float(vol.data[box][trab].mean(dtype=np.float64))
 
     return DensityFeatures(
-        meanDen=normalize(raw_den, muscle_hu, fat_hu),
-        meanTrab=normalize(raw_trab, muscle_hu, fat_hu),
+        meanDen=normalize(raw_den, ref.muscle_hu, ref.fat_hu),
+        meanTrab=normalize(raw_trab, ref.muscle_hu, ref.fat_hu),
         raw_meanDen=raw_den,
         raw_meanTrab=raw_trab,
-        muscle_hu=muscle_hu,
-        fat_hu=fat_hu,
+        muscle_hu=ref.muscle_hu,
+        fat_hu=ref.fat_hu,
     )

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import densitometry, morphometry
 from .frames import vertebra_frame
-from .grids import (LabelMap, Volume, check_paired_geometry, load_labelmap,
-                    load_volume, parse_vertebra_level)
+from .grids import (LabelMap, Volume, load_labelmap, load_volume,
+                    parse_vertebra_level)
 from .manifest import (CohortManifest, NEOPLASTIC, StudyRecord,
                        load_manifest, years_between)
 from .morphometry import CompassLayout
@@ -120,7 +120,7 @@ def measured_study_features(vol: Volume, lm: LabelMap,
     All vertebrae are measured (unfractured ones supply contrast neighbors);
     contrasts are filled in across the study's level stack.
     """
-    check_paired_geometry(vol, lm)
+    ref = densitometry.study_reference(vol, lm, erosion_radius_mm)
     per_label: dict[int, dict[str, float]] = {}
     h_avg_by_level: dict[int, float] = {}
     level_by_label: dict[int, int] = {}
@@ -131,7 +131,7 @@ def measured_study_features(vol: Volume, lm: LabelMap,
         ch = morphometry.cell_heights(cols, label, layout)
         feats = morphometry.regional_summaries(ch)
         feats.update(morphometry.sagittal_heights(cols, label))
-        dens = densitometry.density_features(vol, lm, label, frame, erosion_radius_mm)
+        dens = densitometry.density_features(vol, lm, label, frame, ref)
         feats["meanDen"] = dens.meanDen
         feats["meanTrab"] = dens.meanTrab
         feats["vid"] = float(level)
@@ -226,8 +226,15 @@ def assemble_from_path(manifest_path, policy: str = "zero",
 # serialization
 
 def optional_float(cell: str) -> float:
-    """A CSV number cell; the empty field reads as NaN (missing)."""
-    return float(cell) if cell else np.nan
+    """A CSV number cell: a finite number, or the empty field, which reads as
+    NaN (missing) and is the only spelling of a missing value."""
+    if not cell:
+        return np.nan
+    value = float(cell)
+    if not np.isfinite(value):
+        raise ValueError(f"non-finite number {cell!r}; a missing value is an "
+                         f"empty cell")
+    return value
 
 
 def _truth_cell(cell: str) -> str:
@@ -277,7 +284,10 @@ def save_table(table: FeatureTable, path) -> None:
     for (pid, sid, vertebra), values, truth in zip(table.instance_ids, table.matrix,
                                                    table.truth):
         cells = [pid, sid, str(vertebra)]
-        for v in values:
+        for name, v in zip(ALL_COLUMNS, values):
+            if np.isinf(v):
+                raise ValueError(f"instance {(pid, sid, vertebra)}: column {name}: "
+                                 f"non-finite value {float(v)!r}")
             cells.append("" if np.isnan(v) else repr(float(v)))
         cells.append(truth)
         lines.append(",".join(cells))

@@ -3,7 +3,7 @@ a child-process CLI runner, the independent oracles (dense-QP projected
 gradient, exact hypergeometric enumeration) used to cross-check the
 production paths, and verbatim copies of replaced code paths (SMO step,
 full-grid label scans, dict-built feature rows with their missing-value mask,
-mask-aware imputation) kept as references."""
+mask-aware imputation, exhaustive greedy selection) kept as references."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -18,11 +19,14 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 
+from vcfclass.committee import (MIN_IMPROVEMENT, SELECTION_MAX_PASSES,
+                                _fingerprint)
 from vcfclass.densitometry import (DEFAULT_EROSION_MM, MIN_LABEL_VOXELS,
                                    _ball_structure)
 from vcfclass.features import (ALL_COLUMNS, CONTRAST_COLUMNS,
                                RATE_BASE_COLUMNS, FeatureTable, _truth_code,
                                demographics, measured_features)
+from vcfclass.folds import kfold_split
 from vcfclass.frames import make_frame
 from vcfclass.grids import (FormatError, GridGeometry, LabelMap, Volume,
                             check_paired_geometry)
@@ -30,6 +34,7 @@ from vcfclass.manifest import CohortManifest, StudyRecord, years_between
 from vcfclass.morphometry import (MIN_COLUMN_VOXELS, ColumnTable, CompassLayout,
                                   _axis_resolution)
 from vcfclass.phantom import VertebraSpec, render_vertebra
+from vcfclass.svm import SvmParams, train_svm
 
 _PACKAGE_ROOT = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -556,3 +561,62 @@ def reference_impute(values: np.ndarray, mask: np.ndarray, fill: np.ndarray) -> 
     use = mask | np.isnan(out)
     out[use] = np.broadcast_to(fill, out.shape)[use]
     return out
+
+
+def reference_inner_cv_accuracy(X, y, feature_subset, inner_folds, params, seed) -> float:
+    """Inner k-fold accuracy with every fold scored (no bound)."""
+    folds = kfold_split(len(y), k=inner_folds, seed=seed, stratify_by=y)
+    probe = replace(params, max_passes=min(params.max_passes, SELECTION_MAX_PASSES))
+    correct = evaluated = 0
+    for f in range(inner_folds):
+        tr = folds != f
+        te = folds == f
+        if np.unique(y[tr]).size < 2:
+            continue                       # a skipped fold's rows are not scored
+        model = train_svm(X[tr], y[tr], probe, feature_indices=feature_subset)
+        correct += int((model.predict(X[te]) == y[te]).sum())
+        evaluated += int(te.sum())
+    return correct / evaluated if evaluated else 0.0
+
+
+def reference_greedy_forward_select(X: np.ndarray, y: np.ndarray, candidates,
+                                    inner_folds: int, params: SvmParams,
+                                    max_features: int = 4, seed: int = 0,
+                                    probes: dict | None = None) -> list[int]:
+    """Wrapper selection: grow the subset by the candidate maximizing inner
+    k-fold accuracy, stopping when no addition beats the current score by more
+    than 1e-4 (the majority-class fraction seeds the score). Ties fall to the
+    lower feature index.
+
+    ``probes`` memoises inner accuracies by content: the key holds a digest
+    of the subset's columns, of ``y``, the inner folds, ``params`` and
+    ``seed``, which is all a probe reads. Callers sharing one dict across
+    tables (conditions over the same rows) score each distinct probe once;
+    ``None`` uses a fresh dict."""
+    candidates = [int(c) for c in candidates]
+    if len(candidates) < 2:
+        raise ValueError("need at least two candidate features")
+    if np.unique(y).size < 2:
+        raise ValueError("selection requires both classes")
+    probes = {} if probes is None else probes
+    setting = (_fingerprint(y), inner_folds, params, seed)
+    subset: list[int] = []
+    counts = np.unique(y, return_counts=True)[1]
+    best = counts.max() / counts.sum()     # majority baseline
+    while len(subset) < max_features:
+        round_best, round_feat = best, None
+        for c in candidates:
+            if c in subset:
+                continue
+            key = (_fingerprint(X[:, subset + [c]]), *setting)
+            acc = probes.get(key)
+            if acc is None:
+                acc = probes[key] = reference_inner_cv_accuracy(
+                    X, y, subset + [c], inner_folds, params, seed)
+            if acc > round_best + MIN_IMPROVEMENT:
+                round_best, round_feat = acc, c
+        if round_feat is None:
+            break
+        subset.append(round_feat)
+        best = round_best
+    return subset

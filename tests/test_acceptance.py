@@ -12,7 +12,8 @@ import pytest
 from helpers import (WORLD_FRAME, body_spec, qp_dual_oracle, render_single,
                      run_cli, tree_hash)
 from vcfclass.cli import main
-from vcfclass.densitometry import density_features, trabecular_region
+from vcfclass.densitometry import (density_features, study_reference,
+                                   trabecular_region)
 from vcfclass.evaluation import fisher_exact_two_sided
 from vcfclass.features import load_table, rate
 from vcfclass.folds import kfold_split
@@ -159,7 +160,7 @@ def test_criterion_3_compass_geometry():
 def test_criterion_4_density_invariance():
     from vcfclass.grids import Volume
     vol, lm, frame = render_single(body_spec(uniform_heights(20.0)), with_refs=True)
-    base = density_features(vol, lm, 1, frame)
+    base = density_features(vol, lm, 1, frame, study_reference(vol, lm))
     worst = 0.0
     for a in (0.5, 2.0):
         for b in (-50.0, 100.0):
@@ -167,7 +168,7 @@ def test_criterion_4_density_invariance():
             assert np.all(data == np.rint(data))
             data[lm.labels == 0] = np.clip(data[lm.labels == 0], -1024, 3071)
             tvol = Volume(geometry=vol.geometry, data=data.astype(np.int16))
-            tf = density_features(tvol, lm, 1, frame)
+            tf = density_features(tvol, lm, 1, frame, study_reference(tvol, lm))
             worst = max(worst, abs(tf.meanDen - base.meanDen),
                         abs(tf.meanTrab - base.meanTrab))
     assert worst < 1e-9

@@ -164,7 +164,9 @@ def test_cv_deterministic_outputs(cli_features, tmp_path):
     ((3, "h_c", "x"), "{path}:3: column h_c: could not convert string to float: 'x'"),
     ((4, "vertebra", "2.5"),
      "{path}:4: column vertebra: invalid literal for int() with base 10: '2.5'"),
-], ids=["empty", "non-numeric feature", "non-integer vertebra"])
+    ((3, "h_c", "inf"),
+     "{path}:3: column h_c: non-finite number 'inf'; a missing value is an empty cell"),
+], ids=["empty", "non-numeric feature", "non-integer vertebra", "non-finite feature"])
 def test_cv_malformed_table_named(cli_features, tmp_path, capsys, cell, message):
     lines = cli_features.read_text(encoding="utf-8").splitlines()
     if cell is None:

@@ -135,8 +135,9 @@ def test_inner_accuracy_scores_only_evaluated_rows():
     y[:] = -1.0
     y[4] = 1.0
     X[:, 0] = y
-    acc = _inner_cv_accuracy(X, y, [0], inner_folds=2, params=SvmParams(), seed=0)
-    assert acc == 1.0
+    acc, exact = _inner_cv_accuracy(X, y, [0], inner_folds=2, params=SvmParams(),
+                                    seed=0, bar=0.0)
+    assert acc == 1.0 and exact
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, None])

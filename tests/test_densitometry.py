@@ -3,7 +3,7 @@ import pytest
 
 from helpers import body_spec, render_single
 from vcfclass.densitometry import (density_features, mean_density, normalize,
-                                   trabecular_region)
+                                   study_reference, trabecular_region)
 from vcfclass.grids import Volume
 from vcfclass.phantom import uniform_heights
 
@@ -69,7 +69,7 @@ def test_non_finite_or_negative_erosion_rejected(case, radius):
     with pytest.raises(ValueError, match="finite and nonnegative"):
         trabecular_region(lm, 1, frame, erosion_radius_mm=radius)
     with pytest.raises(ValueError, match="finite and nonnegative"):
-        density_features(vol, lm, 1, frame, erosion_radius_mm=radius)
+        study_reference(vol, lm, erosion_radius_mm=radius)
 
 
 def test_normalize_anchors():
@@ -82,7 +82,7 @@ def test_normalize_anchors():
 
 def test_density_features_composition(case):
     vol, lm, frame = case
-    df = density_features(vol, lm, 1, frame)
+    df = density_features(vol, lm, 1, frame, study_reference(vol, lm))
     assert df.muscle_hu == 50.0 and df.fat_hu == -100.0
     assert df.meanTrab == pytest.approx(100.0 * 250.0 / 150.0, abs=0.5)
     assert df.raw_meanTrab == 150.0
@@ -93,12 +93,12 @@ def test_density_features_composition(case):
 def test_missing_reference_named():
     vol, lm, frame = render_single(body_spec(uniform_heights(20.0)), with_refs=False)
     with pytest.raises(ValueError, match="MUSCLE_REF"):
-        density_features(vol, lm, 1, frame)
+        study_reference(vol, lm)
 
 
 def test_affine_invariance(case):
     vol, lm, frame = case
-    base = density_features(vol, lm, 1, frame)
+    base = density_features(vol, lm, 1, frame, study_reference(vol, lm))
     for a in (0.5, 2.0):
         for b in (-50.0, 100.0):
             data = vol.data.astype(np.float64) * a + b
@@ -107,7 +107,7 @@ def test_affine_invariance(case):
             # inside the HU range
             data[lm.labels == 0] = np.clip(data[lm.labels == 0], -1024, 3071)
             tvol = Volume(geometry=vol.geometry, data=data.astype(np.int16))
-            tf = density_features(tvol, lm, 1, frame)
+            tf = density_features(tvol, lm, 1, frame, study_reference(tvol, lm))
             assert abs(tf.meanDen - base.meanDen) < 1e-9
             assert abs(tf.meanTrab - base.meanTrab) < 1e-9
 
@@ -115,9 +115,9 @@ def test_affine_invariance(case):
 def test_monotone_trabecular_shift(case):
     vol, lm, frame = case
     mask = trabecular_region(lm, 1, frame)
-    base = density_features(vol, lm, 1, frame)
+    base = density_features(vol, lm, 1, frame, study_reference(vol, lm))
     data = vol.data.copy()
     data[mask] += 25
     shifted = Volume(geometry=vol.geometry, data=data)
-    df = density_features(shifted, lm, 1, frame)
+    df = density_features(shifted, lm, 1, frame, study_reference(shifted, lm))
     assert df.raw_meanTrab == pytest.approx(base.raw_meanTrab + 25.0, abs=1e-9)

@@ -6,11 +6,12 @@ import pytest
 
 from helpers import (reference_assemble, reference_imputation_constants,
                      reference_impute)
+from vcfclass import densitometry
 from vcfclass.crossval import imputation_constants, impute, outer_folds
 from vcfclass.features import (ALL_COLUMNS, DEMOGRAPHIC_COLUMNS,
                                MEASURED_COLUMNS, RATE_COLUMNS, FeatureTable,
-                               assemble, condition_columns, load_table, rate,
-                               save_table)
+                               assemble, condition_columns, load_table,
+                               measured_features, rate, save_table)
 from vcfclass.phantom import CohortSpec, generate_cohort
 
 
@@ -178,6 +179,25 @@ def test_missing_neighbor_sets_mask(small_cohort):
         assert np.isnan(table.matrix[i, j])
 
 
+def test_reference_means_and_ball_once_per_study(small_cohort, monkeypatch):
+    _, manifest, root = small_cohort
+    calls = {"mean_density": 0, "_ball_structure": 0}
+    for name in calls:
+        real = getattr(densitometry, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(densitometry, name, counted)
+    for patient in manifest.patients:
+        for study in patient.studies:
+            for name in calls:
+                calls[name] = 0
+            measured = measured_features(study, root)
+            # one mean per vertebra body, one per reference region
+            assert calls == {"mean_density": len(measured) + 2, "_ball_structure": 1}
+
+
 def test_duplicate_instance_ids_rejected(two_study_cohort):
     manifest, root = two_study_cohort
     table = assemble(manifest, root, policy="zero")
@@ -272,6 +292,34 @@ def test_bad_cell_names_file_line_and_column(two_study_cohort, tmp_path,
     with pytest.raises(ValueError) as info:
         load_table(path)
     assert str(info.value) == f"{path}:3: {message}"
+
+
+@pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "NaN", "Infinity"])
+def test_non_finite_cell_names_file_line_and_column(two_study_cohort, tmp_path, cell):
+    # The empty cell is the one spelling of a missing value.
+    path = _saved_table(two_study_cohort, tmp_path)
+    lines = path.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[3 + ALL_COLUMNS.index("h_c")] = cell
+    lines[2] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as info:
+        load_table(path)
+    assert str(info.value) == (f"{path}:3: column h_c: non-finite number {cell!r}; "
+                               f"a missing value is an empty cell")
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_save_table_refuses_non_finite_value(tmp_path, value):
+    columns = _small_columns()
+    columns["matrix"][1, ALL_COLUMNS.index("meanTrab")] = value
+    table = FeatureTable(**columns)
+    path = tmp_path / "features.csv"
+    with pytest.raises(ValueError) as info:
+        save_table(table, path)
+    assert str(info.value) == (f"instance {table.instance_ids[1]}: column meanTrab: "
+                               f"non-finite value {float(value)!r}")
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("text, message", [

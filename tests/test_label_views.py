@@ -87,7 +87,7 @@ def _reference_features(monkeypatch, vol, lm, erosion_mm):
         m.setattr(morphometry, "column_table", reference_column_table)
         m.setattr(densitometry, "mean_density", reference_mean_density)
         m.setattr(densitometry, "_trabecular_crop",
-                  lambda lm, label, frame, r:
+                  lambda lm, label, frame, r, ball:
                   (_FULL_GRID, reference_trabecular_region(lm, label, frame, r)))
         return measured_study_features(vol, lm, erosion_radius_mm=erosion_mm)
 

@@ -140,9 +140,14 @@ def test_equal_columns_at_other_indices_share_entries(monkeypatch):
     X, y1, _ = labeled(seed=7)
     probes = {}
     subset = select(X, y1, probes)
-    entries = len(probes)
+    entries, before = len(probes), dict(probes)
     calls = count_fits(monkeypatch)
     perm = [3, 2, 1, 0]
     again = select(X[:, perm], y1, probes)
     assert [perm[i] for i in again] == subset
-    assert calls == [] and len(probes) == entries   # every probe was a lookup
+    assert len(probes) == entries                   # every probe found its entry
+    # Reordered columns meet lower bars; a fit only completes an entry that
+    # held just a bound (two inner folds each).
+    completed = [key for key in probes if probes[key] != before[key]]
+    assert all(not before[key][1] and probes[key][1] for key in completed)
+    assert len(calls) <= 2 * len(completed)
