@@ -3,11 +3,14 @@
 Vertebral bodies are elliptical cylinders whose top surface is modulated by
 17 per-cell target heights (bilinear interpolation in polar coordinates, so
 the height at each cell center equals the cell's target exactly). Cortical
-bone is the shell of voxels within ``cortical_thickness`` of the body surface
-(lattice distance transform); everything deeper is trabecular. Muscle and fat
-reference blocks and a spinal-canal cylinder are rendered posterior to the
-bodies. All randomness derives from (seed, patient_index, ...) so generation
-is reproducible byte-for-byte and patients are independent.
+bone is the shell of voxels within ``cortical_thickness`` of the body surface:
+the body minus its erosion by the lattice ball of that radius. This equals
+thresholding the exact Euclidean distance transform, since a voxel lies within
+the radius of a background voxel exactly when the ball centred on it reaches
+one. Everything deeper is trabecular. Muscle and fat reference blocks and a
+spinal-canal cylinder are rendered posterior to the bodies. All randomness
+derives from (seed, patient_index, ...) so generation is reproducible
+byte-for-byte and patients are independent.
 """
 
 from __future__ import annotations
@@ -44,6 +47,12 @@ CANAL_LABEL = 103
 ANTERIOR_LESION_CELLS = (0, 1, 2, 8, 9, 10, 16)
 
 
+def _check_finite(owner: str, **fields) -> None:
+    for name, value in fields.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{owner}.{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class VertebraSpec:
     """Ground truth for one rendered vertebral body."""
@@ -60,6 +69,11 @@ class VertebraSpec:
     def __post_init__(self):
         heights = tuple(float(h) for h in self.cell_heights)
         deltas = tuple(float(d) for d in self.cell_hu_delta)
+        _check_finite("VertebraSpec", body_radii=self.body_radii,
+                      cell_heights=heights, trabecular_hu=self.trabecular_hu,
+                      cortical_hu=self.cortical_hu,
+                      cortical_thickness=self.cortical_thickness,
+                      noise_sd=self.noise_sd, cell_hu_delta=deltas)
         if len(heights) != N_CELLS or len(deltas) != N_CELLS:
             raise ValueError(f"cell arrays must have {N_CELLS} entries")
         if any(h <= 0 for h in heights):
@@ -83,6 +97,7 @@ class FocalLesion:
         cells = tuple(int(c) for c in self.cells)
         if any(c < 0 or c >= N_CELLS for c in cells):
             raise ValueError(f"lesion cells out of range: {cells}")
+        _check_finite("FocalLesion", hu_per_year=self.hu_per_year)
         object.__setattr__(self, "cells", cells)
 
 
@@ -101,6 +116,8 @@ class ProgressionModel:
         rates = tuple(float(r) for r in self.height_rate)
         if len(rates) != N_CELLS:
             raise ValueError(f"height_rate must have {N_CELLS} entries")
+        _check_finite("ProgressionModel", height_rate=rates,
+                      trabecular_rate=self.trabecular_rate)
         object.__setattr__(self, "height_rate", rates)
 
 
@@ -161,15 +178,18 @@ def wedge_heights(anterior_mm: float, posterior_mm: float) -> tuple[float, ...]:
 # ---------------------------------------------------------------------------
 # rendering
 
-def _ring_values(theta: np.ndarray, ring: np.ndarray) -> np.ndarray:
-    """Piecewise-linear interpolation around a ring of 8 arc-center values.
+def _ring_values(theta: np.ndarray, rings: np.ndarray) -> np.ndarray:
+    """Piecewise-linear interpolation around rings of 8 arc-center values.
 
-    ``theta`` is the clockwise-from-anterior azimuth in radians.
+    ``theta`` is the clockwise-from-anterior azimuth in radians and ``rings``
+    holds one ring per row; every ring shares one floor/index/weight pass.
     """
     t = (theta / (np.pi / 4.0)) % 8.0
-    k0 = np.floor(t).astype(int) % 8
-    frac = t - np.floor(t)
-    return (1.0 - frac) * ring[k0] + frac * ring[(k0 + 1) % 8]
+    floor = np.floor(t)
+    k0 = floor.astype(np.intp)                 # arc index, taken modulo 8
+    frac = t - floor
+    return ((1.0 - frac) * rings.take(k0, axis=1, mode="wrap")
+            + frac * rings.take(k0 + 1, axis=1, mode="wrap"))
 
 
 def height_field(spec: VertebraSpec, rho: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -179,19 +199,12 @@ def height_field(spec: VertebraSpec, rho: np.ndarray, theta: np.ndarray) -> np.n
     layout = CompassLayout()                    # the measurement side's rings
     node1 = 0.5 * (layout.r1_fraction + layout.r2_fraction)   # inner-ring node radius
     node2 = 0.5 * (layout.r2_fraction + 1.0)                  # outer-ring node radius
-    ring1 = _ring_values(theta, h[1:9])
-    ring2 = _ring_values(theta, h[9:17])
+    ring1, ring2 = _ring_values(theta, h[1:].reshape(2, 8))
 
-    out = np.empty_like(rho)
-    inner = rho <= node1
-    mid = (rho > node1) & (rho <= node2)
-    outer = rho > node2
     w = np.clip(rho / node1, 0.0, 1.0)
-    out[inner] = (1.0 - w[inner]) * h[0] + w[inner] * ring1[inner]
     w2 = (rho - node1) / (node2 - node1)
-    out[mid] = (1.0 - w2[mid]) * ring1[mid] + w2[mid] * ring2[mid]
-    out[outer] = ring2[outer]
-    return out
+    return np.where(rho <= node1, (1.0 - w) * h[0] + w * ring1,
+                    np.where(rho <= node2, (1.0 - w2) * ring1 + w2 * ring2, ring2))
 
 
 def _frame_coords(grid: GridGeometry, frame: LocalFrame):
@@ -207,6 +220,19 @@ def _frame_coords(grid: GridGeometry, frame: LocalFrame):
     return project(frame.axis_ap), project(frame.axis_lr), project(frame.axis_si)
 
 
+def _shell_ball(radius: float, sampling) -> np.ndarray:
+    """(z, y, x) lattice offsets whose length is at most ``radius`` mm.
+
+    Lengths are summed in the order ``distance_transform_edt`` sums them, so
+    eroding by this ball removes exactly the voxels whose distance transform
+    is at most ``radius``, bit for bit.
+    """
+    reach = [int(radius / s) + 1 for s in sampling]    # a spare voxel per side
+    dz, dy, dx = np.ogrid[tuple(slice(-r, r + 1) for r in reach)]
+    sz, sy, sx = sampling
+    return np.sqrt((dz * sz) ** 2 + (dy * sy) ** 2 + (dx * sx) ** 2) <= radius
+
+
 def render_vertebra(spec: VertebraSpec, frame: LocalFrame, grid: GridGeometry,
                     label: int = 1, rng: np.random.Generator | None = None):
     """Rasterize one vertebral body onto ``grid``.
@@ -220,10 +246,16 @@ def render_vertebra(spec: VertebraSpec, frame: LocalFrame, grid: GridGeometry,
     r_ap, r_lr = spec.body_radii
     # For an ellipse, sqrt of the implicit value is exactly radius/boundary-radius.
     rho = np.sqrt((a / r_ap) ** 2 + (l / r_lr) ** 2)
-    theta = np.arctan2(-l, a)
-    h = height_field(spec, rho, theta)
+    # Heights are needed only inside the ellipse: rho, theta and s hold just
+    # those voxels from here on.
+    ellipse = rho <= 1.0
+    rho = rho[ellipse]
+    theta = np.arctan2(-l[ellipse], a[ellipse])
+    s = s[ellipse]
     z0 = -max(spec.cell_heights) / 2.0
-    body = (rho <= 1.0) & (s >= z0) & (s < z0 + h)
+    in_body = (s >= z0) & (s < z0 + height_field(spec, rho, theta))
+    body = np.zeros_like(ellipse)
+    body[ellipse] = in_body
     if not body.any():
         raise ValueError("vertebra body does not intersect the grid")
     face = np.zeros_like(body)
@@ -234,14 +266,16 @@ def render_vertebra(spec: VertebraSpec, frame: LocalFrame, grid: GridGeometry,
         raise ValueError("vertebra body exceeds grid bounds")
 
     sampling = (grid.spacing[2], grid.spacing[1], grid.spacing[0])
-    depth = ndimage.distance_transform_edt(body, sampling=sampling)
-    cortical = body & (depth <= spec.cortical_thickness + 1e-6)
+    ball = _shell_ball(spec.cortical_thickness + 1e-6, sampling)
+    # Beyond the grid counts as body, as in the distance transform, which
+    # measures only to background voxels inside the grid.
+    cortical = body & ~ndimage.binary_erosion(body, ball, border_value=1)
 
     hu = np.zeros(body.shape, dtype=np.float64)
     deltas = np.asarray(spec.cell_hu_delta)
     if np.any(deltas != 0.0):
-        cells = cell_index(rho, arc_index(theta))
-        hu[body] = spec.trabecular_hu + deltas[cells[body]]
+        cells = cell_index(rho[in_body], arc_index(theta[in_body]))
+        hu[body] = spec.trabecular_hu + deltas[cells]
     else:
         hu[body] = spec.trabecular_hu
     hu[cortical] = spec.cortical_hu
@@ -472,6 +506,7 @@ def generate_cohort(spec: CohortSpec, out_dir) -> CohortManifest:
         pdir = out_dir / plan.patient_id
         pdir.mkdir(exist_ok=True)
 
+        background = _render_background(grid, layout)
         vspecs = list(plan.base_specs)
         studies = []
         for s_idx, date in enumerate(plan.dates):
@@ -479,7 +514,7 @@ def generate_cohort(spec: CohortSpec, out_dir) -> CohortManifest:
                 dt_years = (date - plan.dates[s_idx - 1]).days / 365.25
                 vspecs = [v if m is None else advance(v, m, dt_years)
                           for v, m in zip(vspecs, plan.models)]
-            hu, labels, legend = _render_background(grid, layout)
+            hu, labels, legend = (x.copy() for x in background)
             for j, (vspec, centroid) in enumerate(zip(vspecs, centroids)):
                 label = j + 1
                 frame = make_frame(centroid, (0.0, 0.0, 1.0), (0.0, 1.0, 0.0))

@@ -202,8 +202,10 @@ def _smo(K: np.ndarray, y: np.ndarray, Cv: np.ndarray, tol: float,
     ``d1*K[i] + d2*K[j]`` row to both rows and re-derives membership at the
     two moved examples only. i is the I_up minimum; its partner j in I_low
     maximizes (E_j - E_i)^2 / a_ij over E_j > E_i, with the curvature
-    a_ij = K_ii + K_jj - 2 K_ij built once and floored at ``_TAU``; the floor
-    also keeps 0/0 out of the scores, so j always lies in I_low and j != i.
+    a_ij = K_ii + K_jj - 2 K_ij floored at ``_TAU``. Over E_j > E_i that is
+    the maximum of (E_j - E_i) * a_ij^(-1/2), scored against a matrix of
+    a_ij^(-1/2) built once per fit; every other entry scores <= 0 (-inf
+    outside I_low), so j always lies in I_low and j != i.
 
     Every pair takes the same step, alpha_j += y_j (E_i - E_j) / a_ij clipped
     to the pair's segment [L, H]. Snapping keeps I_up and I_low membership
@@ -218,14 +220,17 @@ def _smo(K: np.ndarray, y: np.ndarray, Cv: np.ndarray, tol: float,
     ys = y.tolist()
     Cs = Cv.tolist()
     diag = K.diagonal()
-    curv = np.add.outer(diag, diag)
-    curv -= 2.0 * K
-    np.maximum(curv, _TAU, out=curv)
+    dg = diag.tolist()
+    rsqrt_curv = np.add.outer(diag, diag)
+    rsqrt_curv -= 2.0 * K
+    np.maximum(rsqrt_curv, _TAU, out=rsqrt_curv)
+    np.sqrt(rsqrt_curv, out=rsqrt_curv)
+    np.divide(1.0, rsqrt_curv, out=rsqrt_curv)
 
     # At alpha = 0, u - y = -y, I_up = {y > 0} and I_low = {y < 0}.
     E = np.where([y > 0, y < 0], -y, [[math.inf], [-math.inf]])
     e_up, e_low = E
-    delta, row, score = np.empty(n), np.empty(n), np.empty(n)
+    delta, score = np.empty(n), np.empty(n)
 
     max_steps = max_passes * max(n, 8)
     steps = 0
@@ -237,9 +242,7 @@ def _smo(K: np.ndarray, y: np.ndarray, Cv: np.ndarray, tol: float,
         if hi - lo <= 2.0 * tol:
             break                          # KKT holds within tol for all
         np.subtract(e_low, lo, out=score)  # -inf outside I_low
-        np.maximum(score, 0.0, out=score)
-        np.multiply(score, score, out=score)
-        np.divide(score, curv[i], out=score)
+        np.multiply(score, rsqrt_curv[i], out=score)
         j = int(score.argmax())
         ej = e_low.item(j)
         a1o, a2o = alpha[i], alpha[j]
@@ -251,7 +254,8 @@ def _smo(K: np.ndarray, y: np.ndarray, Cv: np.ndarray, tol: float,
         else:
             L = max(0.0, a1o + a2o - Cs[i])
             H = min(Cs[j], a1o + a2o)
-        a2 = min(max(a2o + y2 * (lo - ej) / curv.item(i, j), L), H)
+        curv = max(dg[i] + dg[j] - 2.0 * K.item(i, j), _TAU)
+        a2 = min(max(a2o + y2 * (lo - ej) / curv, L), H)
         a1 = a1o + s * (a2o - a2)
         # Snap grime at the box boundary to exact bounds.
         if a1 < _BOUND_EPS * Cs[i]:
@@ -263,8 +267,8 @@ def _smo(K: np.ndarray, y: np.ndarray, Cv: np.ndarray, tol: float,
         elif a2 > Cs[j] * (1.0 - _BOUND_EPS):
             a2 = Cs[j]
         np.multiply(K[i], y1 * (a1 - a1o), out=delta)
-        np.multiply(K[j], y2 * (a2 - a2o), out=row)
-        np.add(delta, row, out=delta)
+        np.multiply(K[j], y2 * (a2 - a2o), out=score)   # scores are spent
+        np.add(delta, score, out=delta)
         np.add(E, delta, out=E)            # +-inf entries stay infinite
         alpha[i] = a1
         alpha[j] = a2

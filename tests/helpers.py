@@ -3,7 +3,8 @@ a child-process CLI runner, the independent oracles (dense-QP projected
 gradient, exact hypergeometric enumeration) used to cross-check the
 production paths, and verbatim copies of replaced code paths (SMO step,
 full-grid label scans, dict-built feature rows with their missing-value mask,
-mask-aware imputation, exhaustive greedy selection) kept as references."""
+mask-aware imputation, exhaustive greedy selection, the distance-transform
+vertebra renderer) kept as references."""
 
 from __future__ import annotations
 
@@ -32,8 +33,8 @@ from vcfclass.grids import (FormatError, GridGeometry, LabelMap, Volume,
                             check_paired_geometry)
 from vcfclass.manifest import CohortManifest, StudyRecord, years_between
 from vcfclass.morphometry import (MIN_COLUMN_VOXELS, ColumnTable, CompassLayout,
-                                  _axis_resolution)
-from vcfclass.phantom import VertebraSpec, render_vertebra
+                                  _axis_resolution, arc_index, cell_index)
+from vcfclass.phantom import VertebraSpec, _frame_coords, render_vertebra
 from vcfclass.svm import SvmParams, train_svm
 
 _PACKAGE_ROOT = str(Path(__file__).resolve().parent.parent / "src")
@@ -620,3 +621,76 @@ def reference_greedy_forward_select(X: np.ndarray, y: np.ndarray, candidates,
         subset.append(round_feat)
         best = round_best
     return subset
+
+
+# ---------------------------------------------------------------------------
+# reference renderer: the vertebra rasterizer as it stood when the cortical
+# shell thresholded a distance transform and the height field was evaluated
+# on the whole grid, kept verbatim so tests can require identical voxels
+
+def _reference_ring_values(theta: np.ndarray, ring: np.ndarray) -> np.ndarray:
+    t = (theta / (np.pi / 4.0)) % 8.0
+    k0 = np.floor(t).astype(int) % 8
+    frac = t - np.floor(t)
+    return (1.0 - frac) * ring[k0] + frac * ring[(k0 + 1) % 8]
+
+
+def reference_height_field(spec: VertebraSpec, rho: np.ndarray,
+                           theta: np.ndarray) -> np.ndarray:
+    h = np.asarray(spec.cell_heights)
+    layout = CompassLayout()
+    node1 = 0.5 * (layout.r1_fraction + layout.r2_fraction)
+    node2 = 0.5 * (layout.r2_fraction + 1.0)
+    ring1 = _reference_ring_values(theta, h[1:9])
+    ring2 = _reference_ring_values(theta, h[9:17])
+
+    out = np.empty_like(rho)
+    inner = rho <= node1
+    mid = (rho > node1) & (rho <= node2)
+    outer = rho > node2
+    w = np.clip(rho / node1, 0.0, 1.0)
+    out[inner] = (1.0 - w[inner]) * h[0] + w[inner] * ring1[inner]
+    w2 = (rho - node1) / (node2 - node1)
+    out[mid] = (1.0 - w2[mid]) * ring1[mid] + w2[mid] * ring2[mid]
+    out[outer] = ring2[outer]
+    return out
+
+
+def reference_render_vertebra(spec: VertebraSpec, frame, grid: GridGeometry,
+                              label: int = 1, rng: np.random.Generator | None = None):
+    a, l, s = _frame_coords(grid, frame)
+    r_ap, r_lr = spec.body_radii
+    rho = np.sqrt((a / r_ap) ** 2 + (l / r_lr) ** 2)
+    theta = np.arctan2(-l, a)
+    h = reference_height_field(spec, rho, theta)
+    z0 = -max(spec.cell_heights) / 2.0
+    body = (rho <= 1.0) & (s >= z0) & (s < z0 + h)
+    if not body.any():
+        raise ValueError("vertebra body does not intersect the grid")
+    face = np.zeros_like(body)
+    face[0, :, :] = face[-1, :, :] = True
+    face[:, 0, :] = face[:, -1, :] = True
+    face[:, :, 0] = face[:, :, -1] = True
+    if (body & face).any():
+        raise ValueError("vertebra body exceeds grid bounds")
+
+    sampling = (grid.spacing[2], grid.spacing[1], grid.spacing[0])
+    depth = ndimage.distance_transform_edt(body, sampling=sampling)
+    cortical = body & (depth <= spec.cortical_thickness + 1e-6)
+
+    hu = np.zeros(body.shape, dtype=np.float64)
+    deltas = np.asarray(spec.cell_hu_delta)
+    if np.any(deltas != 0.0):
+        cells = cell_index(rho, arc_index(theta))
+        hu[body] = spec.trabecular_hu + deltas[cells[body]]
+    else:
+        hu[body] = spec.trabecular_hu
+    hu[cortical] = spec.cortical_hu
+    if spec.noise_sd > 0:
+        if rng is None:
+            raise ValueError("noise_sd > 0 requires a random generator")
+        hu[body] += rng.normal(0.0, spec.noise_sd, size=int(body.sum()))
+
+    labels = np.zeros(body.shape, dtype=np.uint16)
+    labels[body] = label
+    return hu, labels

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from helpers import (WORLD_FRAME, body_spec, column_extents,
-                     single_vertebra_grid, tree_hash)
-from vcfclass.frames import vertebra_frame
+                     reference_render_vertebra, single_vertebra_grid, tree_hash)
+from vcfclass.frames import make_frame, vertebra_frame
 from vcfclass.grids import GridGeometry, load_labelmap, load_volume
 from vcfclass.manifest import NEOPLASTIC, OSTEOPOROTIC
 from vcfclass.morphometry import (arc_index, cell_heights, cell_index,
                                   column_table, regional_summaries)
 from vcfclass.phantom import (ANTERIOR_LESION_CELLS, CohortSpec, FocalLesion,
-                              N_CELLS, ProgressionModel, advance,
+                              N_CELLS, ProgressionModel, VertebraSpec, advance,
                               generate_cohort, height_field, render_vertebra,
                               uniform_heights, wedge_heights)
 
@@ -104,6 +104,54 @@ def test_focal_lesion_rendered_in_cells():
     assert hu[iz0, iy_post, ix0] == 150.0
 
 
+def _grid_about_origin(spacing, shift):
+    """A grid covering +-24 x +-24 x +-22 mm, its origin moved by ``shift``
+    mm; with no shift and 1 mm spacing, voxel centers land exactly on the
+    ellipse's ends (rho == 1)."""
+    half = (24.0, 24.0, 22.0)
+    return GridGeometry(dims=tuple(int(2 * h / s) + 1 for h, s in zip(half, spacing)),
+                        spacing=spacing,
+                        origin=tuple(-h + d for h, d in zip(half, shift)))
+
+
+_NONE = (0.0,) * N_CELLS
+_LESION = tuple(90.0 if c in ANTERIOR_LESION_CELLS else 0.0 for c in range(N_CELLS))
+_ROTATED = make_frame((0.0, 0.0, 0.0), (0, 0, 1),
+                      (-np.sin(np.deg2rad(30.0)), np.cos(np.deg2rad(30.0)), 0.0))
+_TILTED = make_frame((0.4, -0.3, 0.2), (0.0, -0.25, 1.0), (0.1, 1.0, 0.0))
+_OFF = (0.3, -0.2, 0.1)
+
+
+@pytest.mark.parametrize("spacing, shift, thickness, heights, deltas, noise, frame", [
+    ((1.0, 1.0, 1.0), (0, 0, 0), 3.0, uniform_heights(20.0), _NONE, 0.0, WORLD_FRAME),
+    ((0.9, 1.1, 0.7), _OFF, 3.0, wedge_heights(10.0, 20.0), _NONE, 0.0, WORLD_FRAME),
+    ((2.0, 0.8, 1.0), _OFF, 3.0, wedge_heights(12.0, 18.0), _LESION, 6.0, WORLD_FRAME),
+    ((1.0, 1.0, 1.0), (0, 0, 0), 3.0, uniform_heights(20.0), _NONE, 0.0, _ROTATED),
+    ((1.1, 0.9, 1.3), _OFF, 2.2, wedge_heights(12.0, 20.0), _LESION, 6.0, _TILTED),
+    # thicknesses on a lattice distance: 1 x 2.0 and 4 x 0.5, 2 x 1.25, the
+    # (3, 4, 0) offset at 1 mm, and 3 x 1.1, which rounds to above 3.3
+    ((0.5, 2.0, 1.5), _OFF, 2.0, uniform_heights(18.0), _LESION, 0.0, WORLD_FRAME),
+    ((1.25, 1.25, 1.0), _OFF, 2.5, uniform_heights(20.0), _NONE, 0.0, WORLD_FRAME),
+    ((1.25, 1.25, 1.25), (0, 0, 0), 2.5, wedge_heights(14.0, 20.0), _LESION, 6.0,
+     WORLD_FRAME),
+    ((1.0, 1.0, 1.0), _OFF, 5.0, uniform_heights(20.0), _NONE, 0.0, WORLD_FRAME),
+    ((1.1, 0.9, 1.1), _OFF, 3.3, uniform_heights(20.0), _NONE, 0.0, WORLD_FRAME),
+    # 5e-7 mm short of a lattice distance: the 1e-6 mm margin still reaches it
+    ((1.0, 1.0, 1.0), _OFF, 3.0 - 5e-7, uniform_heights(20.0), _NONE, 0.0, WORLD_FRAME),
+])
+def test_render_matches_distance_transform_reference(spacing, shift, thickness, heights,
+                                                     deltas, noise, frame):
+    spec = body_spec(heights, cortical_thickness=thickness, noise_sd=noise,
+                     cell_hu_delta=deltas)
+    grid = _grid_about_origin(spacing, shift)
+    hu, lab = render_vertebra(spec, frame, grid, label=3,
+                              rng=np.random.default_rng(11))
+    ref_hu, ref_lab = reference_render_vertebra(spec, frame, grid, label=3,
+                                                rng=np.random.default_rng(11))
+    assert np.array_equal(lab, ref_lab)
+    assert np.array_equal(hu, ref_hu)
+
+
 def test_body_exceeding_grid_rejected():
     grid = GridGeometry(dims=(20, 20, 20), spacing=(1, 1, 1),
                         origin=(-9.5, -9.5, -9.5))
@@ -172,6 +220,19 @@ def test_cohort_deterministic(tmp_path):
     generate_cohort(spec, tmp_path / "a")
     generate_cohort(spec, tmp_path / "b")
     assert tree_hash(tmp_path / "a") == tree_hash(tmp_path / "b")
+
+
+# Recorded from the distance-transform renderer; any change to a cohort's
+# files (volumes, label maps, manifest) changes these digests.
+@pytest.mark.parametrize("kwargs, digest", [
+    ({"seed": 42},
+     "fe2f1ff9ecac5e9a2e183ee58704f2984e002a9a0eb906fc6f142f07bd570d0f"),
+    ({"seed": 5, "spacing": (0.9, 1.1, 0.7)},
+     "eeb3264432a30e7949f6377bb3b1080c948cc92d748d18fbe2fada8c9100111f"),
+])
+def test_cohort_bytes_pinned(tmp_path, kwargs, digest):
+    generate_cohort(CohortSpec(n_patients=2, studies_per_patient=2, **kwargs), tmp_path)
+    assert tree_hash(tmp_path) == digest
 
 
 def test_fraction_zero_has_no_neoplastic(tmp_path):
@@ -247,6 +308,33 @@ def test_vertebra_spec_validation():
         CohortSpec(fraction_neoplastic=1.5)
     with pytest.raises(ValueError, match="counts"):
         CohortSpec(n_patients=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("body_radii", (np.nan, 13.0)),
+    ("cell_heights", (20.0,) * (N_CELLS - 1) + (np.inf,)),
+    ("trabecular_hu", np.nan),
+    ("cortical_hu", np.inf),
+    ("cortical_thickness", np.nan),
+    ("noise_sd", np.nan),
+    ("cell_hu_delta", (np.nan,) + (0.0,) * (N_CELLS - 1)),
+])
+def test_vertebra_spec_rejects_non_finite(field, value):
+    good = dict(level_index=12, body_radii=(16.0, 13.0),
+                cell_heights=uniform_heights(20.0), trabecular_hu=150.0,
+                cortical_hu=400.0, cortical_thickness=3.0)
+    with pytest.raises(ValueError, match=f"VertebraSpec.{field} must be finite"):
+        VertebraSpec(**{**good, field: value})
+
+
+@pytest.mark.parametrize("field, build", [
+    ("height_rate", lambda: flat_model(np.inf)),
+    ("trabecular_rate", lambda: flat_model(-1.0, trab_rate=np.nan)),
+    ("hu_per_year", lambda: FocalLesion(cells=(0,), hu_per_year=np.inf)),
+])
+def test_progression_rejects_non_finite(field, build):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        build()
 
 
 @pytest.mark.parametrize("kwargs, message", [
