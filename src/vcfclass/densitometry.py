@@ -1,15 +1,21 @@
 """Bone density estimation: whole-body mean HU, trabecular mean via
-anterior-half erosion, and two-point muscle/fat normalization."""
+anterior-half erosion, and two-point muscle/fat normalization.
+
+The trabecular probe is the body eroded by a lattice ball of the erosion
+radius (``grids.erode_by_ball``: the intersection of the erosions by the
+ball's x-rows, one array operation per (dz, dy) row), computed on the body's
+bounding box with space beyond it counted as background, then cut to the
+half-space anterior to the centroid."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .frames import LocalFrame
-from .grids import LabelMap, ROLE_FAT, ROLE_MUSCLE, Volume, check_paired_geometry
+from .grids import (LabelMap, ROLE_FAT, ROLE_MUSCLE, Volume, check_paired_geometry,
+                    erode_by_ball)
 
 MIN_LABEL_VOXELS = 50
 DEFAULT_EROSION_MM = 3.0
@@ -89,10 +95,7 @@ def _trabecular_crop(lm: LabelMap, label: int, frame: LocalFrame,
         raise ValueError(f"label {label} absent from the label map")
     # The box holds the whole body and erosion treats the space beyond it as
     # background, so the in-box erosion equals the full-grid one.
-    if any(b < s for b, s in zip(body.shape, ball.shape)):
-        eroded = np.zeros_like(body)       # the ball fits nowhere in the box
-    else:
-        eroded = ndimage.binary_erosion(body, structure=ball, border_value=0)
+    eroded = erode_by_ball(body, ball, border_value=False)
     if not eroded.any():
         raise ValueError(
             f"{erosion_radius_mm} mm erosion annihilates label {label}; "

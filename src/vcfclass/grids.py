@@ -56,8 +56,13 @@ class GridGeometry:
     def __post_init__(self):
         if len(self.dims) != 3 or any(int(d) <= 0 for d in self.dims):
             raise FormatError(f"dims must be three positive counts, got {self.dims}")
-        if len(self.spacing) != 3 or any(s <= 0 for s in self.spacing):
-            raise FormatError(f"spacing must be three positive lengths, got {self.spacing}")
+        if len(self.spacing) != 3 or not all(np.isfinite(s) and s > 0
+                                             for s in self.spacing):
+            raise FormatError(
+                f"spacing must be three finite positive lengths, got {self.spacing}")
+        if len(self.origin) != 3 or not all(np.isfinite(o) for o in self.origin):
+            raise FormatError(
+                f"origin must be three finite coordinates, got {self.origin}")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         object.__setattr__(self, "spacing", tuple(float(s) for s in self.spacing))
         object.__setattr__(self, "origin", tuple(float(o) for o in self.origin))
@@ -234,6 +239,44 @@ def check_vertebra_connectivity(lm: LabelMap) -> None:
         if n != 1:
             raise FormatError(
                 f"vertebra label {lab} splits into {n} 26-connected components")
+
+
+def erode_by_ball(mask: np.ndarray, ball: np.ndarray, border_value: bool) -> np.ndarray:
+    """Binary erosion of the (z, y, x) ``mask`` by ``ball``, voxel for voxel
+    what ``ndimage.binary_erosion(mask, ball, border_value=border_value)``
+    returns; space beyond the mask reads as ``border_value``.
+
+    Every (dz, dy) row of ``ball`` must be empty or a run ``|dx| <= w``
+    centred on dx = 0, as every row of a lattice ball is. The ball is the
+    union of its rows and erosion by a union is the intersection of the
+    erosions, so the x-erosions by runs of each half-width ``w`` are grown
+    one shift at a time and each row ANDs its run's erosion, shifted by
+    (dz, dy), into the result: one array operation per row instead of one
+    visit per ball offset at every voxel.
+    """
+    if ball.ndim != 3 or any(n % 2 == 0 for n in ball.shape):
+        raise ValueError(f"ball needs odd extents on three axes, got {ball.shape}")
+    hz, hy, hx = (n // 2 for n in ball.shape)
+    # half-width of each (dz, dy) row; -1 marks an empty row
+    widths = np.where(ball.any(axis=2), np.count_nonzero(ball, axis=2) // 2, -1)
+    runs = np.abs(np.arange(-hx, hx + 1)) <= widths[:, :, None]
+    if not np.array_equal(ball, runs):
+        iz, iy = np.argwhere((ball != runs).any(axis=2))[0]
+        raise ValueError(
+            f"ball row (dz, dy) = ({iz - hz}, {iy - hy}) is not a run "
+            f"centred on dx = 0")
+
+    nz, ny, nx = mask.shape
+    padded = np.full((nz + 2 * hz, ny + 2 * hy, nx + 2 * hx), bool(border_value))
+    padded[hz:hz + nz, hy:hy + ny, hx:hx + nx] = mask
+    out = np.ones(mask.shape, dtype=bool)
+    run = padded[:, :, hx:hx + nx]      # erosion along x by the run |dx| <= 0
+    for w in range(widths.max() + 1):
+        if w:
+            run = run & padded[:, :, hx + w:hx + w + nx] & padded[:, :, hx - w:hx - w + nx]
+        for iz, iy in np.argwhere(widths == w):
+            out &= run[iz:iz + nz, iy:iy + ny]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -48,6 +49,9 @@ class StudyRecord:
         if isinstance(self.acquisition_date, str):
             object.__setattr__(self, "acquisition_date",
                                dt.date.fromisoformat(self.acquisition_date))
+        if not (isinstance(self.age, (int, float)) and math.isfinite(self.age)):
+            raise ValueError(
+                f"study {self.study_id}: age must be a finite number, got {self.age!r}")
         if self.age < 0:
             raise ValueError(f"study {self.study_id}: negative age {self.age}")
         if self.gender not in GENDERS:

@@ -7,10 +7,12 @@ bone is the shell of voxels within ``cortical_thickness`` of the body surface:
 the body minus its erosion by the lattice ball of that radius. This equals
 thresholding the exact Euclidean distance transform, since a voxel lies within
 the radius of a background voxel exactly when the ball centred on it reaches
-one. Everything deeper is trabecular. Muscle and fat reference blocks and a
-spinal-canal cylinder are rendered posterior to the bodies. All randomness
-derives from (seed, patient_index, ...) so generation is reproducible
-byte-for-byte and patients are independent.
+one. The erosion (``grids.erode_by_ball``) intersects the x-erosions of the
+ball's rows, one array operation per (dz, dy) row, and counts space beyond
+the grid as body. Everything deeper is trabecular. Muscle and fat reference
+blocks and a spinal-canal cylinder are rendered posterior to the bodies. All
+randomness derives from (seed, patient_index, ...) so generation is
+reproducible byte-for-byte and patients are independent.
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from .grids import (GridGeometry, LabelMap, Volume, ROLE_CANAL, ROLE_FAT,
-                    ROLE_MUSCLE, save_labelmap, save_volume, vertebra_role)
+                    ROLE_MUSCLE, erode_by_ball, save_labelmap, save_volume,
+                    vertebra_role)
 from .folds import check_seed
 from .frames import LocalFrame, make_frame
 from .manifest import (CohortManifest, NEOPLASTIC, OSTEOPOROTIC, PatientEntry,
@@ -269,7 +271,7 @@ def render_vertebra(spec: VertebraSpec, frame: LocalFrame, grid: GridGeometry,
     ball = _shell_ball(spec.cortical_thickness + 1e-6, sampling)
     # Beyond the grid counts as body, as in the distance transform, which
     # measures only to background voxels inside the grid.
-    cortical = body & ~ndimage.binary_erosion(body, ball, border_value=1)
+    cortical = body & ~erode_by_ball(body, ball, border_value=True)
 
     hu = np.zeros(body.shape, dtype=np.float64)
     deltas = np.asarray(spec.cell_hu_delta)

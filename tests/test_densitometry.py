@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from helpers import body_spec, render_single
+from helpers import WORLD_FRAME, body_spec, render_single
 from vcfclass.densitometry import (density_features, mean_density, normalize,
                                    study_reference, trabecular_region)
-from vcfclass.grids import Volume
+from vcfclass.grids import GridGeometry, LabelMap, Volume
 from vcfclass.phantom import uniform_heights
 
 
@@ -61,6 +61,19 @@ def test_oversized_erosion_rejected(case):
     _, lm, frame = case
     with pytest.raises(ValueError, match="half-extent"):
         trabecular_region(lm, 1, frame, erosion_radius_mm=25.0)
+
+
+def test_body_thinner_than_the_ball_rejected():
+    # A slab 3 voxels thick in z against a ball 7 voxels tall: the ball fits
+    # nowhere in the body's box, though the box is wider than it in x and y.
+    geo = GridGeometry(dims=(20, 20, 9), spacing=(1.0, 1.0, 1.0),
+                       origin=(-9.5, -9.5, -4.0))
+    labels = np.zeros((9, 20, 20), dtype=np.uint16)
+    labels[3:6, 2:18, 2:18] = 1
+    lm = LabelMap(geometry=geo, labels=labels, legend={1: "VERTEBRA:12"})
+    assert trabecular_region(lm, 1, WORLD_FRAME, erosion_radius_mm=1.0).any()
+    with pytest.raises(ValueError, match="3.0 mm erosion annihilates label 1"):
+        trabecular_region(lm, 1, WORLD_FRAME, erosion_radius_mm=3.0)
 
 
 @pytest.mark.parametrize("radius", [np.nan, np.inf, -1.0])

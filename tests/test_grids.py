@@ -2,21 +2,26 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import ndimage
 
 from helpers import reference_check_vertebra_connectivity
+from vcfclass.densitometry import _ball_structure
 from vcfclass.grids import (FormatError, GridGeometry, LabelMap, Volume,
-                            check_vertebra_connectivity, load_labelmap,
-                            load_volume, save_labelmap, save_volume)
+                            check_vertebra_connectivity, erode_by_ball,
+                            load_labelmap, load_volume, save_labelmap,
+                            save_volume)
+from vcfclass.phantom import _shell_ball
 
 
 def write_header(path, dims=(4, 4, 4), data_file=None, dtype="int16le",
-                 schema=1, spacing=(1.0, 1.0, 1.0)):
+                 schema=1, spacing=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0)):
     data_file = data_file or (path.name + ".raw")
     path.write_text(
         f"schema_version {schema}\n"
         f"dims {dims[0]} {dims[1]} {dims[2]}\n"
         f"spacing_mm {spacing[0]!r} {spacing[1]!r} {spacing[2]!r}\n"
-        "origin_mm 0.0 0.0 0.0\n"
+        f"origin_mm {origin[0]!r} {origin[1]!r} {origin[2]!r}\n"
         f"data_file {data_file}\n"
         f"dtype {dtype}\n")
     return path.parent / data_file
@@ -57,6 +62,19 @@ def test_nonpositive_spacing_rejected(tmp_path):
     raw = write_header(hdr, spacing=(1.0, 0.0, 1.0))
     raw.write_bytes(bytes(128))
     with pytest.raises(FormatError, match="spacing"):
+        load_volume(hdr)
+
+
+@pytest.mark.parametrize("field, spacing, origin", [
+    ("spacing", (1.0, float("nan"), 1.0), (0.0, 0.0, 0.0)),
+    ("spacing", (1.0, 1.0, float("inf")), (0.0, 0.0, 0.0)),
+    ("origin", (1.0, 1.0, 1.0), (float("nan"), 0.0, 0.0)),
+])
+def test_non_finite_geometry_rejected(tmp_path, field, spacing, origin):
+    hdr = tmp_path / "nf.vvol"
+    raw = write_header(hdr, spacing=spacing, origin=origin)
+    raw.write_bytes(bytes(128))
+    with pytest.raises(FormatError, match=f"^{field} must be three finite"):
         load_volume(hdr)
 
 
@@ -165,3 +183,61 @@ def test_split_vertebra_inside_its_box_rejected():
         check_vertebra_connectivity(lm)
     with pytest.raises(FormatError, match=message):
         reference_check_vertebra_connectivity(lm)
+
+
+def _centred_rows(draw_widths, half):
+    """A (z, y, x) structure whose (dz, dy) rows are the runs |dx| <= w of
+    the given half-widths, -1 leaving a row empty."""
+    hz, hy, hx = half
+    widths = np.asarray(draw_widths).reshape(2 * hz + 1, 2 * hy + 1)
+    dx = np.abs(np.arange(-hx, hx + 1))
+    return dx[None, None, :] <= widths[:, :, None]
+
+
+@st.composite
+def erosion_cases(draw):
+    spacing = tuple(draw(st.floats(0.5, 2.0)) for _ in range(3))      # x, y, z
+    radius = draw(st.sampled_from([0.0, 1.25, 2.5, 3.0, 3.3, 5.0]))
+    kind = draw(st.sampled_from(["shell", "trabecular", "rows"]))
+    if kind == "shell":
+        ball = _shell_ball(radius, spacing[::-1])
+    elif kind == "trabecular":
+        ball = _ball_structure(radius, spacing)
+    else:       # any structure made of centred rows, not only lattice balls
+        half = tuple(draw(st.integers(0, 3)) for _ in range(3))
+        n_rows = (2 * half[0] + 1) * (2 * half[1] + 1)
+        ball = _centred_rows(draw(st.lists(st.integers(-1, half[2]), min_size=n_rows,
+                                           max_size=n_rows)), half)
+    shape = tuple(draw(st.integers(1, 14)) for _ in range(3))         # z, y, x
+    fill = draw(st.sampled_from([0.5, 0.9, 0.99, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mask = rng.random(shape) < fill
+    return mask, ball, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(erosion_cases())
+def test_erode_by_ball_matches_binary_erosion(case):
+    mask, ball, border_value = case
+    got = erode_by_ball(mask, ball, border_value)
+    want = ndimage.binary_erosion(mask, structure=ball, border_value=border_value)
+    assert got.dtype == bool and got.shape == mask.shape
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("row", [
+    [False, True, True, False, False],       # off centre
+    [True, False, True, False, False],       # not one run
+    [True, True, True, True, False],         # longer on one side
+])
+def test_erode_by_ball_rejects_rows_not_centred(row):
+    ball = np.zeros((3, 3, 5), dtype=bool)
+    ball[1, 1, 2] = True
+    ball[0, 2] = row
+    with pytest.raises(ValueError, match=r"\(dz, dy\) = \(-1, 1\) is not a run"):
+        erode_by_ball(np.ones((4, 4, 4), dtype=bool), ball, True)
+
+
+def test_erode_by_ball_rejects_even_extents():
+    with pytest.raises(ValueError, match="odd extents"):
+        erode_by_ball(np.ones((4, 4, 4), dtype=bool), np.ones((3, 2, 3), dtype=bool), True)

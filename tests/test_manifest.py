@@ -72,10 +72,10 @@ def test_years_between():
     assert years_between(dt.date(2019, 1, 1), dt.date(2020, 1, 1)) == 365 / 365.25
 
 
-def _write_manifest(path, pid, sid):
+def _write_manifest(path, pid, sid, age=60.0):
     doc = {"schema_version": 1, "patients": [{"patient_id": pid, "studies": [{
         "study_id": sid, "patient_id": pid, "acquisition_date": "2020-01-01",
-        "age": 60.0, "gender": "F", "volume_path": "a.vvol",
+        "age": age, "gender": "F", "volume_path": "a.vvol",
         "labelmap_path": "a.vlbl", "vertebra_truth": {"1": "OSTEOPOROTIC"}}]}]}
     path.write_text(json.dumps(doc), encoding="utf-8")
 
@@ -89,4 +89,19 @@ def test_ids_that_would_break_csv_rows_rejected(tmp_path, field, bad):
     _write_manifest(path, bad if field == "patient" else "P0",
                     bad if field == "study" else "7")
     with pytest.raises(ValueError, match=f"{field} id {re.escape(repr(bad))}"):
+        load_manifest(path)
+
+
+@pytest.mark.parametrize("age, literal", [
+    (float("nan"), "NaN"), (float("inf"), "Infinity"), (-float("inf"), "-Infinity"),
+    ("60", '"60"'),
+])
+def test_non_finite_age_rejected(tmp_path, age, literal):
+    # json accepts NaN and Infinity; a NaN age would become an imputed Age
+    # cell and an infinite one would fail only when the feature table is
+    # written.
+    path = tmp_path / "manifest.json"
+    _write_manifest(path, "P0", "S7", age=age)
+    assert f'"age": {literal},' in path.read_text(encoding="utf-8")
+    with pytest.raises(ValueError, match="^study S7: age must be a finite number"):
         load_manifest(path)
