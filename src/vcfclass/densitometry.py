@@ -40,7 +40,7 @@ def mean_density(vol: Volume, lm: LabelMap, label: int,
     if n < min_voxels:
         raise ValueError(
             f"label {label} has {n} voxels, need at least {min_voxels}")
-    return float(vol.data[view.box][view.mask].mean(dtype=np.float64))
+    return float(vol.data.take(view.flat).mean(dtype=np.float64))
 
 
 def _ball_structure(radius_mm: float, spacing) -> np.ndarray:

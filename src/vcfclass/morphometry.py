@@ -167,19 +167,19 @@ def assign_cells(cols: ColumnTable, layout: CompassLayout = CompassLayout()) -> 
 def cell_heights(cols: ColumnTable, label: int,
                  layout: CompassLayout = CompassLayout()) -> CellHeights:
     """Median endplate-to-endplate column height per compass cell of the
-    columns ``column_table`` built for ``label``."""
+    columns ``column_table`` built for ``label``.
+
+    One sort by (cell, height) puts each cell's heights in order, NaN last;
+    the median is the mean of the middle one or two, as ``np.median``
+    computes it."""
     cells = assign_cells(cols, layout)
-    heights = np.full(N_CELLS, np.nan)
-    counts = np.zeros(N_CELLS, dtype=np.int64)
-    for c in range(N_CELLS):
-        sel = cells == c
-        counts[c] = int(sel.sum())
-        if counts[c] < MIN_CELL_COLUMNS:
-            continue
-        vals = cols.height[sel]
-        vals = vals[~np.isnan(vals)]
-        if vals.size:
-            heights[c] = float(np.median(vals))
+    counts = np.bincount(cells, minlength=N_CELLS)
+    n = np.bincount(cells[~np.isnan(cols.height)], minlength=N_CELLS)
+    ordered = cols.height[np.lexsort((cols.height, cells))]
+    first = np.cumsum(counts) - counts
+    lo = ordered.take(first + (n - 1) // 2, mode="clip")
+    hi = ordered.take(first + n // 2, mode="clip")
+    heights = np.where((counts >= MIN_CELL_COLUMNS) & (n > 0), (lo + hi) / 2, np.nan)
     if np.all(np.isnan(heights)):
         raise ValueError(f"all {N_CELLS} compass cells missing for label {label}")
     return CellHeights(heights=heights, column_counts=counts)

@@ -32,8 +32,10 @@ from vcfclass.frames import make_frame
 from vcfclass.grids import (FormatError, GridGeometry, LabelMap, Volume,
                             check_paired_geometry)
 from vcfclass.manifest import CohortManifest, StudyRecord, years_between
-from vcfclass.morphometry import (MIN_COLUMN_VOXELS, ColumnTable, CompassLayout,
-                                  _axis_resolution, arc_index, cell_index)
+from vcfclass.morphometry import (MIN_CELL_COLUMNS, MIN_COLUMN_VOXELS, N_CELLS,
+                                  CellHeights, ColumnTable, CompassLayout,
+                                  _axis_resolution, arc_index, assign_cells,
+                                  cell_index)
 from vcfclass.phantom import VertebraSpec, _frame_coords, render_vertebra
 from vcfclass.svm import SvmParams, train_svm
 
@@ -377,6 +379,27 @@ def reference_column_table(lm: LabelMap, label: int, frame) -> ColumnTable:
                       s_max - s_min + slice_sp, np.nan)
     return ColumnTable(a=a_center, l=l_center, height=height, voxels=counts,
                        res_a=res_a, res_l=res_l, slice_spacing=slice_sp)
+
+
+def reference_cell_heights(cols: ColumnTable, label: int,
+                           layout: CompassLayout = CompassLayout()) -> CellHeights:
+    """Per-cell medians by one ``np.median`` per cell, as before the single
+    sort by (cell, height)."""
+    cells = assign_cells(cols, layout)
+    heights = np.full(N_CELLS, np.nan)
+    counts = np.zeros(N_CELLS, dtype=np.int64)
+    for c in range(N_CELLS):
+        sel = cells == c
+        counts[c] = int(sel.sum())
+        if counts[c] < MIN_CELL_COLUMNS:
+            continue
+        vals = cols.height[sel]
+        vals = vals[~np.isnan(vals)]
+        if vals.size:
+            heights[c] = float(np.median(vals))
+    if np.all(np.isnan(heights)):
+        raise ValueError(f"all {N_CELLS} compass cells missing for label {label}")
+    return CellHeights(heights=heights, column_counts=counts)
 
 
 def reference_mean_density(vol: Volume, lm: LabelMap, label: int,

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +77,34 @@ def test_non_finite_geometry_rejected(tmp_path, field, spacing, origin):
     raw.write_bytes(bytes(128))
     with pytest.raises(FormatError, match=f"^{field} must be three finite"):
         load_volume(hdr)
+
+
+@pytest.mark.parametrize("key, value, kind", [
+    ("dims", "4.5 4 4", "int"),
+    ("spacing_mm", "1.0 one 1.0", "float"),
+    ("origin_mm", "0.0 0.0 0,5", "float"),
+    ("schema_version", "v1", "int"),
+])
+def test_non_numeric_header_values_rejected(tmp_path, key, value, kind):
+    hdr = tmp_path / "nn.vvol"
+    raw = write_header(hdr)
+    raw.write_bytes(bytes(128))
+    lines = [f"{key} {value}" if line.split()[0] == key else line
+             for line in hdr.read_text().splitlines()]
+    hdr.write_text("\n".join(lines) + "\n")
+    message = f"{hdr}: {key} needs {kind} values, got '{value}'"
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        load_volume(hdr)
+
+
+@pytest.mark.parametrize("value", ["4.5", "x", "-1"])
+def test_non_integer_legend_label_rejected(tmp_path, value):
+    hdr = tmp_path / "lab.vlbl"
+    raw = write_header(hdr, dtype="uint16le")
+    raw.write_bytes(bytes(128))
+    hdr.write_text(hdr.read_text() + f"label {value} VERTEBRA:12\n")
+    with pytest.raises(FormatError, match=r":7: legend line needs 'label <int> <role>'$"):
+        load_labelmap(hdr)
 
 
 def test_unsupported_schema_version(tmp_path):

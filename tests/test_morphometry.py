@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import WORLD_FRAME, body_spec, render_single
+from helpers import WORLD_FRAME, body_spec, reference_cell_heights, render_single
 from vcfclass.frames import vertebra_frame
 from vcfclass.grids import GridGeometry, LabelMap
 from vcfclass.morphometry import (ColumnTable, CompassLayout, assign_cells,
@@ -96,6 +97,32 @@ def test_wedge_cells_match_targets(wedge_lm):
     assert abs(ch.heights[1] - 10.0) <= SPACING_Z + 1e-9   # inner anterior
     assert abs(ch.heights[13] - 20.0) <= SPACING_Z   # outer posterior
     assert abs(ch.heights[5] - 20.0) <= SPACING_Z + 1e-9   # inner posterior
+
+
+@st.composite
+def column_tables(draw):
+    """Footprints of 1-150 columns with repeated, NaN and near-equal heights,
+    so cells hold odd and even counts, ties and too few columns."""
+    n = draw(st.integers(1, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    base = rng.choice([1.0, 2.5, 3.0, 1 / 3, 7.25, np.nan], size=n)
+    height = base + rng.choice([0.0, 1e-12, 0.1], size=n) * rng.integers(0, 2, size=n)
+    return ColumnTable(a=rng.normal(size=n) * 9, l=rng.normal(size=n) * 9, height=height,
+                       voxels=np.full(n, 3), res_a=1.0, res_l=1.0, slice_spacing=1.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(column_tables())
+def test_cell_medians_equal_np_median(cols):
+    try:
+        want = reference_cell_heights(cols, 1)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{exc}$"):
+            cell_heights(cols, 1)
+        return
+    got = cell_heights(cols, 1)
+    assert got.heights.tobytes() == want.heights.tobytes()
+    assert np.array_equal(got.column_counts, want.column_counts)
 
 
 def test_all_cells_missing_rejected():
