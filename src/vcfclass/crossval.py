@@ -8,7 +8,9 @@ imputed with training constants and predicted once.
 from __future__ import annotations
 
 import warnings
+from collections import ChainMap
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,7 @@ from .committee import Committee, CommitteeConfig, train_committee
 from .features import (ALL_COLUMNS, CONTRAST_COLUMNS, FeatureTable,
                        condition_columns, optional_float, read_csv_rows)
 from .folds import kfold_split
+from .parallel import pmap
 
 
 @dataclass
@@ -79,6 +82,23 @@ def single_class_folds(truth: np.ndarray, folds: np.ndarray, k: int) -> list[int
     return [f for f in range(k) if np.unique(truth[folds != f]).size < 2]
 
 
+def _fold_task(values: np.ndarray, y: np.ndarray, columns: list[str],
+               cfg: CommitteeConfig, seed: int, folds: np.ndarray,
+               probes: dict, f: int):
+    """Train and test outer fold ``f``: its imputation constants, committee
+    and test-fold decision values, plus the probe-memo entries it added or
+    changed (it reads ``probes`` and leaves it untouched)."""
+    tr = folds != f
+    fill = imputation_constants(values[tr], columns)
+    fold_seed = int(np.random.SeedSequence([seed, f]).generate_state(1)[0])
+    memo = ChainMap({}, probes)
+    committee = train_committee(impute(values[tr], fill), y[tr],
+                                replace(cfg, seed=fold_seed),
+                                feature_names=columns, probes=memo)
+    decision = committee.decision_values(impute(values[folds == f], fill))
+    return committee, fill, decision, memo.maps[0]
+
+
 def cross_validate(table: FeatureTable, condition: str,
                    cfg: CommitteeConfig = CommitteeConfig(), k: int = 10,
                    seed: int = 0, group_by_patient: bool = False,
@@ -90,39 +110,40 @@ def cross_validate(table: FeatureTable, condition: str,
     table with the same ``cfg``, ``k``, ``seed`` and grouping share outer
     folds, per-column imputation and member seeds, so passing one dict to
     all of them scores a probe the conditions have in common once; results
-    are identical to those with a fresh dict per call (``None``)."""
+    are identical to those with a fresh dict per call (``None``).
+
+    The outer folds run through ``parallel.pmap``. Each starts from the memo
+    as it was before the call, and the entries the folds add are merged in
+    fold order afterwards. Folds never share an entry (their member seeds
+    differ), so the memo ends as a fold-by-fold loop would leave it."""
     columns = condition_columns(condition)
     col_idx = [ALL_COLUMNS.index(c) for c in columns]
     values = table.matrix[:, col_idx]
     truth = table.truth
     y = _truth_to_signs(truth)
     n = len(table)
+    probes = {} if probes is None else probes
 
     folds = outer_folds(table, k, seed, group_by_patient)
 
     predictions = np.full(n, "", dtype=object)
     decision = np.full(n, np.nan)
     skipped = single_class_folds(truth, folds, k)
+    for f in skipped:
+        warnings.warn(f"fold {f}: training split has a single class; skipped",
+                      stacklevel=2)
+    run = [f for f in range(k) if f not in skipped]
+    outcomes = pmap(partial(_fold_task, values, y, columns, cfg, seed, folds,
+                            probes), run)
     models: list[Committee] = []
     fills: list[np.ndarray] = []
-    for f in range(k):
-        tr = folds != f
+    for f, (committee, fill, dv, added) in zip(run, outcomes):
         te = folds == f
-        if f in skipped:
-            warnings.warn(f"fold {f}: training split has a single class; skipped",
-                          stacklevel=2)
-            continue
-        fill = imputation_constants(values[tr], columns)
-        Xtr = impute(values[tr], fill)
-        Xte = impute(values[te], fill)
-        fold_seed = int(np.random.SeedSequence([seed, f]).generate_state(1)[0])
-        committee = train_committee(Xtr, y[tr], replace(cfg, seed=fold_seed),
-                                    feature_names=columns, probes=probes)
-        dv = committee.decision_values(Xte)
         decision[te] = dv
         predictions[te] = np.where(dv > 0, "N", "O")
         models.append(committee)
         fills.append(fill)
+        probes.update(added)
 
     return CvResult(condition=condition, ids=table.instance_ids, truth=truth,
                     predictions=predictions.astype(str), decision=decision,

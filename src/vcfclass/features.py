@@ -10,6 +10,7 @@ empty field in the CSV, which holds the whole table.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -22,6 +23,7 @@ from .grids import (LabelMap, Volume, load_labelmap, load_volume,
 from .manifest import (CohortManifest, NEOPLASTIC, StudyRecord,
                        load_manifest, years_between)
 from .morphometry import CompassLayout
+from .parallel import pmap
 
 HEIGHT_COLUMNS = [
     "h_c", "h_a", "h_p", "h_l", "h_r", "h_avg", "h_avg_5",
@@ -163,6 +165,19 @@ def demographics(study: StudyRecord) -> dict[str, float]:
     return {"Gender": 0.0 if study.gender == "F" else 1.0, "Age": float(study.age)}
 
 
+def _study_rows(base_dir, layout: CompassLayout, erosion_radius_mm: float,
+                study: StudyRecord) -> dict[int, np.ndarray]:
+    """A study's measured features as one ``MEASURED_COLUMNS``-ordered array
+    per label, after checking that every fractured label was measured."""
+    measured = measured_features(study, base_dir, layout, erosion_radius_mm)
+    for label in study.fractured_labels():
+        if label not in measured:
+            raise RuntimeError(f"study {study.study_id}: fractured label {label} "
+                               f"absent from the label map legend")
+    return {label: np.array([feats[c] for c in MEASURED_COLUMNS])
+            for label, feats in measured.items()}
+
+
 # ---------------------------------------------------------------------------
 # longitudinal assembly
 
@@ -174,26 +189,24 @@ def assemble(manifest: CohortManifest, base_dir, policy: str = "zero",
 
     Rates compare against the same vertebra in the immediately preceding
     study. First-study instances follow ``policy``: 'exclude' drops the row,
-    'zero' emits zero rates.
+    'zero' emits zero rates. Studies are measured independently, through
+    ``parallel.pmap``; a failing study raises as it would in a loop over them.
     """
     policy = policy.lower()
     if policy not in FIRST_STUDY_POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {FIRST_STUDY_POLICIES}")
+    studies = [study for patient in manifest.patients for study in patient.studies]
+    measured = iter(pmap(partial(_study_rows, base_dir, layout, erosion_radius_mm),
+                         studies))
     first_rates = np.zeros(len(RATE_COLUMNS))
     ids, values, truths = [], [], []
     for patient in manifest.patients:
         previous: dict[int, np.ndarray] | None = None
         prev_date = None
         for study in patient.studies:
-            measured = measured_features(study, base_dir, layout, erosion_radius_mm)
-            current = {label: np.array([feats[c] for c in MEASURED_COLUMNS])
-                       for label, feats in measured.items()}
+            current = next(measured)
             demo = [demographics(study)[c] for c in DEMOGRAPHIC_COLUMNS]
             for label in study.fractured_labels():
-                if label not in current:
-                    raise RuntimeError(
-                        f"study {study.study_id}: fractured label {label} "
-                        f"absent from the label map legend")
                 if previous is not None and label in previous:
                     rates = rate(current[label][_RATE_BASE_POS],
                                  previous[label][_RATE_BASE_POS],

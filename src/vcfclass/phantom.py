@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from .frames import LocalFrame, make_frame
 from .manifest import (CohortManifest, NEOPLASTIC, OSTEOPOROTIC, PatientEntry,
                        StudyRecord, UNFRACTURED, save_manifest)
 from .morphometry import N_CELLS, CompassLayout, arc_index, cell_index
+from .parallel import pmap
 
 MIN_CELL_HEIGHT_MM = 1.0
 
@@ -490,59 +492,65 @@ def _paste_vertebra(hu, labels, vspec: VertebraSpec, frame: LocalFrame,
     view_lab[body] = label
 
 
+def _write_patient(spec: CohortSpec, out_dir: Path, neoplastic: frozenset[int],
+                   idx: int) -> PatientEntry:
+    """Render and write every study of patient ``idx`` under ``out_dir``; the
+    patient is neoplastic if ``idx`` is in ``neoplastic``."""
+    kind = NEOPLASTIC if idx in neoplastic else OSTEOPOROTIC
+    plan = _plan_patient(spec, idx, kind)
+    grid, centroids, layout = _study_grid(spec, plan)
+    pdir = out_dir / plan.patient_id
+    pdir.mkdir(exist_ok=True)
+
+    background = _render_background(grid, layout)
+    vspecs = list(plan.base_specs)
+    studies = []
+    for s_idx, date in enumerate(plan.dates):
+        if s_idx > 0:
+            dt_years = (date - plan.dates[s_idx - 1]).days / 365.25
+            vspecs = [v if m is None else advance(v, m, dt_years)
+                      for v, m in zip(vspecs, plan.models)]
+        hu, labels, legend = (x.copy() for x in background)
+        for j, (vspec, centroid) in enumerate(zip(vspecs, centroids)):
+            label = j + 1
+            frame = make_frame(centroid, (0.0, 0.0, 1.0), (0.0, 1.0, 0.0))
+            rng = _rng(spec.seed, idx, 100 + s_idx, j)
+            _paste_vertebra(hu, labels, vspec, frame, grid, label, rng)
+            legend[label] = vertebra_role(vspec.level_index)
+
+        hu_int = np.clip(np.rint(hu), -1024, 3071).astype(np.int16)
+        vol = Volume(geometry=grid, data=hu_int)
+        lm = LabelMap(geometry=grid, labels=labels, legend=legend)
+        vol_rel = f"{plan.patient_id}/S{s_idx:02d}.vvol"
+        lbl_rel = f"{plan.patient_id}/S{s_idx:02d}.vlbl"
+        save_volume(vol, out_dir / vol_rel)
+        save_labelmap(lm, out_dir / lbl_rel)
+        studies.append(StudyRecord(
+            study_id=f"{plan.patient_id}-S{s_idx:02d}",
+            patient_id=plan.patient_id,
+            acquisition_date=date,
+            age=plan.age0 + (date - plan.dates[0]).days / 365.25,
+            gender=plan.gender,
+            volume_path=vol_rel,
+            labelmap_path=lbl_rel,
+            vertebra_truth=dict(plan.truth),
+        ))
+    return PatientEntry(patient_id=plan.patient_id, studies=tuple(studies))
+
+
 def generate_cohort(spec: CohortSpec, out_dir) -> CohortManifest:
     """Write a full synthetic cohort (volumes, label maps, manifest.json) under
-    ``out_dir`` and return the manifest. Deterministic for a given seed."""
+    ``out_dir`` and return the manifest. Deterministic for a given seed:
+    every patient draws from its own random streams, so patients are written
+    independently, through ``parallel.pmap``."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     order = _rng(spec.seed, 0, 9).permutation(spec.n_patients)
     n_neo = int(round(spec.fraction_neoplastic * spec.n_patients))
-    neoplastic_patients = set(int(i) for i in order[:n_neo])
-
-    patients = []
-    for idx in range(spec.n_patients):
-        kind = NEOPLASTIC if idx in neoplastic_patients else OSTEOPOROTIC
-        plan = _plan_patient(spec, idx, kind)
-        grid, centroids, layout = _study_grid(spec, plan)
-        pdir = out_dir / plan.patient_id
-        pdir.mkdir(exist_ok=True)
-
-        background = _render_background(grid, layout)
-        vspecs = list(plan.base_specs)
-        studies = []
-        for s_idx, date in enumerate(plan.dates):
-            if s_idx > 0:
-                dt_years = (date - plan.dates[s_idx - 1]).days / 365.25
-                vspecs = [v if m is None else advance(v, m, dt_years)
-                          for v, m in zip(vspecs, plan.models)]
-            hu, labels, legend = (x.copy() for x in background)
-            for j, (vspec, centroid) in enumerate(zip(vspecs, centroids)):
-                label = j + 1
-                frame = make_frame(centroid, (0.0, 0.0, 1.0), (0.0, 1.0, 0.0))
-                rng = _rng(spec.seed, idx, 100 + s_idx, j)
-                _paste_vertebra(hu, labels, vspec, frame, grid, label, rng)
-                legend[label] = vertebra_role(vspec.level_index)
-
-            hu_int = np.clip(np.rint(hu), -1024, 3071).astype(np.int16)
-            vol = Volume(geometry=grid, data=hu_int)
-            lm = LabelMap(geometry=grid, labels=labels, legend=legend)
-            vol_rel = f"{plan.patient_id}/S{s_idx:02d}.vvol"
-            lbl_rel = f"{plan.patient_id}/S{s_idx:02d}.vlbl"
-            save_volume(vol, out_dir / vol_rel)
-            save_labelmap(lm, out_dir / lbl_rel)
-            studies.append(StudyRecord(
-                study_id=f"{plan.patient_id}-S{s_idx:02d}",
-                patient_id=plan.patient_id,
-                acquisition_date=date,
-                age=plan.age0 + (date - plan.dates[0]).days / 365.25,
-                gender=plan.gender,
-                volume_path=vol_rel,
-                labelmap_path=lbl_rel,
-                vertebra_truth=dict(plan.truth),
-            ))
-        patients.append(PatientEntry(patient_id=plan.patient_id, studies=tuple(studies)))
-
+    neoplastic = frozenset(int(i) for i in order[:n_neo])
+    patients = pmap(partial(_write_patient, spec, out_dir, neoplastic),
+                    range(spec.n_patients))
     manifest = CohortManifest(patients=tuple(patients))
     save_manifest(manifest, out_dir / "manifest.json")
     return manifest

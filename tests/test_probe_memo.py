@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import vcfclass.committee as committee_mod
+from vcfclass import parallel
 from vcfclass.committee import CommitteeConfig, SelectionConfig, greedy_forward_select
 from vcfclass.crossval import cross_validate
 from vcfclass.features import ALL_COLUMNS, FeatureTable, assemble
@@ -41,7 +42,10 @@ def phantom_table(tmp_path_factory):
 
 
 def count_fits(monkeypatch):
-    """Count ``train_svm`` calls made by the committee module."""
+    """Count ``train_svm`` calls made by the committee module. Fits made in
+    pool workers would not reach this process's counter, so the outer folds
+    run in this process."""
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
     calls = []
     real = committee_mod.train_svm
 
