@@ -25,6 +25,7 @@ from . import __version__
 from .committee import CommitteeConfig, SelectionConfig, save_committee
 from .crossval import (cross_validate, load_predictions, outer_folds,
                        predictions_path, save_predictions, single_class_folds)
+from .densitometry import DEFAULT_EROSION_MM
 from .evaluation import accuracy, compare, confusion_from_result, emit_report
 from .features import (CONDITIONS, FIRST_STUDY_POLICIES, assemble_from_path,
                        load_table, save_table)
@@ -79,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", type=Path, required=True)
     p.add_argument("--policy", choices=FIRST_STUDY_POLICIES, default="zero",
                    help="first-study handling for longitudinal rates")
-    p.add_argument("--erosion-mm", type=float, default=3.0)
+    p.add_argument("--erosion-mm", type=float, default=DEFAULT_EROSION_MM)
     p.add_argument("--r1-fraction", type=float, default=CompassLayout.r1_fraction)
     p.add_argument("--r2-fraction", type=float, default=CompassLayout.r2_fraction)
     p.add_argument("--out", type=Path, default=None, help="output CSV path")

@@ -3,7 +3,6 @@ aggregation, and a JSON model format that reloads to bit-identical decisions."""
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -72,6 +71,8 @@ def _inner_cv_accuracy(X, y, feature_subset, inner_folds, params, seed,
 
 def _fingerprint(a: np.ndarray) -> tuple:
     """Shape, dtype and a 16-byte digest of an array's values in C order."""
+    # hashlib maps OpenSSL, about 3.7 MB resident, which extraction never uses.
+    import hashlib
     a = np.ascontiguousarray(a)
     return a.shape, a.dtype.str, hashlib.blake2b(a, digest_size=16).digest()
 

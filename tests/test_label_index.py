@@ -2,17 +2,11 @@
 ``find_objects``, 26-connected component counts against ``label`` and
 ``view().index`` against ``np.argwhere``, on random label maps."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
-import vcfclass
 from vcfclass.grids import (FormatError, GridGeometry, LabelMap, _count_26_components,
                             check_vertebra_connectivity)
 
@@ -133,11 +127,3 @@ def test_runs_on_facing_x_ends_of_adjacent_rows_stay_apart():
     for label in (1, 2, 3):
         assert _count_26_components(lm.view(label).flat, lm.dims) == 2
 
-
-def test_cli_import_loads_no_scipy():
-    code = ("import sys, vcfclass, vcfclass.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    env = {**os.environ, "PYTHONPATH": str(Path(vcfclass.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=env)
-    assert out.stdout.strip() == "[]"
