@@ -9,7 +9,8 @@ from __future__ import annotations
 import datetime as dt
 import json
 import math
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 MANIFEST_SCHEMA_VERSION = 1
@@ -23,6 +24,24 @@ GENDERS = ("F", "M")
 
 # Ids are written unquoted into the comma-separated outputs.
 _ID_FORBIDDEN = (",", '"', "\r", "\n")
+
+
+class FieldError(ValueError):
+    """A bad value of one named field of a manifest record; the message is
+    the check's own, and ``field`` is the field's path within the record."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
+@contextmanager
+def _field(name: str):
+    """Re-raise a failed check on field ``name`` as a ``FieldError``."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise FieldError(name, str(exc)) from exc
 
 
 def _check_id(kind: str, value: str) -> None:
@@ -44,22 +63,35 @@ class StudyRecord:
     vertebra_truth: dict[int, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        _check_id("study", self.study_id)
-        _check_id("patient", self.patient_id)
-        if isinstance(self.acquisition_date, str):
-            object.__setattr__(self, "acquisition_date",
-                               dt.date.fromisoformat(self.acquisition_date))
-        if not (isinstance(self.age, (int, float)) and math.isfinite(self.age)):
-            raise ValueError(
-                f"study {self.study_id}: age must be a finite number, got {self.age!r}")
-        if self.age < 0:
-            raise ValueError(f"study {self.study_id}: negative age {self.age}")
-        if self.gender not in GENDERS:
-            raise ValueError(f"study {self.study_id}: gender must be F or M, got {self.gender!r}")
-        truth = {int(k): str(v) for k, v in self.vertebra_truth.items()}
-        bad = {k: v for k, v in truth.items() if v not in TRUTH_VALUES}
-        if bad:
-            raise ValueError(f"study {self.study_id}: unknown truth values {bad}")
+        with _field("study_id"):
+            _check_id("study", self.study_id)
+        with _field("patient_id"):
+            _check_id("patient", self.patient_id)
+        with _field("acquisition_date"):
+            if isinstance(self.acquisition_date, str):
+                object.__setattr__(self, "acquisition_date",
+                                   dt.date.fromisoformat(self.acquisition_date))
+            if not isinstance(self.acquisition_date, dt.date):
+                raise TypeError(f"study {self.study_id}: acquisition_date must be an "
+                                f"ISO date, got {self.acquisition_date!r}")
+        with _field("age"):
+            if not (isinstance(self.age, (int, float)) and math.isfinite(self.age)):
+                raise ValueError(
+                    f"study {self.study_id}: age must be a finite number, got {self.age!r}")
+            if self.age < 0:
+                raise ValueError(f"study {self.study_id}: negative age {self.age}")
+        with _field("gender"):
+            if self.gender not in GENDERS:
+                raise ValueError(
+                    f"study {self.study_id}: gender must be F or M, got {self.gender!r}")
+        with _field("vertebra_truth"):
+            if not isinstance(self.vertebra_truth, dict):
+                raise TypeError(f"study {self.study_id}: vertebra_truth must map "
+                                f"labels to truth values, got {self.vertebra_truth!r}")
+            truth = {int(k): str(v) for k, v in self.vertebra_truth.items()}
+            bad = {k: v for k, v in truth.items() if v not in TRUTH_VALUES}
+            if bad:
+                raise ValueError(f"study {self.study_id}: unknown truth values {bad}")
         object.__setattr__(self, "vertebra_truth", truth)
 
     def fractured_labels(self) -> list[int]:
@@ -72,17 +104,20 @@ class PatientEntry:
     studies: tuple[StudyRecord, ...]
 
     def __post_init__(self):
-        _check_id("patient", self.patient_id)
+        with _field("patient_id"):
+            _check_id("patient", self.patient_id)
         object.__setattr__(self, "studies", tuple(self.studies))
         dates = [s.acquisition_date for s in self.studies]
-        for a, b in zip(dates, dates[1:]):
+        for i, (a, b) in enumerate(zip(dates, dates[1:])):
             if b <= a:
-                raise ValueError(
+                raise FieldError(
+                    f"studies[{i + 1}].acquisition_date",
                     f"patient {self.patient_id}: study dates not strictly increasing "
                     f"({a} then {b})")
-        for s in self.studies:
+        for i, s in enumerate(self.studies):
             if s.patient_id != self.patient_id:
-                raise ValueError(
+                raise FieldError(
+                    f"studies[{i}].patient_id",
                     f"study {s.study_id} carries patient {s.patient_id!r}, "
                     f"expected {self.patient_id!r}")
 
@@ -97,7 +132,7 @@ class CohortManifest:
         ids = [p.patient_id for p in self.patients]
         if len(set(ids)) != len(ids):
             dupes = sorted({i for i in ids if ids.count(i) > 1})
-            raise ValueError(f"duplicate patient ids: {dupes}")
+            raise FieldError("patients", f"duplicate patient ids: {dupes}")
 
     def all_studies(self):
         for p in self.patients:
@@ -136,19 +171,73 @@ def save_manifest(manifest: CohortManifest, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+               int: "a number", float: "a number", type(None): "null"}
+
+
+def _at(where: str, key) -> str:
+    """The field path of ``key`` (a name or a list index) below ``where``."""
+    if isinstance(key, int):
+        return f"{where}[{key}]"
+    return f"{where}.{key}" if where else key
+
+
+def _expect(value, kind: type, where: str):
+    if not isinstance(value, kind):
+        raise FieldError(where, f"expected {_JSON_TYPES[kind]}, "
+                                f"got {_JSON_TYPES[type(value)]}")
+    return value
+
+
+def _keys(cls, obj, where: str) -> None:
+    """Check that ``obj`` is a JSON object holding every required field of
+    ``cls`` and no other key."""
+    _expect(obj, dict, where)
+    for f in fields(cls):
+        if f.name not in obj and f.default is MISSING and f.default_factory is MISSING:
+            raise FieldError(_at(where, f.name), f"missing required key {f.name!r}")
+    for key in sorted(obj.keys() - {f.name for f in fields(cls)}):
+        raise FieldError(_at(where, key), f"unknown key {key!r}")
+
+
+def _record(cls, obj: dict, where: str):
+    """``cls(**obj)``, a failed check naming the field path at fault."""
+    _keys(cls, obj, where)
+    try:
+        return cls(**obj)
+    except FieldError as exc:
+        raise FieldError(_at(where, exc.field), str(exc)) from exc
+    except (TypeError, ValueError) as exc:
+        raise FieldError(where, str(exc)) from exc
+
+
 def load_manifest(path) -> CohortManifest:
+    """Read a manifest written by ``save_manifest``. A malformed one raises
+    ``ValueError`` naming the file and the path of the field at fault, such
+    as ``patients[0].studies[0].acquisition_date``."""
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"no such manifest: {path}")
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    version = doc.get("schema_version")
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{exc} (in {path})") from exc
+    version = doc.get("schema_version") if isinstance(doc, dict) else None
     if version != MANIFEST_SCHEMA_VERSION:
         raise ValueError(f"{path}: unsupported manifest schema_version {version}")
-    patients = []
-    for p in doc["patients"]:
-        studies = [StudyRecord(**s) for s in p["studies"]]
-        patients.append(PatientEntry(patient_id=p["patient_id"], studies=tuple(studies)))
-    return CohortManifest(patients=tuple(patients), schema_version=version)
+    try:
+        _keys(CohortManifest, doc, "")
+        patients = []
+        for i, p in enumerate(_expect(doc["patients"], list, "patients")):
+            where = _at("patients", i)
+            _keys(PatientEntry, p, where)
+            listed = _expect(p["studies"], list, _at(where, "studies"))
+            studies = tuple(_record(StudyRecord, s, _at(_at(where, "studies"), k))
+                            for k, s in enumerate(listed))
+            patients.append(_record(PatientEntry, {**p, "studies": studies}, where))
+        return _record(CohortManifest, {**doc, "patients": tuple(patients)}, "")
+    except FieldError as exc:
+        raise ValueError(f"{exc} (at {exc.field} in {path})") from exc
 
 
 def years_between(earlier: dt.date, later: dt.date) -> float:

@@ -13,6 +13,16 @@ the grid as body. Everything deeper is trabecular. Muscle and fat reference
 blocks and a spinal-canal cylinder are rendered posterior to the bodies. All
 randomness derives from (seed, patient_index, ...) so generation is
 reproducible byte-for-byte and patients are independent.
+
+A patient's vertebrae keep their radii, frame and cortical thickness in every
+study, so the writer builds each vertebra's footprint (``_Footprint``: the
+elliptical mask, per-voxel polar coordinates, height interpolation weights,
+compass cells and shell ball) once per patient, on the crop that holds its
+tallest study. Per study only the height field, the body, its erosion, its HU
+values and the noise are computed, and a vertebra whose spec did not change
+(an unfractured one) reuses its noise-free body. Each body's HU values are
+rounded and clipped to int16 and pasted into the int16 study volume; no
+float64 copy of the whole grid is made.
 """
 
 from __future__ import annotations
@@ -24,9 +34,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .grids import (GridGeometry, LabelMap, Volume, ROLE_CANAL, ROLE_FAT,
-                    ROLE_MUSCLE, erode_by_ball, save_labelmap, save_volume,
-                    vertebra_role)
+from .grids import (HU_MAX, HU_MIN, GridGeometry, LabelMap, Volume, ROLE_CANAL,
+                    ROLE_FAT, ROLE_MUSCLE, erode_by_ball, save_labelmap,
+                    save_volume, vertebra_role)
 from .folds import check_seed
 from .frames import LocalFrame, make_frame
 from .manifest import (CohortManifest, NEOPLASTIC, OSTEOPOROTIC, PatientEntry,
@@ -182,33 +192,46 @@ def wedge_heights(anterior_mm: float, posterior_mm: float) -> tuple[float, ...]:
 # ---------------------------------------------------------------------------
 # rendering
 
-def _ring_values(theta: np.ndarray, rings: np.ndarray) -> np.ndarray:
-    """Piecewise-linear interpolation around rings of 8 arc-center values.
+class _HeightWeights:
+    """``height_field``'s interpolation weights at fixed ``rho`` and
+    ``theta``, applied to any number of 17-cell height vectors.
 
-    ``theta`` is the clockwise-from-anterior azimuth in radians and ``rings``
-    holds one ring per row; every ring shares one floor/index/weight pass.
+    Around each ring the value is piecewise linear between the two arc
+    centres either side of the clockwise-from-anterior azimuth ``theta``;
+    radially it is linear from the centre cell to the inner-ring node and from
+    there to the outer-ring node, and constant beyond.
     """
-    t = (theta / (np.pi / 4.0)) % 8.0
-    floor = np.floor(t)
-    k0 = floor.astype(np.intp)                 # arc index, taken modulo 8
-    frac = t - floor
-    return ((1.0 - frac) * rings.take(k0, axis=1, mode="wrap")
-            + frac * rings.take(k0 + 1, axis=1, mode="wrap"))
+
+    def __init__(self, rho: np.ndarray, theta: np.ndarray):
+        t = (theta / (np.pi / 4.0)) % 8.0
+        floor = np.floor(t)
+        self.arc0 = floor.astype(np.intp) & 7      # t may round up to 8.0
+        self.arc1 = (self.arc0 + 1) & 7
+        self.frac = t - floor
+        self.frac_c = 1.0 - self.frac
+        layout = CompassLayout()                    # the measurement side's rings
+        node1 = 0.5 * (layout.r1_fraction + layout.r2_fraction)   # inner-ring node radius
+        node2 = 0.5 * (layout.r2_fraction + 1.0)                  # outer-ring node radius
+        self.inner, self.middle = rho <= node1, rho <= node2
+        self.w = np.clip(rho / node1, 0.0, 1.0)
+        self.w_c = 1.0 - self.w
+        self.w2 = (rho - node1) / (node2 - node1)
+        self.w2_c = 1.0 - self.w2
+
+    def __call__(self, cell_heights) -> np.ndarray:
+        h = np.asarray(cell_heights)
+        rings = h[1:].reshape(2, 8)
+        ring1, ring2 = (self.frac_c * rings.take(self.arc0, axis=1)
+                        + self.frac * rings.take(self.arc1, axis=1))
+        return np.where(self.inner, self.w_c * h[0] + self.w * ring1,
+                        np.where(self.middle, self.w2_c * ring1 + self.w2 * ring2,
+                                 ring2))
 
 
 def height_field(spec: VertebraSpec, rho: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Target column height at normalized radius ``rho`` and clockwise azimuth
     ``theta``; equals the cell target exactly at each cell center."""
-    h = np.asarray(spec.cell_heights)
-    layout = CompassLayout()                    # the measurement side's rings
-    node1 = 0.5 * (layout.r1_fraction + layout.r2_fraction)   # inner-ring node radius
-    node2 = 0.5 * (layout.r2_fraction + 1.0)                  # outer-ring node radius
-    ring1, ring2 = _ring_values(theta, h[1:].reshape(2, 8))
-
-    w = np.clip(rho / node1, 0.0, 1.0)
-    w2 = (rho - node1) / (node2 - node1)
-    return np.where(rho <= node1, (1.0 - w) * h[0] + w * ring1,
-                    np.where(rho <= node2, (1.0 - w2) * ring1 + w2 * ring2, ring2))
+    return _HeightWeights(rho, theta)(spec.cell_heights)
 
 
 def _frame_coords(grid: GridGeometry, frame: LocalFrame):
@@ -237,6 +260,80 @@ def _shell_ball(radius: float, sampling) -> np.ndarray:
     return np.sqrt((dz * sz) ** 2 + (dy * sy) ** 2 + (dx * sx) ** 2) <= radius
 
 
+class _Footprint:
+    """The geometry of one vertebra slot on ``grid``, shared by every spec
+    with the slot's frame, radii and cortical thickness.
+
+    Built once: the elliptical footprint with each inside voxel's normalized
+    radius, azimuth and superior coordinate ``s``, the height interpolation
+    weights, each voxel's compass cell, the voxels on the grid's faces and the
+    cortical shell's ball. ``solid`` then renders one spec from these.
+
+    The cohort writer builds it on a crop of the study grid (``_crop``). A
+    crop shares the study grid's lattice: its voxel centres are the grid's,
+    each computed as ``origin + i * spacing`` from the crop's own origin, so
+    they can differ from the grid's in the last bit. The crop holds the
+    slot's tallest study with two spare voxels a side, so its faces hold no
+    body, and a ball reaching past a face also reaches background on it:
+    counting space beyond the crop as body erodes what the whole grid would.
+    Cohorts are byte-identical to rendering each study on a crop of its own,
+    as ``tests/test_phantom.py`` checks against that writer, whose digests it
+    also pins.
+    """
+
+    def __init__(self, spec: VertebraSpec, frame: LocalFrame, grid: GridGeometry):
+        a, l, s = _frame_coords(grid, frame)
+        r_ap, r_lr = spec.body_radii
+        # For an ellipse, sqrt of the implicit value is exactly radius/boundary-radius.
+        rho = np.sqrt((a / r_ap) ** 2 + (l / r_lr) ** 2)
+        # Heights are needed only inside the ellipse: every per-voxel array
+        # below holds just those voxels, in C order.
+        self.ellipse = rho <= 1.0
+        rho = rho[self.ellipse]
+        theta = np.arctan2(-l[self.ellipse], a[self.ellipse])
+        self.s = s[self.ellipse]
+        self.heights = _HeightWeights(rho, theta)
+        self.cells = cell_index(rho, arc_index(theta))
+        face = np.ones_like(self.ellipse)
+        face[1:-1, 1:-1, 1:-1] = False
+        self.face = np.flatnonzero(face[self.ellipse])
+        sampling = (grid.spacing[2], grid.spacing[1], grid.spacing[0])
+        self.ball = _shell_ball(spec.cortical_thickness + 1e-6, sampling)
+
+    def solid(self, spec: VertebraSpec) -> tuple[np.ndarray, np.ndarray]:
+        """``(body, hu)``: the grid's body mask and the noise-free HU of the
+        body voxels in C order. The body bottom sits at ``-max(cell_heights)/2``
+        along the superior axis and each column rises to its interpolated
+        target height; cortical bone is the body minus its erosion by the
+        ball, with space beyond the grid counting as body, as the distance
+        transform measures only to background voxels inside the grid."""
+        z0 = -max(spec.cell_heights) / 2.0
+        in_body = (self.s >= z0) & (self.s < z0 + self.heights(spec.cell_heights))
+        if not in_body.any():
+            raise ValueError("vertebra body does not intersect the grid")
+        if in_body[self.face].any():
+            raise ValueError("vertebra body exceeds grid bounds")
+        body = np.zeros_like(self.ellipse)
+        body[self.ellipse] = in_body
+
+        hu = np.full(np.count_nonzero(in_body), spec.trabecular_hu, dtype=np.float64)
+        deltas = np.asarray(spec.cell_hu_delta)
+        if np.any(deltas != 0.0):
+            hu += deltas[self.cells[in_body]]
+        hu[~erode_by_ball(body, self.ball, border_value=True)[body]] = spec.cortical_hu
+        return body, hu
+
+
+def _add_noise(hu: np.ndarray, spec: VertebraSpec,
+               rng: np.random.Generator | None) -> np.ndarray:
+    """``hu`` plus the spec's Gaussian noise, one draw per voxel in order."""
+    if spec.noise_sd == 0:
+        return hu
+    if rng is None:
+        raise ValueError("noise_sd > 0 requires a random generator")
+    return hu + rng.normal(0.0, spec.noise_sd, size=hu.size)
+
+
 def render_vertebra(spec: VertebraSpec, frame: LocalFrame, grid: GridGeometry,
                     label: int = 1, rng: np.random.Generator | None = None):
     """Rasterize one vertebral body onto ``grid``.
@@ -246,48 +343,9 @@ def render_vertebra(spec: VertebraSpec, frame: LocalFrame, grid: GridGeometry,
     bottom sits at ``centroid - max(cell_heights)/2`` along the superior axis
     and each column rises to its interpolated target height.
     """
-    a, l, s = _frame_coords(grid, frame)
-    r_ap, r_lr = spec.body_radii
-    # For an ellipse, sqrt of the implicit value is exactly radius/boundary-radius.
-    rho = np.sqrt((a / r_ap) ** 2 + (l / r_lr) ** 2)
-    # Heights are needed only inside the ellipse: rho, theta and s hold just
-    # those voxels from here on.
-    ellipse = rho <= 1.0
-    rho = rho[ellipse]
-    theta = np.arctan2(-l[ellipse], a[ellipse])
-    s = s[ellipse]
-    z0 = -max(spec.cell_heights) / 2.0
-    in_body = (s >= z0) & (s < z0 + height_field(spec, rho, theta))
-    body = np.zeros_like(ellipse)
-    body[ellipse] = in_body
-    if not body.any():
-        raise ValueError("vertebra body does not intersect the grid")
-    face = np.zeros_like(body)
-    face[0, :, :] = face[-1, :, :] = True
-    face[:, 0, :] = face[:, -1, :] = True
-    face[:, :, 0] = face[:, :, -1] = True
-    if (body & face).any():
-        raise ValueError("vertebra body exceeds grid bounds")
-
-    sampling = (grid.spacing[2], grid.spacing[1], grid.spacing[0])
-    ball = _shell_ball(spec.cortical_thickness + 1e-6, sampling)
-    # Beyond the grid counts as body, as in the distance transform, which
-    # measures only to background voxels inside the grid.
-    cortical = body & ~erode_by_ball(body, ball, border_value=True)
-
+    body, values = _Footprint(spec, frame, grid).solid(spec)
     hu = np.zeros(body.shape, dtype=np.float64)
-    deltas = np.asarray(spec.cell_hu_delta)
-    if np.any(deltas != 0.0):
-        cells = cell_index(rho[in_body], arc_index(theta[in_body]))
-        hu[body] = spec.trabecular_hu + deltas[cells]
-    else:
-        hu[body] = spec.trabecular_hu
-    hu[cortical] = spec.cortical_hu
-    if spec.noise_sd > 0:
-        if rng is None:
-            raise ValueError("noise_sd > 0 requires a random generator")
-        hu[body] += rng.normal(0.0, spec.noise_sd, size=int(body.sum()))
-
+    hu[body] = _add_noise(values, spec, rng)
     labels = np.zeros(body.shape, dtype=np.uint16)
     labels[body] = label
     return hu, labels
@@ -430,8 +488,9 @@ def _study_grid(spec: CohortSpec, plan: _PatientPlan):
 
 
 def _render_background(grid: GridGeometry, layout):
-    """Air-filled canvas with the canal cylinder and muscle/fat reference blocks."""
-    hu = np.full([grid.dims[2], grid.dims[1], grid.dims[0]], AIR_HU, dtype=np.float64)
+    """Air-filled int16 canvas with the canal cylinder and muscle/fat
+    reference blocks."""
+    hu = np.full([grid.dims[2], grid.dims[1], grid.dims[0]], AIR_HU, dtype=np.int16)
     labels = np.zeros(hu.shape, dtype=np.uint16)
     legend: dict[int, str] = {}
 
@@ -459,16 +518,12 @@ def _render_background(grid: GridGeometry, layout):
     return hu, labels, legend
 
 
-def _paste_vertebra(hu, labels, vspec: VertebraSpec, frame: LocalFrame,
-                    grid: GridGeometry, label: int, rng) -> None:
-    """Render one vertebra on a lattice-aligned crop of ``grid`` and paste it.
-
-    The crop shares voxel centers with the parent grid, so the result is
-    identical to rendering on the full grid.
-    """
+def _crop(grid: GridGeometry, frame: LocalFrame, radii, half_h: float):
+    """The box of ``grid`` that holds a body of ``radii`` centred on the
+    frame's centroid and reaching ``half_h`` up and down, with two spare
+    voxels a side: a lattice crop of ``grid`` and its (z, y, x) slices."""
     cx, cy, cz = frame.centroid
-    r_ap, r_lr = vspec.body_radii
-    half_h = max(vspec.cell_heights) / 2.0
+    r_ap, r_lr = radii
     sx, sy, sz = grid.spacing
     ox, oy, oz = grid.origin
 
@@ -484,42 +539,48 @@ def _paste_vertebra(hu, labels, vspec: VertebraSpec, frame: LocalFrame,
         dims=(ix1 - ix0 + 1, iy1 - iy0 + 1, iz1 - iz0 + 1),
         spacing=grid.spacing,
         origin=(ox + ix0 * sx, oy + iy0 * sy, oz + iz0 * sz))
-    vhu, vlab = render_vertebra(vspec, frame, crop, label=label, rng=rng)
-    body = vlab > 0
-    view_hu = hu[iz0:iz1 + 1, iy0:iy1 + 1, ix0:ix1 + 1]
-    view_lab = labels[iz0:iz1 + 1, iy0:iy1 + 1, ix0:ix1 + 1]
-    view_hu[body] = vhu[body]
-    view_lab[body] = label
+    return crop, (slice(iz0, iz1 + 1), slice(iy0, iy1 + 1), slice(ix0, ix1 + 1))
 
 
 def _write_patient(spec: CohortSpec, out_dir: Path, neoplastic: frozenset[int],
                    idx: int) -> PatientEntry:
     """Render and write every study of patient ``idx`` under ``out_dir``; the
-    patient is neoplastic if ``idx`` is in ``neoplastic``."""
+    patient is neoplastic if ``idx`` is in ``neoplastic``. Each vertebra slot
+    gets one footprint, sized for its tallest study (see the module
+    docstring)."""
     kind = NEOPLASTIC if idx in neoplastic else OSTEOPOROTIC
     plan = _plan_patient(spec, idx, kind)
     grid, centroids, layout = _study_grid(spec, plan)
     pdir = out_dir / plan.patient_id
     pdir.mkdir(exist_ok=True)
 
-    background = _render_background(grid, layout)
-    vspecs = list(plan.base_specs)
-    studies = []
-    for s_idx, date in enumerate(plan.dates):
-        if s_idx > 0:
-            dt_years = (date - plan.dates[s_idx - 1]).days / 365.25
-            vspecs = [v if m is None else advance(v, m, dt_years)
-                      for v, m in zip(vspecs, plan.models)]
-        hu, labels, legend = (x.copy() for x in background)
-        for j, (vspec, centroid) in enumerate(zip(vspecs, centroids)):
-            label = j + 1
-            frame = make_frame(centroid, (0.0, 0.0, 1.0), (0.0, 1.0, 0.0))
-            rng = _rng(spec.seed, idx, 100 + s_idx, j)
-            _paste_vertebra(hu, labels, vspec, frame, grid, label, rng)
-            legend[label] = vertebra_role(vspec.level_index)
+    hu0, labels0, legend = _render_background(grid, layout)
+    series = [plan.base_specs]                  # each study's vertebra specs
+    for earlier, date in zip(plan.dates, plan.dates[1:]):
+        dt_years = (date - earlier).days / 365.25
+        series.append([v if m is None else advance(v, m, dt_years)
+                       for v, m in zip(series[-1], plan.models)])
+    slots = []
+    for j, (centroid, specs) in enumerate(zip(centroids, zip(*series))):
+        frame = make_frame(centroid, (0.0, 0.0, 1.0), (0.0, 1.0, 0.0))
+        half_h = max(max(v.cell_heights) for v in specs) / 2.0
+        crop, box = _crop(grid, frame, specs[0].body_radii, half_h)
+        slots.append((_Footprint(specs[0], frame, crop), box))
+        legend[j + 1] = vertebra_role(specs[0].level_index)
 
-        hu_int = np.clip(np.rint(hu), -1024, 3071).astype(np.int16)
-        vol = Volume(geometry=grid, data=hu_int)
+    solids = [None] * len(slots)    # per slot: (spec, body, noise-free hu) last rendered
+    studies = []
+    for s_idx, (date, vspecs) in enumerate(zip(plan.dates, series)):
+        hu, labels = hu0.copy(), labels0.copy()
+        for j, (vspec, (footprint, box)) in enumerate(zip(vspecs, slots)):
+            if solids[j] is None or solids[j][0] is not vspec:
+                solids[j] = (vspec, *footprint.solid(vspec))
+            _, body, values = solids[j]
+            values = _add_noise(values, vspec, _rng(spec.seed, idx, 100 + s_idx, j))
+            hu[box][body] = np.clip(np.rint(values), HU_MIN, HU_MAX).astype(np.int16)
+            labels[box][body] = j + 1
+
+        vol = Volume(geometry=grid, data=hu)
         lm = LabelMap(geometry=grid, labels=labels, legend=legend)
         vol_rel = f"{plan.patient_id}/S{s_idx:02d}.vvol"
         lbl_rel = f"{plan.patient_id}/S{s_idx:02d}.vlbl"

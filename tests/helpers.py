@@ -4,7 +4,7 @@ gradient, exact hypergeometric enumeration) used to cross-check the
 production paths, and verbatim copies of replaced code paths (SMO step,
 full-grid label scans, dict-built feature rows with their missing-value mask,
 mask-aware imputation, exhaustive greedy selection, the distance-transform
-vertebra renderer) kept as references."""
+vertebra renderer, the per-study cohort writer) kept as references."""
 
 from __future__ import annotations
 
@@ -30,13 +30,18 @@ from vcfclass.features import (ALL_COLUMNS, CONTRAST_COLUMNS,
 from vcfclass.folds import kfold_split
 from vcfclass.frames import make_frame
 from vcfclass.grids import (FormatError, GridGeometry, LabelMap, Volume,
-                            check_paired_geometry)
-from vcfclass.manifest import CohortManifest, StudyRecord, years_between
+                            check_paired_geometry, save_labelmap, save_volume,
+                            vertebra_role)
+from vcfclass.manifest import (NEOPLASTIC, OSTEOPOROTIC, CohortManifest,
+                               PatientEntry, StudyRecord, save_manifest,
+                               years_between)
 from vcfclass.morphometry import (MIN_CELL_COLUMNS, MIN_COLUMN_VOXELS, N_CELLS,
                                   CellHeights, ColumnTable, CompassLayout,
                                   _axis_resolution, arc_index, assign_cells,
                                   cell_index)
-from vcfclass.phantom import VertebraSpec, _frame_coords, render_vertebra
+from vcfclass.phantom import (CohortSpec, VertebraSpec, _frame_coords, _plan_patient,
+                              _render_background, _rng, _study_grid, advance,
+                              render_vertebra)
 from vcfclass.svm import SvmParams, train_svm
 
 _PACKAGE_ROOT = str(Path(__file__).resolve().parent.parent / "src")
@@ -717,3 +722,96 @@ def reference_render_vertebra(spec: VertebraSpec, frame, grid: GridGeometry,
     labels = np.zeros(body.shape, dtype=np.uint16)
     labels[body] = label
     return hu, labels
+
+
+# ---------------------------------------------------------------------------
+# reference cohort writer: the phantom's writer as it stood when every study
+# rendered each vertebra afresh, on a crop sized for that study alone, into a
+# float64 volume rounded to int16 at the end; kept so tests can require
+# identical cohort bytes from the writer that shares footprints
+
+def reference_paste_vertebra(hu, labels, vspec: VertebraSpec, frame,
+                             grid: GridGeometry, label: int, rng) -> None:
+    cx, cy, cz = frame.centroid
+    r_ap, r_lr = vspec.body_radii
+    half_h = max(vspec.cell_heights) / 2.0
+    sx, sy, sz = grid.spacing
+    ox, oy, oz = grid.origin
+
+    def span(center, reach, o, s, n):
+        lo = max(0, int(np.floor((center - reach - o) / s)) - 2)
+        hi = min(n - 1, int(np.ceil((center + reach - o) / s)) + 2)
+        return lo, hi
+
+    ix0, ix1 = span(cx, r_lr, ox, sx, grid.dims[0])
+    iy0, iy1 = span(cy, r_ap, oy, sy, grid.dims[1])
+    iz0, iz1 = span(cz, half_h, oz, sz, grid.dims[2])
+    crop = GridGeometry(
+        dims=(ix1 - ix0 + 1, iy1 - iy0 + 1, iz1 - iz0 + 1),
+        spacing=grid.spacing,
+        origin=(ox + ix0 * sx, oy + iy0 * sy, oz + iz0 * sz))
+    vhu, vlab = reference_render_vertebra(vspec, frame, crop, label=label, rng=rng)
+    body = vlab > 0
+    view_hu = hu[iz0:iz1 + 1, iy0:iy1 + 1, ix0:ix1 + 1]
+    view_lab = labels[iz0:iz1 + 1, iy0:iy1 + 1, ix0:ix1 + 1]
+    view_hu[body] = vhu[body]
+    view_lab[body] = label
+
+
+def reference_write_patient(spec: CohortSpec, out_dir: Path,
+                            neoplastic: frozenset[int], idx: int) -> PatientEntry:
+    kind = NEOPLASTIC if idx in neoplastic else OSTEOPOROTIC
+    plan = _plan_patient(spec, idx, kind)
+    grid, centroids, layout = _study_grid(spec, plan)
+    pdir = out_dir / plan.patient_id
+    pdir.mkdir(exist_ok=True)
+
+    background_hu, background_labels, background_legend = _render_background(grid, layout)
+    background = (background_hu.astype(np.float64), background_labels, background_legend)
+    vspecs = list(plan.base_specs)
+    studies = []
+    for s_idx, date in enumerate(plan.dates):
+        if s_idx > 0:
+            dt_years = (date - plan.dates[s_idx - 1]).days / 365.25
+            vspecs = [v if m is None else advance(v, m, dt_years)
+                      for v, m in zip(vspecs, plan.models)]
+        hu, labels, legend = (x.copy() for x in background)
+        for j, (vspec, centroid) in enumerate(zip(vspecs, centroids)):
+            label = j + 1
+            frame = make_frame(centroid, (0.0, 0.0, 1.0), (0.0, 1.0, 0.0))
+            rng = _rng(spec.seed, idx, 100 + s_idx, j)
+            reference_paste_vertebra(hu, labels, vspec, frame, grid, label, rng)
+            legend[label] = vertebra_role(vspec.level_index)
+
+        hu_int = np.clip(np.rint(hu), -1024, 3071).astype(np.int16)
+        vol = Volume(geometry=grid, data=hu_int)
+        lm = LabelMap(geometry=grid, labels=labels, legend=legend)
+        vol_rel = f"{plan.patient_id}/S{s_idx:02d}.vvol"
+        lbl_rel = f"{plan.patient_id}/S{s_idx:02d}.vlbl"
+        save_volume(vol, out_dir / vol_rel)
+        save_labelmap(lm, out_dir / lbl_rel)
+        studies.append(StudyRecord(
+            study_id=f"{plan.patient_id}-S{s_idx:02d}",
+            patient_id=plan.patient_id,
+            acquisition_date=date,
+            age=plan.age0 + (date - plan.dates[0]).days / 365.25,
+            gender=plan.gender,
+            volume_path=vol_rel,
+            labelmap_path=lbl_rel,
+            vertebra_truth=dict(plan.truth),
+        ))
+    return PatientEntry(patient_id=plan.patient_id, studies=tuple(studies))
+
+
+def reference_generate_cohort(spec: CohortSpec, out_dir) -> CohortManifest:
+    """``generate_cohort`` with the per-study writer, in one process."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    order = _rng(spec.seed, 0, 9).permutation(spec.n_patients)
+    n_neo = int(round(spec.fraction_neoplastic * spec.n_patients))
+    neoplastic = frozenset(int(i) for i in order[:n_neo])
+    manifest = CohortManifest(patients=tuple(
+        reference_write_patient(spec, out_dir, neoplastic, idx)
+        for idx in range(spec.n_patients)))
+    save_manifest(manifest, out_dir / "manifest.json")
+    return manifest

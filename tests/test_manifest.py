@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from vcfclass.cli import main
 from vcfclass.manifest import (CohortManifest, PatientEntry, StudyRecord,
                                load_manifest, save_manifest, years_between)
 
@@ -105,3 +106,33 @@ def test_non_finite_age_rejected(tmp_path, age, literal):
     assert f'"age": {literal},' in path.read_text(encoding="utf-8")
     with pytest.raises(ValueError, match="^study S7: age must be a finite number"):
         load_manifest(path)
+
+
+def _study0(doc):
+    return doc["patients"][0]["studies"][0]
+
+
+@pytest.mark.parametrize("mutate, field", [
+    (lambda d: d.pop("patients"), "patients"),
+    (lambda d: d.update(patients={"P0": []}), "patients"),
+    (lambda d: _study0(d).update(acquisition_date="2018-13-40"),
+     "patients[0].studies[0].acquisition_date"),
+    (lambda d: _study0(d).update(vertebra_truth={"x": "OSTEOPOROTIC"}),
+     "patients[0].studies[0].vertebra_truth"),
+    (lambda d: _study0(d).update(foo=1), "patients[0].studies[0].foo"),
+    (lambda d: _study0(d).pop("age"), "patients[0].studies[0].age"),
+    (lambda d: _study0(d).update(age="50"), "patients[0].studies[0].age"),
+    (lambda d: d["patients"][0].update(studies=None), "patients[0].studies"),
+], ids=["no-patients", "patients-object", "bad-date", "bad-truth-key", "unknown-key",
+        "no-age", "string-age", "null-studies"])
+def test_extract_names_manifest_and_field(tmp_path, capsys, mutate, field):
+    path = tmp_path / "manifest.json"
+    _write_manifest(path, "P0", "S7")
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    mutate(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["extract", "--manifest", str(path),
+                 "--out", str(tmp_path / "features.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"(at {field} in {path})" in err

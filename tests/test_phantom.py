@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from helpers import (WORLD_FRAME, body_spec, column_extents,
+from helpers import (WORLD_FRAME, body_spec, column_extents, reference_generate_cohort,
                      reference_render_vertebra, single_vertebra_grid, tree_hash)
+from vcfclass import parallel, phantom
 from vcfclass.frames import make_frame, vertebra_frame
 from vcfclass.grids import GridGeometry, load_labelmap, load_volume
 from vcfclass.manifest import NEOPLASTIC, OSTEOPOROTIC
@@ -222,17 +223,53 @@ def test_cohort_deterministic(tmp_path):
     assert tree_hash(tmp_path / "a") == tree_hash(tmp_path / "b")
 
 
-# Recorded from the distance-transform renderer; any change to a cohort's
-# files (volumes, label maps, manifest) changes these digests.
+# Recorded from the distance-transform renderer (the long-spine cohort from
+# the per-study writer); any change to a cohort's files (volumes, label maps,
+# manifest) changes these digests.
 @pytest.mark.parametrize("kwargs, digest", [
     ({"seed": 42},
      "fe2f1ff9ecac5e9a2e183ee58704f2984e002a9a0eb906fc6f142f07bd570d0f"),
     ({"seed": 5, "spacing": (0.9, 1.1, 0.7)},
      "eeb3264432a30e7949f6377bb3b1080c948cc92d748d18fbe2fada8c9100111f"),
+    ({"seed": 3, "n_patients": 1, "vertebrae_per_patient": 12},
+     "a6757ce12258ee90d25210b326e47b6dd406db0d514f91fe92a5a08327c9e7ba"),
 ])
 def test_cohort_bytes_pinned(tmp_path, kwargs, digest):
-    generate_cohort(CohortSpec(n_patients=2, studies_per_patient=2, **kwargs), tmp_path)
+    generate_cohort(CohortSpec(**{"n_patients": 2, "studies_per_patient": 2, **kwargs}),
+                    tmp_path)
     assert tree_hash(tmp_path) == digest
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"seed": 7},
+    {"seed": 7, "spacing": (0.9, 1.1, 0.7)},
+    {"seed": 12, "spacing": (0.6, 1.7, 2.0)},
+    # heights reach the 1 mm floor, so later studies' own crops are shorter
+    {"seed": 7, "studies_per_patient": (2, 5), "study_interval": 2.0},
+    {"seed": 7, "noise_sd": 0.0},
+    {"seed": 7, "n_patients": 1, "studies_per_patient": 2, "vertebrae_per_patient": 12},
+])
+def test_cohort_matches_per_study_writer(tmp_path, kwargs):
+    spec = CohortSpec(**{"n_patients": 3, "studies_per_patient": 3, **kwargs})
+    generate_cohort(spec, tmp_path / "footprints")
+    reference_generate_cohort(spec, tmp_path / "per_study")
+    assert tree_hash(tmp_path / "footprints") == tree_hash(tmp_path / "per_study")
+
+
+def test_footprint_built_once_per_vertebra_slot(tmp_path, monkeypatch):
+    # 3 patients x 3 slots: one footprint each. Per patient the unfractured
+    # slot keeps one spec, so it is eroded once; the 2 fractured slots are
+    # eroded in each of the 4 studies: 3 x (1 + 2 x 4) = 27 erosions.
+    calls = {"_frame_coords": 0, "erode_by_ball": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(phantom, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(phantom, name, counted)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)   # count in this process
+    generate_cohort(CohortSpec(n_patients=3, studies_per_patient=4, vertebrae_per_patient=3,
+                               spacing=(2.0, 2.0, 2.0)), tmp_path)
+    assert calls == {"_frame_coords": 9, "erode_by_ball": 27}
 
 
 def test_fraction_zero_has_no_neoplastic(tmp_path):
