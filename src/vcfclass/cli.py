@@ -199,7 +199,7 @@ def cmd_cv(args) -> int:
         rng = np.random.default_rng(np.random.SeedSequence([args.seed, 0xD15C]))
         table = replace(table, truth=table.truth[rng.permutation(len(table))])
     if args.group_by_patient:
-        n_patients = np.unique(table.patient_ids).size
+        n_patients = len(set(table.patient_ids.tolist()))
         if args.k > n_patients:
             raise UsageError(f"--k {args.k} exceeds the {n_patients} patients "
                              f"that --group-by-patient assigns to folds")

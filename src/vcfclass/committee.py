@@ -45,20 +45,15 @@ class CommitteeConfig:
         check_seed(self.seed)
 
 
-def _inner_cv_accuracy(X, y, feature_subset, inner_folds, params, seed,
+def _inner_cv_accuracy(X, y, feature_subset, scored, probe: SvmParams,
                        bar: float) -> tuple[float, bool]:
-    """Inner k-fold accuracy of one probe as ``(score, exact)``. A fold whose
-    training rows hold one class is skipped and its rows are not scored. Before
-    each fit, if even every unscored row right could not lift the accuracy
-    above ``bar``, the probe stops and returns that upper bound with ``exact``
-    False."""
-    folds = kfold_split(len(y), k=inner_folds, seed=seed, stratify_by=y)
-    scored = [folds == f for f in range(inner_folds)
-              if np.unique(y[folds != f]).size >= 2]
+    """Inner k-fold accuracy of one probe as ``(score, exact)`` over the test
+    masks in ``scored``, each fold trained under ``probe``. Before each fit,
+    if even every unscored row right could not lift the accuracy above
+    ``bar``, the probe stops and returns that upper bound with ``exact`` False."""
     evaluated = unscored = sum(int(te.sum()) for te in scored)
     if not evaluated:
         return 0.0, True
-    probe = replace(params, max_passes=min(params.max_passes, SELECTION_MAX_PASSES))
     correct = 0
     for te in scored:
         if (correct + unscored) / evaluated <= bar:
@@ -101,13 +96,19 @@ def greedy_forward_select(X: np.ndarray, y: np.ndarray, candidates,
     candidates = [int(c) for c in candidates]
     if len(candidates) < 2:
         raise ValueError("need at least two candidate features")
-    if np.unique(y).size < 2:
+    n_pos = int((y > 0).sum())
+    if not 0 < n_pos < y.size:
         raise ValueError("selection requires both classes")
     probes = {} if probes is None else probes
     setting = (_fingerprint(y), inner_folds, params, seed)
+    # Fixed for the whole selection: the inner folds, the test masks of those
+    # whose training rows hold both classes, and the capped probe params.
+    folds = kfold_split(len(y), k=inner_folds, seed=seed, stratify_by=y)
+    scored = [te for te in (folds == f for f in range(inner_folds))
+              if y[~te].min() < y[~te].max()]
+    probe = replace(params, max_passes=min(params.max_passes, SELECTION_MAX_PASSES))
     subset: list[int] = []
-    counts = np.unique(y, return_counts=True)[1]
-    best = counts.max() / counts.sum()     # majority baseline
+    best = max(n_pos, y.size - n_pos) / y.size     # majority baseline
     while len(subset) < max_features:
         round_best, round_feat = best, None
         for c in candidates:
@@ -118,7 +119,7 @@ def greedy_forward_select(X: np.ndarray, y: np.ndarray, candidates,
             score, exact = probes.get(key, (np.inf, False))
             if not exact and score > bar:
                 score, exact = probes[key] = _inner_cv_accuracy(
-                    X, y, subset + [c], inner_folds, params, seed, bar)
+                    X, y, subset + [c], scored, probe, bar)
             if score > bar:
                 round_best, round_feat = score, c
         if round_feat is None:

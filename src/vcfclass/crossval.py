@@ -79,7 +79,7 @@ def outer_folds(table: FeatureTable, k: int, seed: int,
 def single_class_folds(truth: np.ndarray, folds: np.ndarray, k: int) -> list[int]:
     """Outer folds whose training split holds a single class; cross-validation
     skips them."""
-    return [f for f in range(k) if np.unique(truth[folds != f]).size < 2]
+    return [f for f in range(k) if len(set(truth[folds != f].tolist())) < 2]
 
 
 def _fold_task(values: np.ndarray, y: np.ndarray, columns: list[str],

@@ -34,10 +34,9 @@ def kfold_split(n: int, k: int = 10, seed: int = 0, stratify_by=None,
 
     if group_by is not None:
         groups = np.asarray(group_by)
-        uniq = np.unique(groups)
+        uniq, sizes = np.unique(groups, return_counts=True)
         if uniq.size < k:
             raise ValueError(f"only {uniq.size} groups for k={k} folds")
-        sizes = np.array([(groups == g).sum() for g in uniq])
         if sizes.max() > n / k:
             warnings.warn(
                 f"largest group has {sizes.max()} instances (> n/k = {n / k:.1f}); "
@@ -59,7 +58,7 @@ def kfold_split(n: int, k: int = 10, seed: int = 0, stratify_by=None,
 
     strata = np.asarray(stratify_by)
     pointer = 0
-    for value in np.unique(strata):
+    for value in sorted(set(strata.tolist())):
         idx = np.flatnonzero(strata == value)
         idx = idx[rng.permutation(idx.size)]
         folds[idx] = (pointer + np.arange(idx.size)) % k

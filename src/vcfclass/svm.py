@@ -81,13 +81,10 @@ class SvmModel:
     support_vectors: np.ndarray      # standardized rows
     dual_coef: np.ndarray            # alpha_i * y_i over support vectors
     bias: float
-    # Full training state, kept for KKT certification; not serialized.
-    train_X: np.ndarray | None = field(default=None, repr=False)
-    train_y: np.ndarray | None = field(default=None, repr=False)
-    train_alpha: np.ndarray | None = field(default=None, repr=False)
-    train_C: np.ndarray | None = field(default=None, repr=False)
+    # Training readouts; not serialized, so a loaded model has none.
     train_steps: int | None = field(default=None, repr=False)        # SMO pair updates
     train_exhausted: bool | None = field(default=None, repr=False)   # step budget ran out
+    train_violations: int | None = field(default=None, repr=False)   # KKT violators at tol
 
     def _standardize(self, X: np.ndarray) -> np.ndarray:
         """Pick the model's columns out of full-width rows and z-score them."""
@@ -110,23 +107,11 @@ class SvmModel:
         """±1 labels; a decision value of exactly 0 falls to the -1 class."""
         return np.where(self.decision_values(X) > 0, 1, -1)
 
-    def kkt_violations(self, tol: float | None = None) -> int:
+    def kkt_violations(self) -> int:
         """Number of training examples violating the KKT conditions."""
-        if self.train_X is None:
+        if self.train_violations is None:
             raise ValueError("model was loaded without its training state")
-        tol = self.tol if tol is None else tol
-        u = (kernel_matrix(self.train_X, self.support_vectors, self.kernel, self.gamma)
-             @ self.dual_coef + self.bias)
-        r = self.train_y * u - 1.0
-        a = self.train_alpha
-        C = self.train_C
-        at_zero = a <= _BOUND_EPS * C
-        at_c = a >= C * (1.0 - _BOUND_EPS)
-        interior = ~at_zero & ~at_c
-        bad = ((at_zero & (r < -tol))
-               | (interior & (np.abs(r) > tol))
-               | (at_c & (r > tol)))
-        return int(bad.sum())
+        return self.train_violations
 
 
 def _resolve_gamma(params: SvmParams, Xs: np.ndarray) -> float | None:
@@ -156,7 +141,7 @@ def train_svm(X: np.ndarray, y: np.ndarray, params: SvmParams = SvmParams(),
         raise ValueError("non-finite feature values; impute before training")
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise ValueError("labels must be -1 or +1")
-    if np.unique(y).size < 2:
+    if (y > 0).all() or (y < 0).all():
         raise ValueError("training data contains a single class")
 
     if feature_indices is None:
@@ -174,21 +159,23 @@ def train_svm(X: np.ndarray, y: np.ndarray, params: SvmParams = SvmParams(),
     w_neg, w_pos = params.class_weights or (1.0, 1.0)
     Cv = params.C * np.where(y < 0, w_neg, w_pos)
 
-    alpha, bias, steps, exhausted = _smo(K, y, Cv, params.tol, params.max_passes)
+    alpha, bias, steps, exhausted, violations = _smo(K, y, Cv, params.tol,
+                                                     params.max_passes)
 
     sv = alpha > 0
     return SvmModel(kernel=params.kernel, gamma=gamma, C=params.C, tol=params.tol,
                     feature_indices=feature_indices, mean=mean, std=std,
                     support_vectors=Xs[sv], dual_coef=alpha[sv] * y[sv], bias=bias,
-                    train_X=Xs, train_y=y, train_alpha=alpha, train_C=Cv,
-                    train_steps=steps, train_exhausted=exhausted)
+                    train_steps=steps, train_exhausted=exhausted,
+                    train_violations=violations)
 
 
 def _smo(K: np.ndarray, y: np.ndarray, Cv: np.ndarray, tol: float,
          max_passes: int):
     """SMO with second-order working-set selection (WSS2: Fan, Chen & Lin,
-    JMLR 2005). Returns ``(alpha, bias, steps, exhausted)``: ``steps`` counts
-    the pair updates made, and ``exhausted`` says the step budget ran out.
+    JMLR 2005). Returns ``(alpha, bias, steps, exhausted, violations)``: the
+    pair updates made, whether the step budget ran out, and the examples that
+    break their KKT condition at ``tol`` under the fitted threshold.
 
     E_i = u_i - y_i with u = K (alpha*y) and no threshold; pairwise updates
     depend only on error differences, so the threshold is fitted once at
@@ -294,4 +281,11 @@ def _smo(K: np.ndarray, y: np.ndarray, Cv: np.ndarray, tol: float,
         bias = -float(errors[low].max())
     else:
         bias = 0.0
-    return alpha, bias, steps, steps == max_steps
+    r = y * (errors + bias)                          # y * u - 1
+    at_zero = alpha <= _BOUND_EPS * Cv
+    at_c = alpha >= Cv * (1.0 - _BOUND_EPS)
+    interior = ~at_zero & ~at_c
+    bad = ((at_zero & (r < -tol))
+           | (interior & (np.abs(r) > tol))
+           | (at_c & (r > tol)))
+    return alpha, bias, steps, steps == max_steps, int(bad.sum())

@@ -1,8 +1,9 @@
 """Shared fixtures-in-code: single-vertebra phantom builders, tree hashing,
 a child-process CLI runner, the independent oracles (dense-QP projected
 gradient, exact hypergeometric enumeration) used to cross-check the
-production paths, and verbatim copies of replaced code paths (SMO step,
-full-grid label scans, dict-built feature rows with their missing-value mask,
+production paths, a replay of an SVM fit's training state, and verbatim
+copies of replaced code paths (SMO step, the rebuilt KKT count, full-grid
+label scans, dict-built feature rows with their missing-value mask,
 mask-aware imputation, exhaustive greedy selection, the distance-transform
 vertebra renderer, the per-study cohort writer) kept as references."""
 
@@ -42,7 +43,7 @@ from vcfclass.morphometry import (MIN_CELL_COLUMNS, MIN_COLUMN_VOXELS, N_CELLS,
 from vcfclass.phantom import (CohortSpec, VertebraSpec, _frame_coords, _plan_patient,
                               _render_background, _rng, _study_grid, advance,
                               render_vertebra)
-from vcfclass.svm import SvmParams, train_svm
+from vcfclass.svm import SvmModel, SvmParams, _smo, kernel_matrix, train_svm
 
 _PACKAGE_ROOT = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -332,6 +333,63 @@ def reference_rbf_kernel(X: np.ndarray, Y: np.ndarray, gamma: float) -> np.ndarr
           - 2.0 * (X @ Y.T))
     np.maximum(sq, 0.0, out=sq)
     return np.exp(-gamma * sq)
+
+
+# ---------------------------------------------------------------------------
+# training state: a model keeps only what predicts, so tests that read a
+# fit's standardized rows, boxes or alphas replay the fit, and the KKT count
+# the model stores is checked against the rebuild it used to make from them
+
+
+def replay_training(X, y, params: SvmParams, model: SvmModel):
+    """``(Xs, alpha, Cv)`` of the ``train_svm(X, y, params, ...)`` fit that
+    made ``model``: the standardized rows rebuilt from its ``mean`` and
+    ``std`` with ``train_svm``'s expression, the per-row box, and the alphas
+    of ``_smo`` re-run on them. Asserts that the replay's nonzero alphas give
+    the model's ``support_vectors``, ``dual_coef`` and ``bias`` exactly."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    Xs = (X[:, list(model.feature_indices)] - model.mean) / model.std
+    w_neg, w_pos = params.class_weights or (1.0, 1.0)
+    Cv = params.C * np.where(y < 0, w_neg, w_pos)
+    K = kernel_matrix(Xs, Xs, params.kernel, model.gamma)
+    alpha, bias, *_ = _smo(K, y, Cv, params.tol, params.max_passes)
+    sv = alpha > 0
+    assert np.array_equal(Xs[sv], model.support_vectors)
+    assert np.array_equal(alpha[sv] * y[sv], model.dual_coef)
+    assert bias == model.bias
+    return Xs, alpha, Cv
+
+
+def reference_kkt_violations(self: SvmModel, train_X, train_y, train_alpha,
+                             train_C, tol: float | None = None) -> int:
+    """``SvmModel.kkt_violations`` as it stood when a model kept its training
+    rows, verbatim but for reading those four arrays as arguments: the
+    training decision values are rebuilt from the support vectors."""
+    tol = self.tol if tol is None else tol
+    u = (kernel_matrix(train_X, self.support_vectors, self.kernel, self.gamma)
+         @ self.dual_coef + self.bias)
+    r = train_y * u - 1.0
+    a = train_alpha
+    C = train_C
+    at_zero = a <= _BOUND_EPS * C
+    at_c = a >= C * (1.0 - _BOUND_EPS)
+    interior = ~at_zero & ~at_c
+    bad = ((at_zero & (r < -tol))
+           | (interior & (np.abs(r) > tol))
+           | (at_c & (r > tol)))
+    return int(bad.sum())
+
+
+def inner_folds_scored(y, inner_folds: int, params: SvmParams, seed: int):
+    """``(scored, probe)`` as ``greedy_forward_select`` passes them to
+    ``_inner_cv_accuracy``: the test masks of the inner folds whose training
+    rows hold both classes, and the probe params with the selection cap."""
+    folds = kfold_split(len(y), k=inner_folds, seed=seed, stratify_by=y)
+    scored = [folds == f for f in range(inner_folds)
+              if np.unique(y[folds != f]).size >= 2]
+    probe = replace(params, max_passes=min(params.max_passes, SELECTION_MAX_PASSES))
+    return scored, probe
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import (WORLD_FRAME, body_spec, qp_dual_oracle, render_single,
-                     run_cli, tree_hash)
+                     replay_training, run_cli, tree_hash)
 from vcfclass.cli import main
 from vcfclass.densitometry import (density_features, study_reference,
                                    trabecular_region)
@@ -208,8 +208,9 @@ def test_criterion_6_svm_solver_correctness():
                            C=float(rng.choice([0.5, 1.0, 5.0])))
         m = train_svm(X, y, params)
         assert m.kkt_violations() == 0
-        K = kernel_matrix(m.train_X, m.train_X, kernel, m.gamma)
-        obj = dual_objective(m.train_alpha, y, K)
+        Xs, alpha, _ = replay_training(X, y, params, m)
+        K = kernel_matrix(Xs, Xs, kernel, m.gamma)
+        obj = dual_objective(alpha, y, K)
         oracle = dual_objective(qp_dual_oracle(K, y, params.C), y, K)
         rel = abs(obj - oracle) / max(1.0, abs(oracle))
         worst = max(worst, rel)

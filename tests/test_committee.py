@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from helpers import inner_folds_scored
 from vcfclass.committee import (Committee, CommitteeConfig, SelectionConfig,
                                 _inner_cv_accuracy, greedy_forward_select,
                                 load_committee, save_committee, train_committee)
@@ -135,8 +136,8 @@ def test_inner_accuracy_scores_only_evaluated_rows():
     y[:] = -1.0
     y[4] = 1.0
     X[:, 0] = y
-    acc, exact = _inner_cv_accuracy(X, y, [0], inner_folds=2, params=SvmParams(),
-                                    seed=0, bar=0.0)
+    scored, probe = inner_folds_scored(y, 2, SvmParams(), seed=0)
+    acc, exact = _inner_cv_accuracy(X, y, [0], scored, probe, bar=0.0)
     assert acc == 1.0 and exact
 
 

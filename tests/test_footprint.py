@@ -1,8 +1,9 @@
 """Which heavy modules the commands load. `extract`, `report` and
 `paper-check` never load OpenSSL's `_hashlib` (hashlib imports it), the
-`numpy.random` package or scipy; `cv` seeds RNGs, so it may load the first
-two, but it loads no scipy. Each check runs the commands through `cli.main`
-in a fresh interpreter and reads its `sys.modules`."""
+`numpy.random` package, `numpy.ma` or scipy; `cv` seeds RNGs, so it may load
+the first two, but it loads neither `numpy.ma` (a bare `np.unique` would) nor
+scipy. Each check runs the commands through `cli.main` in a fresh
+interpreter and reads its `sys.modules`."""
 
 import json
 import os
@@ -13,7 +14,7 @@ from pathlib import Path
 import vcfclass
 from vcfclass.phantom import CohortSpec, generate_cohort
 
-_WATCHED = ("_hashlib", "numpy.random", "scipy")
+_WATCHED = ("_hashlib", "numpy.random", "numpy.ma", "scipy")
 
 
 def _loaded_after(*commands) -> list:
@@ -36,6 +37,9 @@ def test_commands_load_no_openssl_rng_or_scipy(tmp_path):
     table, results = tmp_path / "features.csv", tmp_path / "res"
     assert _loaded_after(["extract", "--manifest", str(manifest), "--out", str(table)],
                          ["paper-check"]) == []
-    assert "scipy" not in _loaded_after(["cv", "--table", str(table), "--k", "2",
-                                         "--members", "1", "--out", str(results)])
+    cv = ["cv", "--table", str(table), "--k", "2", "--members", "1"]
+    # Each patient holds one class, so grouped folds need shuffled labels.
+    grouped = [*cv, "--group-by-patient", "--shuffle-labels", "--out", str(tmp_path / "grp")]
+    for argv in ([*cv, "--out", str(results)], grouped):
+        assert not {"numpy.ma", "scipy"} & set(_loaded_after(argv))
     assert _loaded_after(["report", "--results", str(results)]) == []

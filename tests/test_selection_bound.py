@@ -7,7 +7,8 @@ import pytest
 
 import helpers
 import vcfclass.committee as committee_mod
-from helpers import reference_greedy_forward_select, reference_inner_cv_accuracy
+from helpers import (inner_folds_scored, reference_greedy_forward_select,
+                     reference_inner_cv_accuracy)
 from vcfclass.committee import _inner_cv_accuracy, greedy_forward_select
 from vcfclass.folds import kfold_split
 from vcfclass.svm import SvmParams
@@ -69,6 +70,30 @@ def test_same_subsets_with_no_more_fits(kind, inner_folds, monkeypatch):
         assert calls["bounded"] < calls["reference"]
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_inner_folds_built_once_per_selection(kind, monkeypatch):
+    # The inner folds are fixed for a whole selection, so each call splits
+    # once however many probes it scores, and still selects as the
+    # exhaustive wrapper does.
+    splits = []
+    real = committee_mod.kfold_split
+
+    def counted(*args, **kwargs):
+        splits.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(committee_mod, "kfold_split", counted)
+    for seed in (0, 1):
+        X, y = problem(kind, seed)
+        for inner_folds in (2, 3):
+            for max_features in (1, 3):
+                args = (X, y, range(X.shape[1]), inner_folds, PARAMS)
+                kwargs = dict(max_features=max_features, seed=seed)
+                before = len(splits)
+                got = greedy_forward_select(*args, **kwargs)
+                assert len(splits) - before == 1
+                assert got == reference_greedy_forward_select(*args, **kwargs)
+
+
 def test_one_positive_problem_skips_a_fold():
     # The premise of the ``one_positive`` cases: exactly one inner fold is
     # skipped, and a probe that scores no fold is 0.0.
@@ -76,12 +101,13 @@ def test_one_positive_problem_skips_a_fold():
     for inner_folds in (2, 3, 4, 5):
         folds = kfold_split(len(y), k=inner_folds, seed=0, stratify_by=y)
         assert [np.unique(y[folds != f]).size for f in range(inner_folds)].count(1) == 1
-        acc, exact = _inner_cv_accuracy(X, y, [0], inner_folds, PARAMS, seed=0, bar=0.0)
+        acc, exact = _inner_cv_accuracy(X, y, [0], *inner_folds_scored(
+            y, inner_folds, PARAMS, seed=0), bar=0.0)
         assert exact and acc == reference_inner_cv_accuracy(X, y, [0], inner_folds,
                                                             PARAMS, seed=0)
     pair = [4, 5]                           # one row of each class: both folds skipped
-    assert _inner_cv_accuracy(X[pair], y[pair], [0], 2, PARAMS, seed=0,
-                              bar=-1.0) == (0.0, True)
+    assert _inner_cv_accuracy(X[pair], y[pair], [0], *inner_folds_scored(
+        y[pair], 2, PARAMS, seed=0), bar=-1.0) == (0.0, True)
 
 
 def test_memo_shared_across_conditions_matches_reference(monkeypatch):
@@ -120,7 +146,8 @@ def test_no_fit_once_the_bar_reaches_one(monkeypatch):
 def test_bound_only_entry_is_rescored_under_a_lower_bar():
     X, y = problem("graded", seed=2)
     want = reference_inner_cv_accuracy(X, y, [1], 3, PARAMS, seed=0)
-    bound, exact = _inner_cv_accuracy(X, y, [1], 3, PARAMS, seed=0, bar=0.999)
+    bound, exact = _inner_cv_accuracy(X, y, [1], *inner_folds_scored(
+        y, 3, PARAMS, seed=0), bar=0.999)
     assert not exact and want < bound < 1.0    # stopped after a fold
     # Candidate 0 is column 1; candidate 1 is constant and never wins.
     Xc = np.column_stack([X[:, 1], np.ones(len(y))])

@@ -3,8 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import qp_dual_oracle, reference_rbf_kernel, reference_smo
-from vcfclass.committee import _model_to_json
+from helpers import (qp_dual_oracle, reference_kkt_violations,
+                     reference_rbf_kernel, reference_smo, replay_training)
+from vcfclass.committee import _model_from_json, _model_to_json
 from vcfclass.svm import (SvmParams, _smo, dual_objective, kernel_matrix,
                           train_svm)
 
@@ -41,8 +42,9 @@ def test_dual_matches_projected_gradient_oracle():
         params = SvmParams(kernel=kernel, gamma=0.7 if kernel == "rbf" else None,
                            C=2.0)
         m = train_svm(X, y, params)
-        K = kernel_matrix(m.train_X, m.train_X, kernel, m.gamma)
-        obj = dual_objective(m.train_alpha, y, K)
+        Xs, alpha, _ = replay_training(X, y, params, m)
+        K = kernel_matrix(Xs, Xs, kernel, m.gamma)
+        obj = dual_objective(alpha, y, K)
         oracle = dual_objective(qp_dual_oracle(K, y, 2.0), y, K)
         assert abs(obj - oracle) <= 1e-3 * max(1.0, abs(oracle)), done
         assert m.kkt_violations() == 0
@@ -54,12 +56,14 @@ def test_interior_support_vectors_sit_on_margin():
     X = np.vstack([rng.normal(loc=(-2, 0), scale=0.6, size=(20, 2)),
                    rng.normal(loc=(2, 0), scale=0.6, size=(20, 2))])
     y = np.array([-1.0] * 20 + [1.0] * 20)
-    m = train_svm(X, y, SvmParams(kernel="linear", C=1.0))
-    u = (kernel_matrix(m.train_X, m.support_vectors, m.kernel, m.gamma)
+    params = SvmParams(kernel="linear", C=1.0)
+    m = train_svm(X, y, params)
+    Xs, alpha, Cv = replay_training(X, y, params, m)
+    u = (kernel_matrix(Xs, m.support_vectors, m.kernel, m.gamma)
          @ m.dual_coef + m.bias)
-    interior = (m.train_alpha > 1e-8) & (m.train_alpha < m.train_C - 1e-8)
+    interior = (alpha > 1e-8) & (alpha < Cv - 1e-8)
     assert interior.any()
-    assert np.all(np.abs(m.train_y[interior] * u[interior] - 1.0) <= m.tol)
+    assert np.all(np.abs(y[interior] * u[interior] - 1.0) <= m.tol)
 
 
 def test_deterministic_training():
@@ -68,7 +72,8 @@ def test_deterministic_training():
     y = np.where(X[:, 0] > 0, 1.0, -1.0)
     p = SvmParams()
     m1, m2 = train_svm(X, y, p), train_svm(X, y, p)
-    assert np.array_equal(m1.train_alpha, m2.train_alpha)
+    assert np.array_equal(replay_training(X, y, p, m1)[1],
+                          replay_training(X, y, p, m2)[1])
     assert m1.bias == m2.bias
     x = rng.normal(size=(5, 3))
     assert np.array_equal(m1.decision_values(x), m2.decision_values(x))
@@ -151,10 +156,12 @@ def test_class_weights_scale_box():
     y = np.where(X[:, 0] > -0.5, 1.0, -1.0)
     if np.unique(y).size < 2:
         y[0] = -1.0
-    m = train_svm(X, y, SvmParams(kernel="linear", C=1.0, class_weights=(3.0, 1.0)))
-    neg = m.train_y < 0
-    assert np.all(m.train_alpha[neg] <= 3.0 + 1e-9)
-    assert np.all(m.train_alpha[~neg] <= 1.0 + 1e-9)
+    params = SvmParams(kernel="linear", C=1.0, class_weights=(3.0, 1.0))
+    m = train_svm(X, y, params)
+    alpha = replay_training(X, y, params, m)[1]
+    neg = y < 0
+    assert np.all(alpha[neg] <= 3.0 + 1e-9)
+    assert np.all(alpha[~neg] <= 1.0 + 1e-9)
     assert m.kkt_violations() == 0
 
 
@@ -163,7 +170,8 @@ def test_dual_equality_constraint_holds():
     X = rng.normal(size=(25, 3))
     y = np.where(X @ np.array([1.0, -1.0, 0.5]) > 0, 1.0, -1.0)
     m = train_svm(X, y, SvmParams())
-    assert abs(float(m.train_alpha @ m.train_y)) <= m.tol
+    alpha = replay_training(X, y, SvmParams(), m)[1]
+    assert abs(float(alpha @ y)) <= m.tol
 
 
 def test_unsorted_full_width_subset_reorders_columns():
@@ -212,9 +220,12 @@ def test_second_order_solver_certifies_against_reference():
     # Every problem is solved to convergence by both solvers: the
     # second-order one must certify KKT, reach the first-order reference's
     # dual objective and take at most 0.6x its pair updates. One-pass
-    # budgets are solved twice, once to report the exhausted budget.
+    # budgets are solved twice, once to report the exhausted budget. The
+    # KKT count each first fit stores must equal the rebuild from its
+    # training rows that models used to make; some one-pass counts are
+    # nonzero.
     rng = np.random.default_rng(21)
-    steps = ref_steps = exhausted = 0
+    steps = ref_steps = exhausted = nonzero = 0
     for p in range(240):
         n = int(rng.integers(12, 61))
         discrete = p % 4 >= 2
@@ -232,24 +243,30 @@ def test_second_order_solver_certifies_against_reference():
                            class_weights=(2.0, 0.5) if p % 5 == 0 else None)
         m = train_svm(X, y, params)
         Cv = _per_row_cv(params, y)
-        assert np.array_equal(m.train_C, Cv), p
+        Xs, m_alpha, m_C = replay_training(X, y, params, m)
+        assert np.array_equal(m_C, Cv), p
+        assert m.kkt_violations() == reference_kkt_violations(m, Xs, y, m_alpha, Cv), p
         if params.max_passes == 1:
             one_pass = m
-            m = train_svm(X, y, replace(params, max_passes=500))
+            nonzero += one_pass.kkt_violations() > 0
+            params = replace(params, max_passes=500)
+            m = train_svm(X, y, params)
             # The one-pass run follows the full run's path until its budget.
             assert one_pass.train_exhausted == (m.train_steps >= max(n, 8)), p
             exhausted += one_pass.train_exhausted
-        K = kernel_matrix(m.train_X, m.train_X, params.kernel, m.gamma)
+            Xs, m_alpha, _ = replay_training(X, y, params, m)
+        K = kernel_matrix(Xs, Xs, params.kernel, m.gamma)
         alpha, _, ref = reference_smo(K, y, Cv, params.tol, 500, _seeded(p))
         assert ref < 500 * max(n, 8), p           # the reference converges
         assert not m.train_exhausted, p
         assert m.kkt_violations() == 0, p
-        obj, ref_obj = dual_objective(m.train_alpha, y, K), dual_objective(alpha, y, K)
+        obj, ref_obj = dual_objective(m_alpha, y, K), dual_objective(alpha, y, K)
         assert abs(obj - ref_obj) <= 1e-3 * max(1.0, abs(ref_obj)), p
         steps += m.train_steps
         ref_steps += ref
     assert steps <= 0.6 * ref_steps, (steps, ref_steps)
     assert exhausted > 0       # some one-pass budgets ran out before KKT
+    assert nonzero > 0
 
 
 def test_pinched_boxes_certify():
@@ -261,7 +278,7 @@ def test_pinched_boxes_certify():
     y = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0, -1.0])
     partly, every = np.array([1e-13, 1, 1, 1, 1, 1, 1.0]), np.full(7, 1e-13)
     for Cv in (partly, every):
-        alpha, _, steps, exhausted = _smo(K, y, Cv, 1e-3, 500)
+        alpha, _, steps, exhausted, _ = _smo(K, y, Cv, 1e-3, 500)
         assert steps > 0 and not exhausted
         errors = K @ (alpha * y) - y
         assert _kkt_gap(errors, y, Cv, alpha) <= 2e-3
@@ -296,7 +313,10 @@ def test_step_readout_is_training_state_only():
     y = np.where(X[:, 0] + 0.3 * rng.normal(size=40) > 0, 1.0, -1.0)
     m = train_svm(X, y, SvmParams())
     assert m.train_steps > 0 and m.train_exhausted is False
-    assert m.kkt_violations() == 0
-    assert not {"train_steps", "train_exhausted"} & set(_model_to_json(m))
+    assert m.train_violations == m.kkt_violations() == 0
+    assert not ({"train_steps", "train_exhausted", "train_violations"}
+                & set(_model_to_json(m)))
+    with pytest.raises(ValueError, match="without its training state"):
+        _model_from_json(_model_to_json(m)).kkt_violations()
     short = train_svm(X, y, SvmParams(max_passes=1))
     assert short.train_steps <= 40
