@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .committee import (Committee, CommitteeConfig, SelectionConfig,
                         greedy_forward_select, load_committee, save_committee,
                         train_committee)
-from .crossval import CvResult, cross_validate
+from .crossval import CvResult, cross_validate, cross_validate_conditions
 from .densitometry import (DensityFeatures, StudyReference, density_features,
                            mean_density, normalize, study_reference,
                            trabecular_region)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .committee import CommitteeConfig, SelectionConfig, save_committee
-from .crossval import (cross_validate, load_predictions, outer_folds,
+from .crossval import (cross_validate_conditions, load_predictions, outer_folds,
                        predictions_path, save_predictions, single_class_folds)
 from .densitometry import DEFAULT_EROSION_MM
 from .evaluation import accuracy, compare, confusion_from_result, emit_report
@@ -216,16 +216,15 @@ def cmd_cv(args) -> int:
 
     out = args.out or _default_out("results")
     out.mkdir(parents=True, exist_ok=True)
-    results = []
-    probes: dict = {}                  # selection probes shared across conditions
-    for cond in conditions:
-        res = cross_validate(table, cond, cfg, k=args.k, seed=args.seed,
-                             group_by_patient=args.group_by_patient, probes=probes)
+    results = cross_validate_conditions(table, conditions, cfg, k=args.k,
+                                        seed=args.seed,
+                                        group_by_patient=args.group_by_patient)
+    for cond, res in zip(conditions, results):
         save_predictions(res, predictions_path(out, cond))
         if args.save_models:
-            for f_idx, committee in enumerate(res.fold_models):
-                save_committee(committee, out / f"committee_{cond}_fold{f_idx}.json")
-        results.append(res)
+            run = [f for f in range(args.k) if f not in res.skipped_folds]
+            for f, committee in zip(run, res.fold_models):
+                save_committee(committee, out / f"committee_{cond}_fold{f}.json")
         cm = confusion_from_result(res)
         print(f"{cond}: accuracy {accuracy(cm):.3f} "
               f"({cm.misclassified} misclassified of {cm.grand_total})")

@@ -5,11 +5,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .folds import check_seed, kfold_split
+from .manifest import FieldError, _at, _expect, _field, _keys, _record, _schema
 from .svm import SvmModel, SvmParams, train_svm
 
 SELECTION_METHODS = ("none", "greedy_forward")
@@ -173,6 +175,10 @@ def train_committee(X: np.ndarray, y: np.ndarray, cfg: CommitteeConfig,
 # ---------------------------------------------------------------------------
 # model file
 
+_FILE_KEYS = ("format", "version", "feature_names", "seed", "n_members",
+              "selection", "members")
+
+
 def _model_to_json(m: SvmModel) -> dict:
     return {
         "kernel": m.kernel,
@@ -188,14 +194,36 @@ def _model_to_json(m: SvmModel) -> dict:
     }
 
 
-def _model_from_json(doc: dict) -> SvmModel:
+def _floats(value, where: str, *shape) -> np.ndarray:
+    """JSON array ``value`` at field path ``where`` as finite float64 values
+    of ``shape``."""
+    with _field(where):
+        array = np.array(_expect(value, list, where), dtype=np.float64).reshape(shape)
+        if not np.isfinite(array).all():
+            raise ValueError("expected finite numbers")
+    return array
+
+
+def _model_from_json(doc, where: str = "") -> SvmModel:
+    """The model held by JSON object ``doc`` at field path ``where``."""
+    at = partial(_at, where)
+    _keys(doc, where, _schema(SvmModel)[0])     # the fields without a default
+    for key in ("kernel", "gamma", "C", "tol"):     # SvmParams checks each alone
+        _record(SvmParams, {key: doc[key]}, at(key))
+    indices = _expect(doc["feature_indices"], list, at("feature_indices"))
+    for j, i in enumerate(indices):
+        if type(i) is not int or i < 0:
+            raise FieldError(_at(at("feature_indices"), j),
+                             f"expected a column index >= 0, got {i!r}")
+    dual_coef = _floats(doc["dual_coef"], at("dual_coef"), -1)
     return SvmModel(
         kernel=doc["kernel"], gamma=doc["gamma"], C=doc["C"], tol=doc["tol"],
-        feature_indices=tuple(doc["feature_indices"]),
-        mean=np.array(doc["mean"]), std=np.array(doc["std"]),
-        support_vectors=np.array(doc["support_vectors"], dtype=np.float64).reshape(
-            len(doc["dual_coef"]), -1),
-        dual_coef=np.array(doc["dual_coef"]), bias=doc["bias"])
+        feature_indices=tuple(indices),
+        mean=_floats(doc["mean"], at("mean"), len(indices)),
+        std=_floats(doc["std"], at("std"), len(indices)),
+        support_vectors=_floats(doc["support_vectors"], at("support_vectors"),
+                                len(dual_coef), len(indices)),
+        dual_coef=dual_coef, bias=_expect(doc["bias"], float, at("bias")))
 
 
 def save_committee(committee: Committee, path) -> None:
@@ -217,15 +245,29 @@ def save_committee(committee: Committee, path) -> None:
 
 
 def load_committee(path) -> Committee:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("format") != "vcfclass-committee":
+    """Read a committee written by ``save_committee``. A malformed one raises
+    ``ValueError`` naming the file and the path of the field at fault, such
+    as ``members[0].dual_coef``."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{exc} (in {path})") from exc
+    if not isinstance(doc, dict) or doc.get("format") != "vcfclass-committee":
         raise ValueError(f"{path}: not a committee model file")
-    params = dict(doc.get("member_params", {}))  # absent in older files: defaults
-    params.pop("seed", None)                     # older files carry a solver seed
-    cfg = CommitteeConfig(
-        n_members=doc["n_members"],
-        member_params=SvmParams(**params),
-        selection=SelectionConfig(**doc["selection"]),
-        seed=doc["seed"])
-    members = [_model_from_json(d) for d in doc["members"]]
-    return Committee(members=members, feature_names=doc["feature_names"], config=cfg)
+    try:
+        _keys(doc, "", _FILE_KEYS, ("member_params",))
+        names = _expect(doc["feature_names"], list, "feature_names")
+        # absent in older files: defaults; older files also carry a solver seed
+        params = dict(_expect(doc.get("member_params", {}), dict, "member_params"))
+        params.pop("seed", None)
+        for key in ("n_members", "seed"):        # CommitteeConfig checks each alone
+            _record(CommitteeConfig, {key: doc[key]}, key)
+        cfg = CommitteeConfig(
+            n_members=doc["n_members"], seed=doc["seed"],
+            member_params=_record(SvmParams, params, "member_params"),
+            selection=_record(SelectionConfig, doc["selection"], "selection"))
+        members = [_model_from_json(d, _at("members", i))
+                   for i, d in enumerate(_expect(doc["members"], list, "members"))]
+    except FieldError as exc:
+        raise ValueError(f"{exc} (at {exc.field} in {path})") from exc
+    return Committee(members=members, feature_names=names, config=cfg)

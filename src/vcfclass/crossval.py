@@ -2,13 +2,13 @@
 
 Everything fitted to data (imputation constants, standardization, feature
 selection, SVM training) uses the training fold only; the test fold is
-imputed with training constants and predicted once.
+imputed with training constants and predicted once. The outer fold is the
+unit of work: one task per fold trains every condition on that fold.
 """
 
 from __future__ import annotations
 
 import warnings
-from collections import ChainMap
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -64,10 +64,6 @@ def impute(values: np.ndarray, fill: np.ndarray) -> np.ndarray:
     return out
 
 
-def _truth_to_signs(truth: np.ndarray) -> np.ndarray:
-    return np.where(truth == "N", 1.0, -1.0)
-
-
 def outer_folds(table: FeatureTable, k: int, seed: int,
                 group_by_patient: bool) -> np.ndarray:
     """Outer fold index per instance: stratified by truth or, with
@@ -82,73 +78,70 @@ def single_class_folds(truth: np.ndarray, folds: np.ndarray, k: int) -> list[int
     return [f for f in range(k) if len(set(truth[folds != f].tolist())) < 2]
 
 
-def _fold_task(values: np.ndarray, y: np.ndarray, columns: list[str],
-               cfg: CommitteeConfig, seed: int, folds: np.ndarray,
-               probes: dict, f: int):
-    """Train and test outer fold ``f``: its imputation constants, committee
-    and test-fold decision values, plus the probe-memo entries it added or
-    changed (it reads ``probes`` and leaves it untouched)."""
+def _fold_task(values: np.ndarray, y: np.ndarray, conditions, cfg: CommitteeConfig,
+               seed: int, folds: np.ndarray, f: int):
+    """Train and test outer fold ``f`` for each condition in turn: its
+    committee, imputation constants and test-fold decision values. The
+    conditions share the fold's probe memo."""
     tr = folds != f
-    fill = imputation_constants(values[tr], columns)
+    train, test = values[tr], values[~tr]
+    fill = imputation_constants(train, ALL_COLUMNS)
     fold_seed = int(np.random.SeedSequence([seed, f]).generate_state(1)[0])
-    memo = ChainMap({}, probes)
-    committee = train_committee(impute(values[tr], fill), y[tr],
-                                replace(cfg, seed=fold_seed),
-                                feature_names=columns, probes=memo)
-    decision = committee.decision_values(impute(values[folds == f], fill))
-    return committee, fill, decision, memo.maps[0]
+    probes: dict = {}
+    outcomes = []
+    for condition in conditions:
+        columns = condition_columns(condition)
+        idx = [ALL_COLUMNS.index(c) for c in columns]
+        committee = train_committee(impute(train[:, idx], fill[idx]), y[tr],
+                                    replace(cfg, seed=fold_seed),
+                                    feature_names=columns, probes=probes)
+        decision = committee.decision_values(impute(test[:, idx], fill[idx]))
+        outcomes.append((committee, fill[idx], decision))
+    return outcomes
 
 
-def cross_validate(table: FeatureTable, condition: str,
-                   cfg: CommitteeConfig = CommitteeConfig(), k: int = 10,
-                   seed: int = 0, group_by_patient: bool = False,
-                   probes: dict | None = None) -> CvResult:
-    """Stratified k-fold evaluation of one feature-set condition.
+def cross_validate_conditions(table: FeatureTable, conditions,
+                              cfg: CommitteeConfig = CommitteeConfig(),
+                              k: int = 10, seed: int = 0,
+                              group_by_patient: bool = False) -> list[CvResult]:
+    """Stratified k-fold evaluation of each feature-set condition, in the
+    order given, on the same outer folds.
 
-    ``probes`` memoises greedy-selection probe accuracies by content (see
-    ``committee.greedy_forward_select``). Conditions cross-validated on one
-    table with the same ``cfg``, ``k``, ``seed`` and grouping share outer
-    folds, per-column imputation and member seeds, so passing one dict to
-    all of them scores a probe the conditions have in common once; results
-    are identical to those with a fresh dict per call (``None``).
-
-    The outer folds run through ``parallel.pmap``. Each starts from the memo
-    as it was before the call, and the entries the folds add are merged in
-    fold order afterwards. Folds never share an entry (their member seeds
-    differ), so the memo ends as a fold-by-fold loop would leave it."""
-    columns = condition_columns(condition)
-    col_idx = [ALL_COLUMNS.index(c) for c in columns]
-    values = table.matrix[:, col_idx]
-    truth = table.truth
-    y = _truth_to_signs(truth)
-    n = len(table)
-    probes = {} if probes is None else probes
-
+    The folds run through ``parallel.pmap``, one task per fold. A task
+    trains the conditions one after another with one probe memo (see
+    ``committee.greedy_forward_select``), so a probe they have in common is
+    scored once. Folds never share a memo entry (their member seeds
+    differ), so results equal those of a fresh memo per condition."""
     folds = outer_folds(table, k, seed, group_by_patient)
-
-    predictions = np.full(n, "", dtype=object)
-    decision = np.full(n, np.nan)
-    skipped = single_class_folds(truth, folds, k)
+    skipped = single_class_folds(table.truth, folds, k)
     for f in skipped:
         warnings.warn(f"fold {f}: training split has a single class; skipped",
                       stacklevel=2)
     run = [f for f in range(k) if f not in skipped]
-    outcomes = pmap(partial(_fold_task, values, y, columns, cfg, seed, folds,
-                            probes), run)
-    models: list[Committee] = []
-    fills: list[np.ndarray] = []
-    for f, (committee, fill, dv, added) in zip(run, outcomes):
-        te = folds == f
-        decision[te] = dv
-        predictions[te] = np.where(dv > 0, "N", "O")
-        models.append(committee)
-        fills.append(fill)
-        probes.update(added)
+    y = np.where(table.truth == "N", 1.0, -1.0)
+    outcomes = pmap(partial(_fold_task, table.matrix, y, conditions, cfg, seed,
+                            folds), run)
+    results = []
+    for c, condition in enumerate(conditions):
+        decision = np.full(len(table), np.nan)
+        for f, fold in zip(run, outcomes):
+            decision[folds == f] = fold[c][2]
+        results.append(CvResult(
+            condition=condition, ids=table.instance_ids, truth=table.truth,
+            predictions=np.where(np.isin(folds, run),
+                                 np.where(decision > 0, "N", "O"), ""),
+            decision=decision, fold_assignment=folds, k=k, skipped_folds=skipped,
+            fold_models=[fold[c][0] for fold in outcomes],
+            fold_imputation=[fold[c][1] for fold in outcomes]))
+    return results
 
-    return CvResult(condition=condition, ids=table.instance_ids, truth=truth,
-                    predictions=predictions.astype(str), decision=decision,
-                    fold_assignment=folds, k=k, skipped_folds=skipped,
-                    fold_models=models, fold_imputation=fills)
+
+def cross_validate(table: FeatureTable, condition: str,
+                   cfg: CommitteeConfig = CommitteeConfig(), k: int = 10,
+                   seed: int = 0, group_by_patient: bool = False) -> CvResult:
+    """Stratified k-fold evaluation of one feature-set condition."""
+    return cross_validate_conditions(table, [condition], cfg, k, seed,
+                                     group_by_patient)[0]
 
 
 # ---------------------------------------------------------------------------

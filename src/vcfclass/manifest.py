@@ -189,20 +189,27 @@ def _expect(value, kind: type, where: str):
     return value
 
 
-def _keys(cls, obj, where: str) -> None:
-    """Check that ``obj`` is a JSON object holding every required field of
-    ``cls`` and no other key."""
+def _keys(obj, where: str, required, optional=()) -> None:
+    """Check that ``obj`` is a JSON object holding every key in ``required``
+    and no key outside ``required`` and ``optional``."""
     _expect(obj, dict, where)
-    for f in fields(cls):
-        if f.name not in obj and f.default is MISSING and f.default_factory is MISSING:
-            raise FieldError(_at(where, f.name), f"missing required key {f.name!r}")
-    for key in sorted(obj.keys() - {f.name for f in fields(cls)}):
+    for name in required:
+        if name not in obj:
+            raise FieldError(_at(where, name), f"missing required key {name!r}")
+    for key in sorted(obj.keys() - {*required, *optional}):
         raise FieldError(_at(where, key), f"unknown key {key!r}")
+
+
+def _schema(cls) -> tuple[list[str], list[str]]:
+    """The required and the optional field names of dataclass ``cls``."""
+    required = [f.name for f in fields(cls)
+                if f.default is MISSING and f.default_factory is MISSING]
+    return required, [f.name for f in fields(cls) if f.name not in required]
 
 
 def _record(cls, obj: dict, where: str):
     """``cls(**obj)``, a failed check naming the field path at fault."""
-    _keys(cls, obj, where)
+    _keys(obj, where, *_schema(cls))
     try:
         return cls(**obj)
     except FieldError as exc:
@@ -226,11 +233,11 @@ def load_manifest(path) -> CohortManifest:
     if version != MANIFEST_SCHEMA_VERSION:
         raise ValueError(f"{path}: unsupported manifest schema_version {version}")
     try:
-        _keys(CohortManifest, doc, "")
+        _keys(doc, "", *_schema(CohortManifest))
         patients = []
         for i, p in enumerate(_expect(doc["patients"], list, "patients")):
             where = _at("patients", i)
-            _keys(PatientEntry, p, where)
+            _keys(p, where, *_schema(PatientEntry))
             listed = _expect(p["studies"], list, _at(where, "studies"))
             studies = tuple(_record(StudyRecord, s, _at(_at(where, "studies"), k))
                             for k, s in enumerate(listed))

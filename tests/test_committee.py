@@ -129,6 +129,51 @@ def test_file_with_member_seed_loads_same_config(tmp_path):
     assert np.array_equal(old.decision_values(probe), committee.decision_values(probe))
 
 
+def _member0(doc):
+    return doc["members"][0]
+
+
+def _truncated(text):
+    return text[:len(text) // 2]
+
+
+# (mutation of the parsed file or of its text, the end of the error message)
+COMMITTEE_MUTATIONS = {
+    "no-members": (lambda d: d.pop("members"),
+                   "missing required key 'members' (at members in {})"),
+    "members-object": (lambda d: d.update(members={"0": {}}),
+                       "expected an array, got an object (at members in {})"),
+    "no-dual-coef": (lambda d: _member0(d).pop("dual_coef"),
+                     "missing required key 'dual_coef' (at members[0].dual_coef in {})"),
+    "string-support-vectors": (
+        lambda d: _member0(d).update(support_vectors="0.5"),
+        "expected an array, got a string (at members[0].support_vectors in {})"),
+    "unknown-selection-key": (lambda d: d["selection"].update(foo=1),
+                              "unknown key 'foo' (at selection.foo in {})"),
+    "truncated": (_truncated, "(in {})"),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(COMMITTEE_MUTATIONS))
+def test_load_committee_names_file_and_field(tmp_path, mutation):
+    mutate, ending = COMMITTEE_MUTATIONS[mutation]
+    X, y = labeled_noise(n=40, d=3, seed=12)
+    path = tmp_path / "committee.json"
+    save_committee(train_committee(X, y, CommitteeConfig(n_members=2, seed=1)), path)
+    text = path.read_text(encoding="utf-8")
+    if mutate is _truncated:
+        text = mutate(text)
+    else:
+        doc = json.loads(text)
+        mutate(doc)
+        text = json.dumps(doc)
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_committee(path)
+    assert type(info.value) is ValueError
+    assert str(info.value).endswith(ending.format(path))
+
+
 def test_inner_accuracy_scores_only_evaluated_rows():
     # One positive: the inner fold holding it trains on negatives alone and
     # is skipped; the other fold's rows are all predicted right.

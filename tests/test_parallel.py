@@ -1,6 +1,7 @@
 """The process-pool map: results, files and the probe memo do not depend on
-the number of usable CPUs, a failing task reaches the user as in a serial
-run, and no worker outlives the call.
+the number of usable CPUs, a cv run starts one pool for all its conditions,
+a failing task reaches the user as in a serial run, and no worker outlives
+the call.
 
 Each case forces the worker count by replacing ``parallel.usable_cpus``, so
 the pool path runs even where only one CPU is usable."""
@@ -21,9 +22,10 @@ import pytest
 from helpers import _PACKAGE_ROOT, tree_hash
 from vcfclass import crossval, parallel
 from vcfclass.cli import main
-from vcfclass.committee import CommitteeConfig, SelectionConfig, train_committee
-from vcfclass.crossval import (cross_validate, imputation_constants, impute,
-                               outer_folds, single_class_folds)
+from vcfclass.committee import (CommitteeConfig, SelectionConfig, load_committee,
+                                train_committee)
+from vcfclass.crossval import (cross_validate_conditions, imputation_constants,
+                               impute, outer_folds, single_class_folds)
 from vcfclass.features import (ALL_COLUMNS, CONDITIONS, condition_columns,
                                load_table)
 from vcfclass.parallel import pmap
@@ -189,45 +191,91 @@ def test_grouped_cv_with_skipped_fold_identical(cpus, features, tmp_path):
             assert main(["cv", "--table", str(features), "--k", "3", "--members", "1",
                          "--group-by-patient", "--out", str(out)]) == 0
         messages = [str(w.message) for w in caught if "single class" in str(w.message)]
-        # once per fold and condition
+        # once per skipped fold, for all three conditions
         assert messages == [f"fold {skipped[0]}: training split has a single "
-                            f"class; skipped"] * 3
+                            f"class; skipped"]
         digests[n] = tree_hash(out)
     assert digests[2] == digests[1] and digests[3] == digests[1]
 
 
-def reference_memo(table, cfg, k, seed):
-    """The memo as a fold-by-fold loop over the conditions leaves it, with
-    every committee reading and writing one dict."""
-    probes = {}
+def test_saved_models_named_by_outer_fold(features, tmp_path):
+    # The grouped split skips one fold; each file carries its own fold's id.
+    table = load_table(features)
+    skipped = single_class_folds(table.truth, outer_folds(table, 3, 0, True), 3)
+    with pytest.warns(UserWarning, match="single class"):
+        assert main(["cv", "--table", str(features), "--k", "3", "--members", "1",
+                     "--group-by-patient", "--save-models",
+                     "--out", str(tmp_path)]) == 0
+    run = [f for f in range(3) if f not in skipped]
+    assert run != list(range(len(run)))       # a fold before the last is skipped
+    for cond in CONDITIONS:
+        files = sorted(tmp_path.glob(f"committee_{cond}_fold*.json"))
+        assert [p.name for p in files] == [f"committee_{cond}_fold{f}.json" for f in run]
+        for f, path in zip(run, files):
+            fold_seed = int(np.random.SeedSequence([0, f]).generate_state(1)[0])
+            assert load_committee(path).config.seed == fold_seed
+
+
+def test_one_pool_per_cv_run(cpus, features, tmp_path, monkeypatch):
+    import concurrent.futures
+    pools = []
+
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(1)
+            super().__init__(*args, **kwargs)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    cpus(2)
+    assert main(["cv", "--table", str(features), "--k", "4", "--members", "1",
+                 "--out", str(tmp_path)]) == 0
+    assert len(pools) == 1
+
+
+def reference_memos(table, cfg, k, seed):
+    """Per outer fold, the memo as a loop over the conditions leaves it after
+    each one, with every committee of the fold reading and writing one dict."""
     y = np.where(table.truth == "N", 1.0, -1.0)
     folds = outer_folds(table, k, seed, False)
-    for cond in CONDITIONS:
-        columns = condition_columns(cond)
-        values = table.matrix[:, [ALL_COLUMNS.index(c) for c in columns]]
-        for f in range(k):
-            tr = folds != f
+    memos = []
+    for f in range(k):
+        tr = folds != f
+        fold_seed = int(np.random.SeedSequence([seed, f]).generate_state(1)[0])
+        probes, after = {}, []
+        for cond in CONDITIONS:
+            columns = condition_columns(cond)
+            values = table.matrix[:, [ALL_COLUMNS.index(c) for c in columns]]
             fill = imputation_constants(values[tr], columns)
-            fold_seed = int(np.random.SeedSequence([seed, f]).generate_state(1)[0])
             train_committee(impute(values[tr], fill), y[tr],
                             replace(cfg, seed=fold_seed), probes=probes)
-    return probes
+            after.append(dict(probes))
+        memos.append(after)
+    return memos
 
 
-def test_probe_memo_identical(cpus, features):
+def test_probe_memo_identical(cpus, features, monkeypatch):
     table = load_table(features)
     cfg = CommitteeConfig(n_members=2, seed=0,
                           selection=SelectionConfig(max_features=3, inner_folds=2))
     assert not single_class_folds(table.truth, outer_folds(table, 4, 1, False), 4)
-    reference = reference_memo(table, cfg, k=4, seed=1)
-    assert reference
+    reference = reference_memos(table, cfg, k=4, seed=1)
+    # Folds never share an entry, so a memo per fold loses no hit.
+    keys = [key for after in reference for key in after[-1]]
+    assert keys and len(keys) == len(set(keys))
+    real = crossval.train_committee
+
+    def keeps_memo(X, y, cfg, **kwargs):
+        # The copy travels back from a worker with the committee.
+        committee = real(X, y, cfg, **kwargs)
+        committee.probes = dict(kwargs["probes"])
+        return committee
+    monkeypatch.setattr(crossval, "train_committee", keeps_memo)
     for n in CPUS:
         cpus(n)
-        probes = {}
-        for cond in CONDITIONS:
-            cross_validate(table, cond, cfg, k=4, seed=1, probes=probes)
-        assert probes == reference
-        assert list(probes) == list(reference)
+        results = cross_validate_conditions(table, CONDITIONS, cfg, k=4, seed=1)
+        for c, res in enumerate(results):
+            for f, committee in enumerate(res.fold_models):
+                assert committee.probes == reference[f][c]
+                assert list(committee.probes) == list(reference[f][c])
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
-"""The greedy-selection probe memo: sharing one dict across conditions gives
-the same results as a fresh dict per condition, with fewer fits, and probes
-on different data never share an entry."""
+"""The greedy-selection probe memo: one dict shared by the conditions of an
+outer fold gives the same results as a fresh dict per condition, with fewer
+fits, and probes on different data never share an entry."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ import pytest
 import vcfclass.committee as committee_mod
 from vcfclass import parallel
 from vcfclass.committee import CommitteeConfig, SelectionConfig, greedy_forward_select
-from vcfclass.crossval import cross_validate
+from vcfclass.crossval import cross_validate, cross_validate_conditions
 from vcfclass.features import ALL_COLUMNS, FeatureTable, assemble
 from vcfclass.svm import SvmParams
 
@@ -57,9 +57,9 @@ def count_fits(monkeypatch):
 
 
 def run_conditions(table, shared, k):
-    probes = {} if shared else None
-    return [cross_validate(table, cond, CFG, k=k, seed=3, probes=probes)
-            for cond in CONDITIONS]
+    if shared:
+        return cross_validate_conditions(table, CONDITIONS, CFG, k=k, seed=3)
+    return [cross_validate(table, cond, CFG, k=k, seed=3) for cond in CONDITIONS]
 
 
 def selected_subsets(res):
