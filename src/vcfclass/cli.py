@@ -26,7 +26,7 @@ from .committee import CommitteeConfig, SelectionConfig, save_committee
 from .crossval import (cross_validate_conditions, load_predictions, outer_folds,
                        predictions_path, save_predictions, single_class_folds)
 from .densitometry import DEFAULT_EROSION_MM
-from .evaluation import accuracy, compare, confusion_from_result, emit_report
+from .evaluation import ComparisonReport, accuracy, compare, emit_report
 from .features import (CONDITIONS, FIRST_STUDY_POLICIES, assemble_from_path,
                        load_table, save_table)
 from .morphometry import CompassLayout
@@ -169,6 +169,14 @@ def cmd_extract(args) -> int:
     return 0
 
 
+def _report(results, out, heatmaps: bool) -> ComparisonReport:
+    """The report step of `cv` and `report`: compare the conditions, in the
+    order given, and write the report files."""
+    report = compare(results)
+    emit_report(report, out, heatmaps=heatmaps)
+    return report
+
+
 def cmd_cv(args) -> int:
     if not args.table.is_file():
         raise UsageError(f"no such feature table: {args.table}")
@@ -180,6 +188,7 @@ def cmd_cv(args) -> int:
     repeated = sorted({c for c in conditions if conditions.count(c) > 1})
     if repeated:
         raise UsageError(f"--conditions names {','.join(repeated)} more than once")
+    conditions = [c for c in CONDITIONS if c in conditions]
     try:
         cfg = CommitteeConfig(
             n_members=args.members,
@@ -225,12 +234,11 @@ def cmd_cv(args) -> int:
             run = [f for f in range(args.k) if f not in res.skipped_folds]
             for f, committee in zip(run, res.fold_models):
                 save_committee(committee, out / f"committee_{cond}_fold{f}.json")
-        cm = confusion_from_result(res)
+
+    report = _report(results, out, args.heatmaps)
+    for cond, cm in report.confusions.items():
         print(f"{cond}: accuracy {accuracy(cm):.3f} "
               f"({cm.misclassified} misclassified of {cm.grand_total})")
-
-    report = compare(results)
-    emit_report(report, results, out, heatmaps=args.heatmaps)
     for pair in report.pairs:
         print(f"fisher {pair.condition_a} vs {pair.condition_b}: p = {pair.p_value:.6g}")
     _write_config(out / "run_config.json", "cv", {
@@ -255,8 +263,7 @@ def cmd_report(args) -> int:
     if not results:
         raise UsageError(f"no predictions_*.csv files under {args.results}")
     out = args.out or args.results
-    report = compare(results)
-    emit_report(report, results, out, heatmaps=args.heatmaps)
+    _report(results, out, args.heatmaps)
     _write_config(Path(out) / "run_config.json", "report", {
         "results": str(args.results)})
     print(f"reports -> {out}")

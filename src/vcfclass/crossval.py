@@ -17,7 +17,8 @@ import numpy as np
 
 from .committee import Committee, CommitteeConfig, train_committee
 from .features import (ALL_COLUMNS, CONTRAST_COLUMNS, FeatureTable,
-                       condition_columns, optional_float, read_csv_rows)
+                       condition_columns, optional_float, read_csv_rows,
+                       truth_cell)
 from .folds import kfold_split
 from .parallel import pmap
 
@@ -148,7 +149,7 @@ def cross_validate(table: FeatureTable, condition: str,
 # prediction files
 
 PREDICTIONS_COLUMNS = [("patient_id", str), ("study_id", str), ("vertebra", int),
-                       ("truth", str), ("prediction", str),
+                       ("truth", truth_cell), ("prediction", str),
                        ("decision", optional_float), ("fold", int)]
 PREDICTIONS_HEADER = ",".join(name for name, _ in PREDICTIONS_COLUMNS)
 
@@ -167,9 +168,21 @@ def save_predictions(res: CvResult, path: Path) -> None:
 
 
 def load_predictions(path: Path, condition: str) -> CvResult:
+    """A ``save_predictions`` file. Each instance appears once, and each
+    prediction is the one its decision gives: empty for an empty decision,
+    else ``N`` exactly when the decision is positive."""
     rows = read_csv_rows(path, PREDICTIONS_COLUMNS)
     if not rows:
         raise ValueError(f"{path}: no prediction rows")
+    seen = set()
+    for n, (pid, sid, vert, _, pred, dec, _) in enumerate(rows, start=2):
+        if (pid, sid, vert) in seen:
+            raise ValueError(f"{path}:{n}: duplicate instance id {(pid, sid, vert)}")
+        seen.add((pid, sid, vert))
+        want = "" if np.isnan(dec) else "N" if dec > 0 else "O"
+        if pred != want:
+            raise ValueError(f"{path}:{n}: column prediction: {pred!r} disagrees "
+                             f"with decision {dec!r}, which gives {want!r}")
     pid, sid, vert, truth, preds, decision, folds = zip(*rows)
     fold_arr = np.array(folds)
     return CvResult(condition=condition, ids=list(zip(pid, sid, vert)),

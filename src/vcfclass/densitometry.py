@@ -25,10 +25,6 @@ DEFAULT_EROSION_MM = 3.0
 class DensityFeatures:
     meanDen: float        # normalized units (fat -> 0, muscle -> 100)
     meanTrab: float
-    raw_meanDen: float    # HU
-    raw_meanTrab: float
-    muscle_hu: float
-    fat_hu: float
 
 
 def mean_density(vol: Volume, lm: LabelMap, label: int,
@@ -143,8 +139,4 @@ def density_features(vol: Volume, lm: LabelMap, label: int, frame: LocalFrame,
     return DensityFeatures(
         meanDen=normalize(raw_den, ref.muscle_hu, ref.fat_hu),
         meanTrab=normalize(raw_trab, ref.muscle_hu, ref.fat_hu),
-        raw_meanDen=raw_den,
-        raw_meanTrab=raw_trab,
-        muscle_hu=ref.muscle_hu,
-        fat_hu=ref.fat_hu,
     )

@@ -74,15 +74,10 @@ def confusion(truth, predictions) -> ConfusionMatrix2:
     return ConfusionMatrix2(counts=counts)
 
 
-def _require_evaluated(res: CvResult) -> np.ndarray:
+def confusion_from_result(res: CvResult) -> ConfusionMatrix2:
     if not res.evaluated.any():
         raise ValueError(f"condition {res.condition}: no evaluated predictions")
-    return res.evaluated
-
-
-def confusion_from_result(res: CvResult) -> ConfusionMatrix2:
-    sel = _require_evaluated(res)
-    return confusion(res.truth[sel], res.predictions[sel])
+    return confusion(res.truth[res.evaluated], res.predictions[res.evaluated])
 
 
 def accuracy(cm: ConfusionMatrix2) -> float:
@@ -133,13 +128,10 @@ def fisher_exact_two_sided(table, convention: str = "mass") -> float:
 # ---------------------------------------------------------------------------
 # condition comparison
 
-@dataclass
-class ConditionSummary:
-    condition: str
-    accuracy: float
-    misclassifications: int
-    n: int
-    confusion: ConfusionMatrix2
+def correct_misclassified_table(a: ConfusionMatrix2, b: ConfusionMatrix2):
+    """The 2x2 table a Fisher test compares two conditions on: one row of
+    (correct, misclassified) counts per condition."""
+    return ((a.correct, a.misclassified), (b.correct, b.misclassified))
 
 
 @dataclass
@@ -152,13 +144,13 @@ class PairComparison:
 
 @dataclass
 class ComparisonReport:
-    conditions: list[ConditionSummary]
+    confusions: dict[str, ConfusionMatrix2]    # condition -> counts, report order
     pairs: list[PairComparison]
 
 
 def compare(results: list[CvResult]) -> ComparisonReport:
-    """Accuracy, misclassification counts, and pairwise Fisher tests on
-    correct/incorrect tables across feature-set conditions."""
+    """Each condition's confusion matrix, in the order given, and pairwise
+    Fisher tests on their correct/incorrect tables."""
     if not results:
         raise ValueError("no results to compare")
     ref_ids = results[0].ids
@@ -166,19 +158,17 @@ def compare(results: list[CvResult]) -> ComparisonReport:
         if r.ids != ref_ids:
             raise ValueError(
                 f"instance sets differ between {results[0].condition} and {r.condition}")
-    summaries = []
+    confusions = {}
     for r in results:
-        cm = confusion_from_result(r)
-        summaries.append(ConditionSummary(condition=r.condition, accuracy=accuracy(cm),
-                                          misclassifications=cm.misclassified,
-                                          n=cm.grand_total, confusion=cm))
+        if r.condition in confusions:
+            raise ValueError(f"condition {r.condition} given more than once")
+        confusions[r.condition] = confusion_from_result(r)
     pairs = []
-    for a, b in combinations(summaries, 2):
-        tab = ((a.confusion.correct, a.misclassifications),
-               (b.confusion.correct, b.misclassifications))
-        pairs.append(PairComparison(condition_a=a.condition, condition_b=b.condition,
-                                    table=tab, p_value=fisher_exact_two_sided(tab)))
-    return ComparisonReport(conditions=summaries, pairs=pairs)
+    for a, b in combinations(confusions, 2):
+        tab = correct_misclassified_table(confusions[a], confusions[b])
+        pairs.append(PairComparison(condition_a=a, condition_b=b, table=tab,
+                                    p_value=fisher_exact_two_sided(tab)))
+    return ComparisonReport(confusions=confusions, pairs=pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -220,21 +210,18 @@ def _heatmap_svg(cm: ConfusionMatrix2) -> str:
     return "\n".join(parts) + "\n"
 
 
-def emit_report(report: ComparisonReport, results: list[CvResult], out_dir,
-                heatmaps: bool = False) -> list[Path]:
+def emit_report(report: ComparisonReport, out_dir, heatmaps: bool = False) -> list[Path]:
     """Write metrics.csv, comparisons.csv, report.txt (and optional SVG
     heatmaps); bytes are deterministic for deterministic inputs."""
-    if not results or not report.conditions:
+    if not report.confusions:
         raise ValueError("nothing to report")
-    for r in results:
-        _require_evaluated(r)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
 
     metrics = ["condition,accuracy,misclassifications,n"]
-    for s in report.conditions:
-        metrics.append(f"{s.condition},{s.accuracy:.6f},{s.misclassifications},{s.n}")
+    for cond, cm in report.confusions.items():
+        metrics.append(f"{cond},{accuracy(cm):.6f},{cm.misclassified},{cm.grand_total}")
     path = out_dir / "metrics.csv"
     path.write_text("\n".join(metrics) + "\n", encoding="utf-8")
     written.append(path)
@@ -247,9 +234,9 @@ def emit_report(report: ComparisonReport, results: list[CvResult], out_dir,
     written.append(path)
 
     lines = []
-    for s in report.conditions:
-        lines.extend(_format_confusion_block(s.condition.capitalize(), s.confusion))
-        lines.append(f"accuracy = {s.accuracy:.3f}  misclassified = {s.misclassifications}")
+    for cond, cm in report.confusions.items():
+        lines.extend(_format_confusion_block(cond.capitalize(), cm))
+        lines.append(f"accuracy = {accuracy(cm):.3f}  misclassified = {cm.misclassified}")
         lines.append("")
     for p in report.pairs:
         lines.append(f"Fisher {p.condition_a} vs {p.condition_b}: p = {p.p_value:.6g}")
@@ -258,8 +245,8 @@ def emit_report(report: ComparisonReport, results: list[CvResult], out_dir,
     written.append(path)
 
     if heatmaps:
-        for s in report.conditions:
-            path = out_dir / f"confusion_{s.condition}.svg"
-            path.write_text(_heatmap_svg(s.confusion), encoding="utf-8")
+        for cond, cm in report.confusions.items():
+            path = out_dir / f"confusion_{cond}.svg"
+            path.write_text(_heatmap_svg(cm), encoding="utf-8")
             written.append(path)
     return written

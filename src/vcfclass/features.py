@@ -250,7 +250,7 @@ def optional_float(cell: str) -> float:
     return value
 
 
-def _truth_cell(cell: str) -> str:
+def truth_cell(cell: str) -> str:
     if cell not in ("O", "N"):
         raise ValueError(f"unknown truth label {cell!r}")
     return cell
@@ -264,7 +264,10 @@ def read_csv_rows(path, columns: list[tuple[str, Callable[[str], object]]]
     the offending column."""
     path = Path(path)
     header = ",".join(name for name, _ in columns)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not lines:
         raise ValueError(f"{path}: empty file")
     if lines[0] != header:
@@ -287,7 +290,7 @@ def read_csv_rows(path, columns: list[tuple[str, Callable[[str], object]]]
 
 _TABLE_COLUMNS = (list(zip(ID_COLUMNS, (str, str, int)))
                   + [(c, optional_float) for c in ALL_COLUMNS]
-                  + [(TRUTH_COLUMN, _truth_cell)])
+                  + [(TRUTH_COLUMN, truth_cell)])
 
 
 def save_table(table: FeatureTable, path) -> None:
@@ -312,7 +315,10 @@ def load_table(path) -> FeatureTable:
     if not path.is_file():
         raise FileNotFoundError(f"no such feature table: {path}")
     rows = read_csv_rows(path, _TABLE_COLUMNS)
-    return FeatureTable(instance_ids=[tuple(row[:3]) for row in rows],
-                        matrix=np.reshape([row[3:-1] for row in rows],
-                                          (len(rows), len(ALL_COLUMNS))),
-                        truth=[row[-1] for row in rows])
+    try:
+        return FeatureTable(instance_ids=[tuple(row[:3]) for row in rows],
+                            matrix=np.reshape([row[3:-1] for row in rows],
+                                              (len(rows), len(ALL_COLUMNS))),
+                            truth=[row[-1] for row in rows])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -47,17 +47,13 @@ class CellHeights:
     """Per-cell median column heights (mm); NaN marks a missing cell."""
 
     heights: np.ndarray
-    column_counts: np.ndarray
 
     def __post_init__(self):
         h = np.asarray(self.heights, dtype=np.float64)
-        c = np.asarray(self.column_counts, dtype=np.int64)
-        if h.shape != (N_CELLS,) or c.shape != (N_CELLS,):
+        if h.shape != (N_CELLS,):
             raise ValueError(f"expected {N_CELLS} cells")
         h.flags.writeable = False
-        c.flags.writeable = False
         object.__setattr__(self, "heights", h)
-        object.__setattr__(self, "column_counts", c)
 
 
 @dataclass(frozen=True)
@@ -74,10 +70,8 @@ class ColumnTable:
     a: np.ndarray
     l: np.ndarray
     height: np.ndarray
-    voxels: np.ndarray
     res_a: float
     res_l: float
-    slice_spacing: float
 
     @property
     def n_columns(self) -> int:
@@ -127,8 +121,7 @@ def column_table(lm: LabelMap, label: int, frame: LocalFrame) -> ColumnTable:
 
     height = np.where(counts >= MIN_COLUMN_VOXELS,
                       s_max - s_min + slice_sp, np.nan)
-    return ColumnTable(a=a_center, l=l_center, height=height, voxels=counts,
-                       res_a=res_a, res_l=res_l, slice_spacing=slice_sp)
+    return ColumnTable(a=a_center, l=l_center, height=height, res_a=res_a, res_l=res_l)
 
 
 def arc_index(phi: np.ndarray) -> np.ndarray:
@@ -182,7 +175,7 @@ def cell_heights(cols: ColumnTable, label: int,
     heights = np.where((counts >= MIN_CELL_COLUMNS) & (n > 0), (lo + hi) / 2, np.nan)
     if np.all(np.isnan(heights)):
         raise ValueError(f"all {N_CELLS} compass cells missing for label {label}")
-    return CellHeights(heights=heights, column_counts=counts)
+    return CellHeights(heights=heights)
 
 
 def _region_cells(arcs) -> list[int]:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluation import ConfusionMatrix2, accuracy, fisher_exact_two_sided
+from .evaluation import (ConfusionMatrix2, accuracy, correct_misclassified_table,
+                         fisher_exact_two_sided)
 
 # Rows: radiologist truth (O, N); columns: classifier output (O, N).
 REFERENCE_CONFUSIONS = {
@@ -35,14 +36,6 @@ class ReferenceCheck:
     ok: bool
 
 
-def correct_incorrect_table(cond_a: str, cond_b: str):
-    rows = []
-    for cond in (cond_a, cond_b):
-        cm = REFERENCE_CONFUSIONS[cond]
-        rows.append((cm.correct, cm.misclassified))
-    return tuple(rows)
-
-
 def check_reference_arithmetic() -> ReferenceCheck:
     """Recompute accuracies, misclassification counts, and Fisher p-values
     from the published confusion matrices and verify them."""
@@ -58,16 +51,17 @@ def check_reference_arithmetic() -> ReferenceCheck:
         flag = "" if good else "  MISMATCH"
         lines.append(f"{cond:<14s} {rounded:<9.3f} {mis:<14d} {cm.grand_total}{flag}")
 
-    for pair in (("measured", "longitudinal"), ("combined", "longitudinal")):
-        tab = correct_incorrect_table(*pair)
+    ref = REFERENCE_CONFUSIONS
+    for a, b in (("measured", "longitudinal"), ("combined", "longitudinal")):
+        tab = correct_misclassified_table(ref[a], ref[b])
         p = fisher_exact_two_sided(tab)
         good = p < SIGNIFICANCE_THRESHOLD
         ok &= good
         flag = "" if good else "  MISMATCH"
-        lines.append(f"Fisher {pair[0]} vs {pair[1]}: p = {p:.3g} "
+        lines.append(f"Fisher {a} vs {b}: p = {p:.3g} "
                      f"(expected < {SIGNIFICANCE_THRESHOLD:g}){flag}")
 
-    tab = correct_incorrect_table("measured", "combined")
+    tab = correct_misclassified_table(ref["measured"], ref["combined"])
     p_midp = fisher_exact_two_sided(tab, convention="midp")
     p_mass = fisher_exact_two_sided(tab)
     good = abs(p_midp - EXPECTED_P_MEASURED_VS_COMBINED) <= P_TOLERANCE

@@ -440,8 +440,7 @@ def reference_column_table(lm: LabelMap, label: int, frame) -> ColumnTable:
 
     height = np.where(counts >= MIN_COLUMN_VOXELS,
                       s_max - s_min + slice_sp, np.nan)
-    return ColumnTable(a=a_center, l=l_center, height=height, voxels=counts,
-                       res_a=res_a, res_l=res_l, slice_spacing=slice_sp)
+    return ColumnTable(a=a_center, l=l_center, height=height, res_a=res_a, res_l=res_l)
 
 
 def reference_cell_heights(cols: ColumnTable, label: int,
@@ -450,11 +449,9 @@ def reference_cell_heights(cols: ColumnTable, label: int,
     sort by (cell, height)."""
     cells = assign_cells(cols, layout)
     heights = np.full(N_CELLS, np.nan)
-    counts = np.zeros(N_CELLS, dtype=np.int64)
     for c in range(N_CELLS):
         sel = cells == c
-        counts[c] = int(sel.sum())
-        if counts[c] < MIN_CELL_COLUMNS:
+        if int(sel.sum()) < MIN_CELL_COLUMNS:
             continue
         vals = cols.height[sel]
         vals = vals[~np.isnan(vals)]
@@ -462,7 +459,7 @@ def reference_cell_heights(cols: ColumnTable, label: int,
             heights[c] = float(np.median(vals))
     if np.all(np.isnan(heights)):
         raise ValueError(f"all {N_CELLS} compass cells missing for label {label}")
-    return CellHeights(heights=heights, column_counts=counts)
+    return CellHeights(heights=heights)
 
 
 def reference_mean_density(vol: Volume, lm: LabelMap, label: int,

@@ -83,11 +83,13 @@ def test_criterion_1_paper_arithmetic():
     out = r.stdout
     for token in ("0.812", "0.665", "0.820", "131", "233", "125"):
         assert token in out, token
-    from vcfclass.published import correct_incorrect_table
+    from vcfclass.evaluation import correct_misclassified_table
+    from vcfclass.published import REFERENCE_CONFUSIONS as ref
     assert fisher_exact_two_sided(
-        correct_incorrect_table("measured", "longitudinal")) < 1e-3
-    p = fisher_exact_two_sided(correct_incorrect_table("measured", "combined"),
-                               convention="midp")
+        correct_misclassified_table(ref["measured"], ref["longitudinal"])) < 1e-3
+    p = fisher_exact_two_sided(
+        correct_misclassified_table(ref["measured"], ref["combined"]),
+        convention="midp")
     assert abs(p - 0.665) <= 0.02
     assert elapsed < 1.0 or _paper_check_inprocess_under_1s()
     ok(1, f"accuracies/misclassifications exact, p(m vs l) < 1e-3, "

@@ -2,11 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from helpers import run_cli, tree_hash
 from vcfclass.cli import main
-from vcfclass.crossval import outer_folds
-from vcfclass.features import load_table
+from vcfclass.crossval import load_predictions, outer_folds
+from vcfclass.features import ALL_COLUMNS, load_table
 
 
 @pytest.fixture(scope="module")
@@ -185,6 +186,20 @@ def test_cv_malformed_table_named(cli_features, tmp_path, capsys, cell, message)
     assert not out.exists()
 
 
+def test_cv_duplicate_table_row_named(cli_features, tmp_path, capsys):
+    lines = cli_features.read_text(encoding="utf-8").splitlines()
+    path = tmp_path / "features.csv"
+    path.write_text("".join(line + "\n" for line in lines + lines[1:2]),
+                    encoding="utf-8")
+    out = tmp_path / "res"
+    assert main(["cv", "--table", str(path), "--k", "2", "--members", "1",
+                 "--out", str(out)]) == 1
+    pid, sid, vertebra = lines[1].split(",")[:3]
+    assert capsys.readouterr().err.strip() == \
+        f"error: {path}: duplicate instance id {(pid, sid, int(vertebra))}"
+    assert not out.exists()
+
+
 def test_cv_k_too_large_exit_2(cli_features, tmp_path):
     r = run_cli("cv", "--table", str(cli_features), "--k", "500",
                 "--out", str(tmp_path / "r"))
@@ -288,6 +303,26 @@ def test_report_regenerates_identical_files(cli_features, tmp_path):
         assert (out / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_cv_and_report_use_canonical_condition_order(cli_features, tmp_path, capsys):
+    runs = {}
+    for order in ("measured,combined", "combined,measured"):
+        out = tmp_path / order
+        assert main(["cv", "--table", str(cli_features), "--conditions", order,
+                     "--k", "4", "--seed", "5", "--members", "1",
+                     "--out", str(out)]) == 0
+        runs[order] = capsys.readouterr().out.replace(str(out), "OUT")
+        assert json.loads((out / "run_config.json").read_text())["settings"][
+            "conditions"] == ["measured", "combined"]
+        assert main(["report", "--results", str(out), "--out",
+                     str(tmp_path / f"{order}-report")]) == 0
+        capsys.readouterr()
+    assert runs["measured,combined"] == runs["combined,measured"]
+    for name in ("metrics.csv", "comparisons.csv", "report.txt"):
+        want = (tmp_path / "measured,combined" / name).read_bytes()
+        assert (tmp_path / "combined,measured" / name).read_bytes() == want
+        assert (tmp_path / "combined,measured-report" / name).read_bytes() == want
+
+
 def test_report_without_evaluated_predictions_names_condition(tmp_path, capsys):
     # Every fold skipped: the file lists instances but no predictions.
     (tmp_path / "predictions_measured.csv").write_text(
@@ -323,8 +358,29 @@ def test_report_without_evaluated_predictions_names_condition(tmp_path, capsys):
      "P01,S1,L1,O,O,-0.5,0\n",
      "{path}:2: column vertebra: invalid literal for int() with base 10: 'L1'"),
     ("", "{path}: empty file"),
+    ("patient_id,study_id,vertebra,truth,prediction,decision,fold\n"
+     "P01,S1,12,O,O,-0.5,0\n"
+     "P01,S1,12,O,O,-0.5,0\n",
+     "{path}:3: duplicate instance id ('P01', 'S1', 12)"),
+    ("patient_id,study_id,vertebra,truth,prediction,decision,fold\n"
+     "P01,S1,12,O,N,-0.611,0\n",
+     "{path}:2: column prediction: 'N' disagrees with decision -0.611, which "
+     "gives 'O'"),
+    ("patient_id,study_id,vertebra,truth,prediction,decision,fold\n"
+     "P01,S1,12,O,,0.5,0\n",
+     "{path}:2: column prediction: '' disagrees with decision 0.5, which "
+     "gives 'N'"),
+    ("patient_id,study_id,vertebra,truth,prediction,decision,fold\n"
+     "P01,S1,12,O,O,,0\n",
+     "{path}:2: column prediction: 'O' disagrees with decision nan, which "
+     "gives ''"),
+    ("patient_id,study_id,vertebra,truth,prediction,decision,fold\n"
+     "P01,S1,12,X,O,-0.5,0\n",
+     "{path}:2: column truth: unknown truth label 'X'"),
 ], ids=["header only", "short row", "wrong header", "bad fold", "bad decision",
-        "bad vertebra", "empty"])
+        "bad vertebra", "empty", "duplicate row", "prediction against decision",
+        "prediction without its decision", "decision without its prediction",
+        "unknown truth"])
 def test_report_malformed_predictions_named(tmp_path, capsys, text, message):
     path = tmp_path / "predictions_measured.csv"
     path.write_text(text, encoding="utf-8")
@@ -332,6 +388,91 @@ def test_report_malformed_predictions_named(tmp_path, capsys, text, message):
                  str(tmp_path / "rep")]) == 1
     assert capsys.readouterr().err.strip() == "error: " + message.format(path=path)
     assert not (tmp_path / "rep").exists()
+
+
+@pytest.fixture(scope="module")
+def cli_csv_files(cli_features, tmp_path_factory):
+    out = tmp_path_factory.mktemp("cli_pred")
+    assert main(["cv", "--table", str(cli_features), "--conditions", "measured",
+                 "--k", "4", "--seed", "5", "--members", "1",
+                 "--out", str(out)]) == 0
+    return {"features.csv": cli_features,
+            "predictions_measured.csv": out / "predictions_measured.csv"}
+
+
+# Each reader returns the instance ids it loaded.
+_READERS = {"features.csv": lambda path: load_table(path).instance_ids,
+            "predictions_measured.csv": lambda path: load_predictions(path, "measured").ids}
+# Cells that may legitimately be blank or hold any text: ids are free text,
+# and an empty feature cell is a missing value.
+_FREE_IDS = {"patient_id", "study_id"}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_csv_mutations_raise_naming_the_file(cli_csv_files, tmp_path_factory, data):
+    """Each mutation of a features or predictions file either raises a
+    ValueError naming the file or, where the result is still a well-formed
+    file, loads: a deleted data row, a blanked or retyped free-text id, a
+    blanked feature cell, and a number changed without crossing zero."""
+    name = data.draw(st.sampled_from(sorted(cli_csv_files)))
+    lines = cli_csv_files[name].read_text(encoding="utf-8").splitlines()
+    header = lines[0].split(",")
+    numbers = [c for c in header if c in ALL_COLUMNS or c == "decision"]
+    line_kinds = ["delete", "duplicate", "truncate"]
+    cell_kinds = ["blank", "retype", "add cell", "drop cell"]
+    data_kinds = ["rescale"]                      # need a data row, not the header
+    if name.startswith("predictions"):
+        data_kinds += ["flip prediction", "flip decision"]
+    kind = data.draw(st.sampled_from(line_kinds + cell_kinds + data_kinds))
+    i = data.draw(st.integers(1 if kind in data_kinds else 0, len(lines) - 1))
+    cells = lines[i].split(",")
+    loads = False
+    if kind == "delete":
+        del lines[i]
+        loads = i > 0
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind in ("blank", "retype"):
+        j = data.draw(st.integers(0, len(cells) - 1))
+        new = "" if kind == "blank" else "x1"
+        assume(cells[j] != new)
+        cells[j] = new
+        loads = i > 0 and (header[j] in _FREE_IDS
+                           or (kind == "blank" and header[j] in ALL_COLUMNS))
+    elif kind == "add cell":
+        cells.append("0")
+    elif kind == "drop cell":
+        cells.pop(data.draw(st.integers(0, len(cells) - 1)))
+    elif kind == "truncate":
+        # Cut inside the line: the last cell (truth, or a one-digit fold)
+        # is one character, so a cut anywhere short of the end damages it.
+        lines = lines[:i] + [lines[i][:data.draw(st.integers(1, len(lines[i]) - 1))]]
+    elif kind == "rescale":
+        j = header.index(data.draw(st.sampled_from(numbers)))
+        assume(cells[j] != "")
+        cells[j] = repr(float(cells[j]) * data.draw(st.floats(0.5, 2.0)))
+        loads = True
+    elif kind == "flip prediction":
+        j = header.index("prediction")
+        cells[j] = {"O": "N", "N": "O"}[cells[j]]
+    else:
+        j = header.index("decision")
+        assume(float(cells[j]) != 0.0)
+        cells[j] = cells[j][1:] if cells[j].startswith("-") else "-" + cells[j]
+    if kind not in line_kinds:
+        lines[i] = ",".join(cells)
+
+    path = tmp_path_factory.getbasetemp() / "mutated" / name
+    path.parent.mkdir(exist_ok=True)
+    text = "\n".join(lines) + ("\n" if kind != "truncate" else "")
+    path.write_text(text, encoding="utf-8")
+    if loads:
+        assert len(_READERS[name](path)) == len(lines) - 1
+        return
+    with pytest.raises(ValueError) as err:
+        _READERS[name](path)
+    assert str(err.value).startswith(f"{path}:"), str(err.value)
 
 
 def test_report_missing_dir_exit_2(tmp_path):

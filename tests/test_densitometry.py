@@ -95,12 +95,16 @@ def test_normalize_anchors():
 
 def test_density_features_composition(case):
     vol, lm, frame = case
-    df = density_features(vol, lm, 1, frame, study_reference(vol, lm))
-    assert df.muscle_hu == 50.0 and df.fat_hu == -100.0
+    ref = study_reference(vol, lm)
+    df = density_features(vol, lm, 1, frame, ref)
+    assert ref.muscle_hu == 50.0 and ref.fat_hu == -100.0
     assert df.meanTrab == pytest.approx(100.0 * 250.0 / 150.0, abs=0.5)
-    assert df.raw_meanTrab == 150.0
+    raw_trab = vol.data[trabecular_region(lm, 1, frame)].mean(dtype=np.float64)
+    assert raw_trab == 150.0
     # normalization identity holds exactly
-    assert df.meanDen == 100.0 * (df.raw_meanDen - df.fat_hu) / (df.muscle_hu - df.fat_hu)
+    raw_den = mean_density(vol, lm, 1)
+    assert df.meanDen == 100.0 * (raw_den - ref.fat_hu) / (ref.muscle_hu - ref.fat_hu)
+    assert df.meanTrab == 100.0 * (raw_trab - ref.fat_hu) / (ref.muscle_hu - ref.fat_hu)
 
 
 def test_missing_reference_named():
@@ -132,5 +136,10 @@ def test_monotone_trabecular_shift(case):
     data = vol.data.copy()
     data[mask] += 25
     shifted = Volume(geometry=vol.geometry, data=data)
-    df = density_features(shifted, lm, 1, frame, study_reference(shifted, lm))
-    assert df.raw_meanTrab == pytest.approx(base.raw_meanTrab + 25.0, abs=1e-9)
+    ref = study_reference(shifted, lm)
+    df = density_features(shifted, lm, 1, frame, ref)
+    mask = trabecular_region(lm, 1, frame)
+    assert shifted.data[mask].mean(dtype=np.float64) == pytest.approx(
+        vol.data[mask].mean(dtype=np.float64) + 25.0, abs=1e-9)
+    assert df.meanTrab == pytest.approx(
+        base.meanTrab + 100.0 * 25.0 / (ref.muscle_hu - ref.fat_hu), abs=1e-9)

@@ -4,10 +4,10 @@ from scipy import stats
 
 from helpers import fisher_enumeration_oracle
 from vcfclass.crossval import CvResult
-from vcfclass.evaluation import (ConfusionMatrix2, accuracy, compare, confusion,
+from vcfclass.evaluation import (ComparisonReport, ConfusionMatrix2, accuracy,
+                                 compare, confusion, correct_misclassified_table,
                                  emit_report, fisher_exact_two_sided)
-from vcfclass.published import (REFERENCE_CONFUSIONS, check_reference_arithmetic,
-                                correct_incorrect_table)
+from vcfclass.published import REFERENCE_CONFUSIONS, check_reference_arithmetic
 
 
 def test_confusion_diagonal():
@@ -109,8 +109,10 @@ def test_fisher_matches_scipy_spot_checks():
 def test_fisher_large_n_stable():
     p = fisher_exact_two_sided(((564, 131), (462, 233)))
     assert 0.0 < p < 1e-3
-    p2 = fisher_exact_two_sided(correct_incorrect_table("measured", "combined"),
-                                convention="midp")
+    p2 = fisher_exact_two_sided(
+        correct_misclassified_table(REFERENCE_CONFUSIONS["measured"],
+                                    REFERENCE_CONFUSIONS["combined"]),
+        convention="midp")
     assert p2 == pytest.approx(0.6788, abs=5e-4)
 
 
@@ -141,7 +143,8 @@ def test_compare_identical_results_p_one():
     b = fake_result("combined", truth, pred)
     report = compare([a, b])
     assert report.pairs[0].p_value == 1.0
-    assert report.conditions[0].accuracy == report.conditions[1].accuracy
+    assert accuracy(report.confusions["measured"]) == \
+        accuracy(report.confusions["combined"])
 
 
 def test_compare_perfect_vs_chance_significant():
@@ -164,6 +167,13 @@ def test_compare_rejects_mismatched_instances():
         compare([a, b])
 
 
+def test_compare_rejects_repeated_condition():
+    a = fake_result("measured", ["O", "N"], ["O", "N"])
+    b = fake_result("measured", ["O", "N"], ["O", "O"])
+    with pytest.raises(ValueError, match="condition measured given more than once"):
+        compare([a, b])
+
+
 def test_reference_misclassification_counts_via_compare():
     # Rebuild per-condition results shaped like the published matrices and
     # check the counts come out 131 / 233 / 125.
@@ -177,7 +187,7 @@ def test_reference_misclassification_counts_via_compare():
                 pred += [p] * n
         results.append(fake_result(cond, truth, pred, k=5))
     report = compare(results)
-    counts = {s.condition: s.misclassifications for s in report.conditions}
+    counts = {cond: cm.misclassified for cond, cm in report.confusions.items()}
     assert counts == {"measured": 131, "longitudinal": 233, "combined": 125}
 
 
@@ -187,8 +197,8 @@ def test_emit_report_deterministic(tmp_path):
     res = [fake_result("measured", truth, pred),
            fake_result("combined", truth, truth)]
     report = compare(res)
-    files1 = emit_report(report, res, tmp_path / "a", heatmaps=True)
-    files2 = emit_report(report, res, tmp_path / "b", heatmaps=True)
+    files1 = emit_report(report, tmp_path / "a", heatmaps=True)
+    files2 = emit_report(report, tmp_path / "b", heatmaps=True)
     assert [f.name for f in files1] == [f.name for f in files2]
     for f1, f2 in zip(files1, files2):
         assert f1.read_bytes() == f2.read_bytes()
@@ -198,10 +208,11 @@ def test_emit_report_deterministic(tmp_path):
 
 def test_emit_report_rejects_empty(tmp_path):
     empty = fake_result("measured", ["O"], [""])
-    report = compare([fake_result("measured", ["O"], ["O"])])
-    with pytest.raises(ValueError, match="no evaluated predictions"):
-        emit_report(report, [empty], tmp_path / "x")
-    assert not (tmp_path / "x" / "metrics.csv").exists()
+    with pytest.raises(ValueError, match="condition measured: no evaluated predictions"):
+        compare([empty])
+    with pytest.raises(ValueError, match="nothing to report"):
+        emit_report(ComparisonReport(confusions={}, pairs=[]), tmp_path / "x")
+    assert not (tmp_path / "x").exists()
 
 
 def test_report_text_matches_reference_table(tmp_path):
@@ -214,7 +225,7 @@ def test_report_text_matches_reference_table(tmp_path):
                 pred += [p] * int(cm.counts[i, j])
         results.append(fake_result(cond, truth, pred, k=5))
     report = compare(results)
-    emit_report(report, results, tmp_path)
+    emit_report(report, tmp_path)
     text = (tmp_path / "report.txt").read_text()
     assert "Measured\tO\tN\tTotal" in text
     assert "O\t392\t98\t490" in text

@@ -276,6 +276,15 @@ def test_row_with_wrong_cell_count_names_file_and_line(two_study_cohort, tmp_pat
         load_table(path)
 
 
+def test_non_utf8_byte_names_file(two_study_cohort, tmp_path):
+    path = _saved_table(two_study_cohort, tmp_path)
+    data = path.read_bytes()
+    path.write_bytes(data[:-2] + b"\xff\n")
+    with pytest.raises(ValueError) as info:
+        load_table(path)
+    assert str(info.value).startswith(f"{path}: 'utf-8' codec can't decode byte 0xff")
+
+
 @pytest.mark.parametrize("column, cell, message", [
     (2, "x", "column vertebra: invalid literal for int() with base 10: 'x'"),
     (3 + ALL_COLUMNS.index("h_a"), "x", "column h_a: could not convert string to float: 'x'"),
