@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .committee import CommitteeConfig, SelectionConfig, save_committee
+from .committee import CommitteeConfig, SelectionConfig
 from .crossval import (cross_validate_conditions, load_predictions, outer_folds,
                        predictions_path, save_predictions, single_class_folds)
 from .densitometry import DEFAULT_EROSION_MM
@@ -105,8 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shuffle-labels", action="store_true",
                    help="permutation control: shuffle truth labels before CV")
     p.add_argument("--heatmaps", action="store_true", help="write SVG confusion maps")
-    p.add_argument("--save-models", action="store_true",
-                   help="write per-fold committee model files")
     p.add_argument("--out", type=Path, default=None, help="output directory")
 
     p = sub.add_parser("report", help="re-emit report files from saved predictions")
@@ -230,10 +228,6 @@ def cmd_cv(args) -> int:
                                         group_by_patient=args.group_by_patient)
     for cond, res in zip(conditions, results):
         save_predictions(res, predictions_path(out, cond))
-        if args.save_models:
-            run = [f for f in range(args.k) if f not in res.skipped_folds]
-            for f, committee in zip(run, res.fold_models):
-                save_committee(committee, out / f"committee_{cond}_fold{f}.json")
 
     report = _report(results, out, args.heatmaps)
     for cond, cm in report.confusions.items():
@@ -255,11 +249,14 @@ def cmd_cv(args) -> int:
 def cmd_report(args) -> int:
     if not args.results.is_dir():
         raise UsageError(f"no such results directory: {args.results}")
-    results = []
+    results, paths = [], []
     for cond in CONDITIONS:
         path = predictions_path(args.results, cond)
         if path.is_file():
             results.append(load_predictions(path, cond))
+            paths.append(path)
+            if results[-1].ids != results[0].ids:
+                raise ValueError(f"instance sets differ between {paths[0]} and {path}")
     if not results:
         raise UsageError(f"no predictions_*.csv files under {args.results}")
     out = args.out or args.results

@@ -1,17 +1,13 @@
-"""SVM committee: per-member greedy forward feature selection, mean-decision
-aggregation, and a JSON model format that reloads to bit-identical decisions."""
+"""SVM committee: per-member greedy forward feature selection and
+mean-decision aggregation."""
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, replace
-from functools import partial
-from pathlib import Path
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .folds import check_seed, kfold_split
-from .manifest import FieldError, _at, _expect, _field, _keys, _record, _schema
 from .svm import SvmModel, SvmParams, train_svm
 
 SELECTION_METHODS = ("none", "greedy_forward")
@@ -134,8 +130,6 @@ def greedy_forward_select(X: np.ndarray, y: np.ndarray, candidates,
 @dataclass
 class Committee:
     members: list[SvmModel]
-    feature_names: list[str]
-    config: CommitteeConfig
 
     def decision_values(self, X: np.ndarray) -> np.ndarray:
         """Mean of the member decision values."""
@@ -146,13 +140,11 @@ class Committee:
 
 
 def train_committee(X: np.ndarray, y: np.ndarray, cfg: CommitteeConfig,
-                    feature_names=None, probes: dict | None = None) -> Committee:
+                    probes: dict | None = None) -> Committee:
     """Train ``n_members`` SVMs, each on its own (seeded) selected subset;
     ``probes`` is the selection memo (see ``greedy_forward_select``)."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if feature_names is None:
-        feature_names = [f"f{i}" for i in range(X.shape[1])]
     members, fitted = [], {}
     for m_idx in range(cfg.n_members):
         member_seed = int(np.random.SeedSequence([cfg.seed, m_idx]).generate_state(1)[0])
@@ -169,105 +161,5 @@ def train_committee(X: np.ndarray, y: np.ndarray, cfg: CommitteeConfig,
             fitted[tuple(subset)] = train_svm(X, y, cfg.member_params,
                                               feature_indices=subset)
         members.append(fitted[tuple(subset)])
-    return Committee(members=members, feature_names=list(feature_names), config=cfg)
+    return Committee(members=members)
 
-
-# ---------------------------------------------------------------------------
-# model file
-
-_FILE_KEYS = ("format", "version", "feature_names", "seed", "n_members",
-              "selection", "members")
-
-
-def _model_to_json(m: SvmModel) -> dict:
-    return {
-        "kernel": m.kernel,
-        "gamma": m.gamma,
-        "C": m.C,
-        "tol": m.tol,
-        "feature_indices": list(m.feature_indices),
-        "mean": m.mean.tolist(),
-        "std": m.std.tolist(),
-        "support_vectors": m.support_vectors.tolist(),
-        "dual_coef": m.dual_coef.tolist(),
-        "bias": m.bias,
-    }
-
-
-def _floats(value, where: str, *shape) -> np.ndarray:
-    """JSON array ``value`` at field path ``where`` as finite float64 values
-    of ``shape``."""
-    with _field(where):
-        array = np.array(_expect(value, list, where), dtype=np.float64).reshape(shape)
-        if not np.isfinite(array).all():
-            raise ValueError("expected finite numbers")
-    return array
-
-
-def _model_from_json(doc, where: str = "") -> SvmModel:
-    """The model held by JSON object ``doc`` at field path ``where``."""
-    at = partial(_at, where)
-    _keys(doc, where, _schema(SvmModel)[0])     # the fields without a default
-    for key in ("kernel", "gamma", "C", "tol"):     # SvmParams checks each alone
-        _record(SvmParams, {key: doc[key]}, at(key))
-    indices = _expect(doc["feature_indices"], list, at("feature_indices"))
-    for j, i in enumerate(indices):
-        if type(i) is not int or i < 0:
-            raise FieldError(_at(at("feature_indices"), j),
-                             f"expected a column index >= 0, got {i!r}")
-    dual_coef = _floats(doc["dual_coef"], at("dual_coef"), -1)
-    return SvmModel(
-        kernel=doc["kernel"], gamma=doc["gamma"], C=doc["C"], tol=doc["tol"],
-        feature_indices=tuple(indices),
-        mean=_floats(doc["mean"], at("mean"), len(indices)),
-        std=_floats(doc["std"], at("std"), len(indices)),
-        support_vectors=_floats(doc["support_vectors"], at("support_vectors"),
-                                len(dual_coef), len(indices)),
-        dual_coef=dual_coef, bias=_expect(doc["bias"], float, at("bias")))
-
-
-def save_committee(committee: Committee, path) -> None:
-    doc = {
-        "format": "vcfclass-committee",
-        "version": 1,
-        "feature_names": committee.feature_names,
-        "seed": committee.config.seed,
-        "n_members": committee.config.n_members,
-        "selection": {
-            "method": committee.config.selection.method,
-            "max_features": committee.config.selection.max_features,
-            "inner_folds": committee.config.selection.inner_folds,
-        },
-        "member_params": asdict(committee.config.member_params),
-        "members": [_model_to_json(m) for m in committee.members],
-    }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-
-
-def load_committee(path) -> Committee:
-    """Read a committee written by ``save_committee``. A malformed one raises
-    ``ValueError`` naming the file and the path of the field at fault, such
-    as ``members[0].dual_coef``."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ValueError(f"{exc} (in {path})") from exc
-    if not isinstance(doc, dict) or doc.get("format") != "vcfclass-committee":
-        raise ValueError(f"{path}: not a committee model file")
-    try:
-        _keys(doc, "", _FILE_KEYS, ("member_params",))
-        names = _expect(doc["feature_names"], list, "feature_names")
-        # absent in older files: defaults; older files also carry a solver seed
-        params = dict(_expect(doc.get("member_params", {}), dict, "member_params"))
-        params.pop("seed", None)
-        for key in ("n_members", "seed"):        # CommitteeConfig checks each alone
-            _record(CommitteeConfig, {key: doc[key]}, key)
-        cfg = CommitteeConfig(
-            n_members=doc["n_members"], seed=doc["seed"],
-            member_params=_record(SvmParams, params, "member_params"),
-            selection=_record(SelectionConfig, doc["selection"], "selection"))
-        members = [_model_from_json(d, _at("members", i))
-                   for i, d in enumerate(_expect(doc["members"], list, "members"))]
-    except FieldError as exc:
-        raise ValueError(f"{exc} (at {exc.field} in {path})") from exc
-    return Committee(members=members, feature_names=names, config=cfg)

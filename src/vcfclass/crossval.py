@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .committee import Committee, CommitteeConfig, train_committee
+from .committee import CommitteeConfig, train_committee
 from .features import (ALL_COLUMNS, CONTRAST_COLUMNS, FeatureTable,
                        condition_columns, optional_float, read_csv_rows,
                        truth_cell)
@@ -33,8 +33,6 @@ class CvResult:
     fold_assignment: np.ndarray
     k: int
     skipped_folds: list[int] = field(default_factory=list)
-    fold_models: list[Committee] = field(default_factory=list, repr=False)
-    fold_imputation: list[np.ndarray] = field(default_factory=list, repr=False)
 
     @property
     def evaluated(self) -> np.ndarray:
@@ -81,24 +79,21 @@ def single_class_folds(truth: np.ndarray, folds: np.ndarray, k: int) -> list[int
 
 def _fold_task(values: np.ndarray, y: np.ndarray, conditions, cfg: CommitteeConfig,
                seed: int, folds: np.ndarray, f: int):
-    """Train and test outer fold ``f`` for each condition in turn: its
-    committee, imputation constants and test-fold decision values. The
-    conditions share the fold's probe memo."""
+    """Train and test outer fold ``f`` for each condition in turn; return
+    each condition's test-fold decision values. The conditions share the
+    fold's probe memo."""
     tr = folds != f
     train, test = values[tr], values[~tr]
     fill = imputation_constants(train, ALL_COLUMNS)
     fold_seed = int(np.random.SeedSequence([seed, f]).generate_state(1)[0])
     probes: dict = {}
-    outcomes = []
+    decisions = []
     for condition in conditions:
-        columns = condition_columns(condition)
-        idx = [ALL_COLUMNS.index(c) for c in columns]
+        idx = [ALL_COLUMNS.index(c) for c in condition_columns(condition)]
         committee = train_committee(impute(train[:, idx], fill[idx]), y[tr],
-                                    replace(cfg, seed=fold_seed),
-                                    feature_names=columns, probes=probes)
-        decision = committee.decision_values(impute(test[:, idx], fill[idx]))
-        outcomes.append((committee, fill[idx], decision))
-    return outcomes
+                                    replace(cfg, seed=fold_seed), probes=probes)
+        decisions.append(committee.decision_values(impute(test[:, idx], fill[idx])))
+    return decisions
 
 
 def cross_validate_conditions(table: FeatureTable, conditions,
@@ -126,14 +121,12 @@ def cross_validate_conditions(table: FeatureTable, conditions,
     for c, condition in enumerate(conditions):
         decision = np.full(len(table), np.nan)
         for f, fold in zip(run, outcomes):
-            decision[folds == f] = fold[c][2]
+            decision[folds == f] = fold[c]
         results.append(CvResult(
             condition=condition, ids=table.instance_ids, truth=table.truth,
             predictions=np.where(np.isin(folds, run),
                                  np.where(decision > 0, "N", "O"), ""),
-            decision=decision, fold_assignment=folds, k=k, skipped_folds=skipped,
-            fold_models=[fold[c][0] for fold in outcomes],
-            fold_imputation=[fold[c][1] for fold in outcomes]))
+            decision=decision, fold_assignment=folds, k=k, skipped_folds=skipped))
     return results
 
 
@@ -168,9 +161,10 @@ def save_predictions(res: CvResult, path: Path) -> None:
 
 
 def load_predictions(path: Path, condition: str) -> CvResult:
-    """A ``save_predictions`` file. Each instance appears once, and each
-    prediction is the one its decision gives: empty for an empty decision,
-    else ``N`` exactly when the decision is positive."""
+    """The ``CvResult`` a ``save_predictions`` file holds; the folds whose
+    rows have no prediction are its skipped folds. Each instance appears
+    once, and each prediction is the one its decision gives: empty for an
+    empty decision, else ``N`` exactly when the decision is positive."""
     rows = read_csv_rows(path, PREDICTIONS_COLUMNS)
     if not rows:
         raise ValueError(f"{path}: no prediction rows")
@@ -184,8 +178,9 @@ def load_predictions(path: Path, condition: str) -> CvResult:
             raise ValueError(f"{path}:{n}: column prediction: {pred!r} disagrees "
                              f"with decision {dec!r}, which gives {want!r}")
     pid, sid, vert, truth, preds, decision, folds = zip(*rows)
-    fold_arr = np.array(folds)
+    fold_arr, preds = np.array(folds), np.array(preds)
     return CvResult(condition=condition, ids=list(zip(pid, sid, vert)),
-                    truth=np.array(truth), predictions=np.array(preds),
+                    truth=np.array(truth), predictions=preds,
                     decision=np.array(decision), fold_assignment=fold_arr,
-                    k=int(fold_arr.max()) + 1)
+                    k=int(fold_arr.max()) + 1,
+                    skipped_folds=sorted(set(fold_arr[preds == ""].tolist())))

@@ -12,6 +12,7 @@ connectivity check counts components over x-runs of those indices.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -374,52 +375,82 @@ def _header_lines(geometry: GridGeometry, data_file: str, dtype: str) -> list[st
     ]
 
 
+@contextmanager
+def _in_file(path: Path):
+    """Put ``path`` in front of a ``FormatError`` raised inside the block."""
+    try:
+        yield
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+
+
+_HEADER_KEYS = ("schema_version", "dims", "spacing_mm", "origin_mm", "data_file", "dtype")
+
+
 def _parse_header(path: Path) -> dict:
+    """The header's fields; each key, legend label and role may appear once."""
     if not path.is_file():
         raise FileNotFoundError(f"no such header file: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: {exc}") from None
     fields: dict = {"label": {}}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         key, _, rest = line.partition(" ")
         if key == "label":
             value, _, role = rest.partition(" ")
+            role = role.strip()
             if not role or not value.isdecimal():
                 raise FormatError(f"{path}:{lineno}: legend line needs 'label <int> <role>'")
-            fields["label"][int(value)] = role.strip()
-        elif key in ("schema_version", "dims", "spacing_mm", "origin_mm", "data_file", "dtype"):
+            if int(value) in fields["label"]:
+                raise FormatError(f"{path}:{lineno}: label {int(value)} given more than once")
+            if role in fields["label"].values():
+                raise FormatError(f"{path}:{lineno}: role {role!r} given more than once")
+            try:
+                parse_vertebra_level(role)
+            except ValueError:
+                raise FormatError(f"{path}:{lineno}: vertebra role {role!r} needs an "
+                                  f"integer level") from None
+            fields["label"][int(value)] = role
+        elif key in _HEADER_KEYS:
+            if key in fields:
+                raise FormatError(f"{path}:{lineno}: header key {key!r} given more than once")
             fields[key] = rest.strip()
         else:
             raise FormatError(f"{path}:{lineno}: unknown header key {key!r}")
-    for required in ("schema_version", "dims", "spacing_mm", "origin_mm", "data_file", "dtype"):
+    for required in _HEADER_KEYS:
         if required not in fields:
             raise FormatError(f"{path}: missing header key {required!r}")
-    if _header_numbers(path, fields, "schema_version", int) != (SCHEMA_VERSION,):
-        raise FormatError(
-            f"{path}: unsupported schema_version {fields['schema_version']}")
+    with _in_file(path):
+        if _header_numbers(fields, "schema_version", int) != (SCHEMA_VERSION,):
+            raise FormatError(f"unsupported schema_version {fields['schema_version']}")
     return fields
 
 
-def _header_numbers(header_path: Path, fields: dict, key: str, kind) -> tuple:
+def _header_numbers(fields: dict, key: str, kind) -> tuple:
     try:
         return tuple(kind(t) for t in fields[key].split())
     except ValueError:
-        raise FormatError(f"{header_path}: {key} needs {kind.__name__} values, "
+        raise FormatError(f"{key} needs {kind.__name__} values, "
                           f"got {fields[key]!r}") from None
 
 
 def _read_payload(header_path: Path, fields: dict, dtype_tag: str, np_dtype) -> np.ndarray:
-    if fields["dtype"] != dtype_tag:
-        raise FormatError(f"{header_path}: expected dtype {dtype_tag}, got {fields['dtype']}")
-    geometry = GridGeometry(
-        dims=_header_numbers(header_path, fields, "dims", int),
-        spacing=_header_numbers(header_path, fields, "spacing_mm", float),
-        origin=_header_numbers(header_path, fields, "origin_mm", float),
-    )
+    with _in_file(header_path):
+        if fields["dtype"] != dtype_tag:
+            raise FormatError(f"expected dtype {dtype_tag}, got {fields['dtype']}")
+        geometry = GridGeometry(
+            dims=_header_numbers(fields, "dims", int),
+            spacing=_header_numbers(fields, "spacing_mm", float),
+            origin=_header_numbers(fields, "origin_mm", float),
+        )
     payload_path = header_path.parent / fields["data_file"]
     if not payload_path.is_file():
-        raise FileNotFoundError(f"missing payload file: {payload_path}")
+        raise FileNotFoundError(f"{header_path}: missing payload file: {payload_path}")
     raw = payload_path.read_bytes()
     expected = geometry.voxel_count * 2
     if len(raw) != expected:
@@ -433,7 +464,8 @@ def load_volume(path) -> Volume:
     path = Path(path)
     fields = _parse_header(path)
     geometry, data = _read_payload(path, fields, "int16le", "<i2")
-    return Volume(geometry=geometry, data=data)
+    with _in_file(path):
+        return Volume(geometry=geometry, data=data)
 
 
 def save_volume(vol: Volume, path) -> None:
@@ -449,8 +481,9 @@ def load_labelmap(path) -> LabelMap:
     path = Path(path)
     fields = _parse_header(path)
     geometry, data = _read_payload(path, fields, "uint16le", "<u2")
-    lm = LabelMap(geometry=geometry, labels=data, legend=fields["label"])
-    check_vertebra_connectivity(lm)
+    with _in_file(path):
+        lm = LabelMap(geometry=geometry, labels=data, legend=fields["label"])
+        check_vertebra_connectivity(lm)
     return lm
 
 

@@ -81,10 +81,10 @@ class SvmModel:
     support_vectors: np.ndarray      # standardized rows
     dual_coef: np.ndarray            # alpha_i * y_i over support vectors
     bias: float
-    # Training readouts; not serialized, so a loaded model has none.
-    train_steps: int | None = field(default=None, repr=False)        # SMO pair updates
-    train_exhausted: bool | None = field(default=None, repr=False)   # step budget ran out
-    train_violations: int | None = field(default=None, repr=False)   # KKT violators at tol
+    # Training readouts, which prediction never reads.
+    train_steps: int = field(repr=False)            # SMO pair updates
+    train_exhausted: bool = field(repr=False)       # step budget ran out
+    train_violations: int = field(repr=False)       # KKT violators at tol
 
     def _standardize(self, X: np.ndarray) -> np.ndarray:
         """Pick the model's columns out of full-width rows and z-score them."""
@@ -109,8 +109,6 @@ class SvmModel:
 
     def kkt_violations(self) -> int:
         """Number of training examples violating the KKT conditions."""
-        if self.train_violations is None:
-            raise ValueError("model was loaded without its training state")
         return self.train_violations
 
 

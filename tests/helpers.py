@@ -1,7 +1,8 @@
 """Shared fixtures-in-code: single-vertebra phantom builders, tree hashing,
 a child-process CLI runner, the independent oracles (dense-QP projected
 gradient, exact hypergeometric enumeration) used to cross-check the
-production paths, a replay of an SVM fit's training state, and verbatim
+production paths, a replay of an SVM fit's training state and of a cross-validation
+fold's fit, and verbatim
 copies of replaced code paths (SMO step, the rebuilt KKT count, full-grid
 label scans, dict-built feature rows with their missing-value mask,
 mask-aware imputation, exhaustive greedy selection, the distance-transform
@@ -22,12 +23,13 @@ import numpy as np
 from scipy import ndimage
 
 from vcfclass.committee import (MIN_IMPROVEMENT, SELECTION_MAX_PASSES,
-                                _fingerprint)
+                                CommitteeConfig, _fingerprint, train_committee)
+from vcfclass.crossval import CvResult, imputation_constants, impute
 from vcfclass.densitometry import (DEFAULT_EROSION_MM, MIN_LABEL_VOXELS,
                                    _ball_structure)
 from vcfclass.features import (ALL_COLUMNS, CONTRAST_COLUMNS,
                                RATE_BASE_COLUMNS, FeatureTable, _truth_code,
-                               demographics, measured_features)
+                               condition_columns, demographics, measured_features)
 from vcfclass.folds import kfold_split
 from vcfclass.frames import make_frame
 from vcfclass.grids import (FormatError, GridGeometry, LabelMap, Volume,
@@ -390,6 +392,27 @@ def inner_folds_scored(y, inner_folds: int, params: SvmParams, seed: int):
               if np.unique(y[folds != f]).size >= 2]
     probe = replace(params, max_passes=min(params.max_passes, SELECTION_MAX_PASSES))
     return scored, probe
+
+
+def replay_fold(table: FeatureTable, res: CvResult, cfg: CommitteeConfig,
+                seed: int, f: int):
+    """``(fill, committee)`` that the cross-validation run behind ``res``
+    (``cfg``, ``seed``) fitted on outer fold ``f``, rebuilt as
+    ``crossval._fold_task`` builds them: fill values from the fold's training
+    rows over every column, then the committee on the condition's imputed
+    columns under the fold seed ``SeedSequence([seed, f])``. Asserts that
+    the committee gives the fold's decisions in ``res`` bit for bit."""
+    tr = res.fold_assignment != f
+    idx = [ALL_COLUMNS.index(c) for c in condition_columns(res.condition)]
+    fill = imputation_constants(table.matrix[tr], ALL_COLUMNS)[idx]
+    values = table.matrix[:, idx]
+    y = np.where(table.truth == "N", 1.0, -1.0)
+    fold_seed = int(np.random.SeedSequence([seed, f]).generate_state(1)[0])
+    committee = train_committee(impute(values[tr], fill), y[tr],
+                                replace(cfg, seed=fold_seed))
+    assert np.array_equal(committee.decision_values(impute(values[~tr], fill)),
+                          res.decision[~tr])
+    return fill, committee
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import (WORLD_FRAME, body_spec, qp_dual_oracle, render_single,
-                     replay_training, run_cli, tree_hash)
+                     replay_fold, replay_training, run_cli, tree_hash)
 from vcfclass.cli import main
 from vcfclass.densitometry import (density_features, study_reference,
                                    trabecular_region)
@@ -247,7 +247,8 @@ def test_criterion_7_cv_integrity():
     col_idx = [ALL_COLUMNS.index(c) for c in columns]
     values = table.matrix[:, col_idx]
     fold_ids = [f for f in range(5) if f not in res.skipped_folds]
-    for committee, fill, f in zip(res.fold_models, res.fold_imputation, fold_ids):
+    for f in fold_ids:
+        fill, committee = replay_fold(table, res, FAST_CFG, 7, f)
         tr = res.fold_assignment != f
         assert np.array_equal(fill, imputation_constants(values[tr], columns))
         Xtr = impute(values[tr], fill)

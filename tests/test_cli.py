@@ -280,16 +280,12 @@ def test_cv_inner_folds_at_smallest_training_split(cli_features, tmp_path):
                  "--out", str(tmp_path / "r")]) == 0
 
 
-def test_cv_save_models_reloadable(cli_features, tmp_path):
+def test_cv_save_models_is_gone_exit_2(cli_features, tmp_path):
+    # Committee files had no reader, so the option that wrote them is gone.
     out = tmp_path / "res"
-    assert main(["cv", "--table", str(cli_features), "--conditions", "measured",
-                 "--k", "4", "--seed", "5", "--members", "1", "--save-models",
-                 "--out", str(out)]) == 0
-    from vcfclass.committee import load_committee
-    model_files = sorted(out.glob("committee_measured_fold*.json"))
-    assert len(model_files) == 4
-    committee = load_committee(model_files[0])
-    assert committee.members
+    assert main(["cv", "--table", str(cli_features), "--save-models",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_report_regenerates_identical_files(cli_features, tmp_path):
@@ -321,6 +317,23 @@ def test_cv_and_report_use_canonical_condition_order(cli_features, tmp_path, cap
         want = (tmp_path / "measured,combined" / name).read_bytes()
         assert (tmp_path / "combined,measured" / name).read_bytes() == want
         assert (tmp_path / "combined,measured-report" / name).read_bytes() == want
+
+
+def test_report_names_predictions_file_whose_instances_differ(cli_features, tmp_path,
+                                                              capsys):
+    # Each file is well formed on its own; only the set of them disagrees.
+    out = tmp_path / "res"
+    assert main(["cv", "--table", str(cli_features), "--k", "4", "--seed", "7",
+                 "--members", "1", "--out", str(out)]) == 0
+    combined = out / "predictions_combined.csv"
+    lines = combined.read_text(encoding="utf-8").splitlines(keepends=True)
+    combined.write_text("".join(lines[:4] + lines[5:]), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", "--results", str(out), "--out", str(tmp_path / "rep")]) == 1
+    assert capsys.readouterr().err.strip() == (
+        f"error: instance sets differ between {out / 'predictions_measured.csv'} "
+        f"and {combined}")
+    assert not (tmp_path / "rep").exists()
 
 
 def test_report_without_evaluated_predictions_names_condition(tmp_path, capsys):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from helpers import replay_fold
 from vcfclass.committee import CommitteeConfig, SelectionConfig
 from vcfclass.crossval import (cross_validate, imputation_constants, impute,
-                               outer_folds, single_class_folds)
+                               load_predictions, outer_folds, save_predictions,
+                               single_class_folds)
 from vcfclass.evaluation import accuracy, confusion_from_result
 from vcfclass.features import ALL_COLUMNS, FeatureTable, condition_columns
 from vcfclass.folds import kfold_split
@@ -116,7 +118,8 @@ def test_leakage_guard_standardization_from_training_fold_only():
     col_idx = [ALL_COLUMNS.index(c) for c in columns]
     values = table.matrix[:, col_idx]
     fold_ids = [f for f in range(5) if f not in res.skipped_folds]
-    for committee, fill, f in zip(res.fold_models, res.fold_imputation, fold_ids):
+    for f in fold_ids:
+        fill, committee = replay_fold(table, res, FAST_CFG, 6, f)
         tr = res.fold_assignment != f
         Xtr = impute(values[tr], fill)
         expected_fill = imputation_constants(values[tr], columns)
@@ -157,6 +160,50 @@ def test_single_class_fold_skipped_with_warning():
     assert not res.evaluated[np.isin(folds, res.skipped_folds)].any()
     assert res.evaluated.sum() < len(skew)
     assert confusion_from_result(res).grand_total == res.evaluated.sum()
+
+
+def grouped_skew_table(k: int, seed: int, n_patients=12, per_patient=4):
+    """Patients whose instances are neoplastic exactly when the patient lands
+    in grouped fold 0 of ``outer_folds(..., k, seed, True)``, so that fold is
+    the one skipped. meanTrab and R_meanTrab follow the class with noise, so
+    what a committee selects depends on its seed."""
+    rng = np.random.default_rng(seed)
+    n = n_patients * per_patient
+    ids = [(f"P{i % n_patients:03d}", f"S{i // n_patients}", 1) for i in range(n)]
+    unlabelled = FeatureTable(instance_ids=ids, matrix=np.zeros((n, 36)),
+                              truth=np.full(n, "O"))
+    truth = np.where(outer_folds(unlabelled, k, seed, True) == 0, "N", "O")
+    sign = np.where(truth == "N", 1.0, -1.0)
+    values = rng.normal(size=(n, 36))
+    values[:, ALL_COLUMNS.index("meanTrab")] = sign + rng.normal(scale=0.8, size=n)
+    values[:, ALL_COLUMNS.index("R_meanTrab")] = sign + rng.normal(scale=1.5, size=n)
+    return FeatureTable(instance_ids=ids, matrix=values, truth=truth)
+
+
+def test_result_with_a_skipped_fold_replays_and_reloads(tmp_path):
+    # Fold 0 is skipped, so each fold that runs sits one place before its own
+    # index among the folds run; its committee must come from the fold seed
+    # of that index, and no other fold seed reproduces it.
+    from dataclasses import fields
+    table = grouped_skew_table(k=3, seed=3)
+    with pytest.warns(UserWarning, match="single class"):
+        res = cross_validate(table, "combined", FAST_CFG, k=3, seed=3,
+                             group_by_patient=True)
+    assert res.skipped_folds == [0]
+    for f in (1, 2):
+        replay_fold(table, res, FAST_CFG, 3, f)
+        with pytest.raises(AssertionError):
+            replay_fold(table, res, FAST_CFG, 4, f)
+    # The predictions file holds the whole result.
+    save_predictions(res, tmp_path / "predictions_combined.csv")
+    again = load_predictions(tmp_path / "predictions_combined.csv", "combined")
+    for name in (f.name for f in fields(res)):
+        a, b = getattr(res, name), getattr(again, name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype.kind == b.dtype.kind, name
+            assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), name
+        else:
+            assert a == b, name
 
 
 def test_deterministic_cv():

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import ndimage
 
 from helpers import reference_check_vertebra_connectivity
@@ -12,7 +12,7 @@ from vcfclass.grids import (FormatError, GridGeometry, LabelMap, Volume,
                             check_vertebra_connectivity, erode_by_ball,
                             load_labelmap, load_volume, save_labelmap,
                             save_volume)
-from vcfclass.phantom import _shell_ball
+from vcfclass.phantom import CohortSpec, _shell_ball, generate_cohort
 
 
 def write_header(path, dims=(4, 4, 4), data_file=None, dtype="int16le",
@@ -75,7 +75,8 @@ def test_non_finite_geometry_rejected(tmp_path, field, spacing, origin):
     hdr = tmp_path / "nf.vvol"
     raw = write_header(hdr, spacing=spacing, origin=origin)
     raw.write_bytes(bytes(128))
-    with pytest.raises(FormatError, match=f"^{field} must be three finite"):
+    with pytest.raises(FormatError,
+                       match=f"^{re.escape(str(hdr))}: {field} must be three finite"):
         load_volume(hdr)
 
 
@@ -270,3 +271,101 @@ def test_erode_by_ball_rejects_rows_not_centred(row):
 def test_erode_by_ball_rejects_even_extents():
     with pytest.raises(ValueError, match="odd extents"):
         erode_by_ball(np.ones((4, 4, 4), dtype=bool), np.ones((3, 2, 3), dtype=bool), True)
+
+
+# ---------------------------------------------------------------------------
+# header and payload mutations
+
+@pytest.fixture(scope="module")
+def study_grids(tmp_path_factory):
+    """The volume and label-map headers of a seed-7 study, with what they load."""
+    out = tmp_path_factory.mktemp("grid_src")
+    generate_cohort(CohortSpec(n_patients=1, studies_per_patient=1, seed=7), out)
+    return {suffix: (out / "P000" / f"S00{suffix}", load(out / "P000" / f"S00{suffix}"))
+            for suffix, load in _LOADERS.items()}
+
+
+_LOADERS = {".vvol": load_volume, ".vlbl": load_labelmap}
+_VOXELS = {".vvol": lambda grid: grid.data, ".vlbl": lambda grid: grid.labels}
+_MUST_FAIL = ("duplicate", "truncate payload", "extend payload", "non-UTF-8 byte")
+
+
+def _perturbed(token: str, data) -> str:
+    """``token`` with its number changed, or ``token`` if it holds none."""
+    prefix = "VERTEBRA:" if token.startswith("VERTEBRA:") else ""
+    number = token[len(prefix):]
+    if re.fullmatch(r"-?\d+", number):
+        delta = data.draw(st.integers(-3, 3).filter(bool))
+        return f"{prefix}{int(number) + delta}"
+    try:
+        value = float(number)
+    except ValueError:
+        return token
+    return prefix + repr(value * data.draw(st.floats(-2.0, 2.0)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_grid_mutations_load_equal_data_or_name_the_file(study_grids, tmp_path_factory,
+                                                          data):
+    """Each mutation of a volume or label-map header, or of its payload's
+    size, either loads the original voxels or raises ``FormatError`` or
+    ``FileNotFoundError`` naming the header or the payload. A repeated key,
+    label or role, a payload of the wrong size and a non-UTF-8 header always
+    fail.
+    What still loads keeps its geometry and legend, except that a changed
+    ``spacing_mm`` or ``origin_mm`` line may change the geometry and a
+    changed ``label`` line (a role, or a vertebra's level) the legend."""
+    suffix = data.draw(st.sampled_from(sorted(study_grids)))
+    source, original = study_grids[suffix]
+    lines = source.read_text(encoding="utf-8").splitlines()
+    payload = (source.parent / f"{source.name}.raw").read_bytes()
+    kind = data.draw(st.sampled_from(["delete", "duplicate", "retype", "perturb",
+                                      "truncate payload", "extend payload",
+                                      "non-UTF-8 byte"]))
+    i = data.draw(st.integers(0, len(lines) - 1))
+    key = lines[i].split()[0]
+    tokens = lines[i].split(" ")
+    if kind == "delete":
+        del lines[i]
+    elif kind in ("duplicate", "perturb"):
+        # A duplicate disagrees with its line where the line holds a number.
+        j = data.draw(st.integers(1, len(tokens) - 1))
+        tokens[j] = _perturbed(tokens[j], data)
+        changed = " ".join(tokens)
+        if kind == "duplicate":
+            lines.insert(i + 1, changed)
+        else:
+            assume(changed != lines[i])
+            lines[i] = changed
+    elif kind == "retype":
+        tokens[data.draw(st.integers(0, len(tokens) - 1))] = "x1"
+        lines[i] = " ".join(tokens)
+    elif kind == "truncate payload":
+        payload = payload[:-data.draw(st.integers(1, len(payload)))]
+    elif kind == "extend payload":
+        payload += bytes(data.draw(st.integers(1, 64)))
+    text = "\n".join(lines) + "\n"
+    body = text.encode()
+    if kind == "non-UTF-8 byte":
+        at = data.draw(st.integers(0, len(text) - 1))
+        body = text[:at].encode() + b"\xff" + text[at + 1:].encode()
+
+    out = tmp_path_factory.getbasetemp() / "grid_mutated"
+    out.mkdir(exist_ok=True)
+    header, raw = out / source.name, out / f"{source.name}.raw"
+    header.write_bytes(body)
+    raw.write_bytes(payload)
+    try:
+        loaded = _LOADERS[suffix](header)
+    except (FormatError, FileNotFoundError) as exc:
+        assert str(header) in str(exc) or str(raw) in str(exc), str(exc)
+        return
+    assert kind not in _MUST_FAIL, kind
+    voxels = _VOXELS[suffix]
+    assert loaded.dims == original.dims
+    assert np.array_equal(voxels(loaded), voxels(original))
+    if key not in ("spacing_mm", "origin_mm"):
+        assert loaded.geometry == original.geometry
+    if suffix == ".vlbl" and key != "label":
+        assert loaded.legend == original.legend

@@ -9,6 +9,8 @@ the pool path runs even where only one CPU is usable."""
 import json
 import multiprocessing
 import os
+import pickle
+import shutil
 import subprocess
 import sys
 import threading
@@ -22,8 +24,7 @@ import pytest
 from helpers import _PACKAGE_ROOT, tree_hash
 from vcfclass import crossval, parallel
 from vcfclass.cli import main
-from vcfclass.committee import (CommitteeConfig, SelectionConfig, load_committee,
-                                train_committee)
+from vcfclass.committee import CommitteeConfig, SelectionConfig, train_committee
 from vcfclass.crossval import (cross_validate_conditions, imputation_constants,
                                impute, outer_folds, single_class_folds)
 from vcfclass.features import (ALL_COLUMNS, CONDITIONS, condition_columns,
@@ -157,10 +158,8 @@ def test_features_identical(cpus, n, cohort, tmp_path):
 
 
 CV_RUNS = {
-    "plain": ["--k", "4", "--seed", "5", "--members", "2", "--save-models",
-              "--heatmaps"],
-    "shuffled": ["--k", "3", "--seed", "2", "--members", "1", "--shuffle-labels",
-                 "--save-models"],
+    "plain": ["--k", "4", "--seed", "5", "--members", "2", "--heatmaps"],
+    "shuffled": ["--k", "3", "--seed", "2", "--members", "1", "--shuffle-labels"],
 }
 
 
@@ -174,7 +173,6 @@ def test_cv_outputs_identical(cpus, features, tmp_path, run):
                      "--out", str(out)]) == 0
         assert not multiprocessing.active_children()
         digests[n] = tree_hash(out)
-    assert len(list((tmp_path / "cpus1").glob("committee_*_fold*.json"))) > 0
     assert digests[2] == digests[1] and digests[3] == digests[1]
 
 
@@ -196,24 +194,6 @@ def test_grouped_cv_with_skipped_fold_identical(cpus, features, tmp_path):
                             f"class; skipped"]
         digests[n] = tree_hash(out)
     assert digests[2] == digests[1] and digests[3] == digests[1]
-
-
-def test_saved_models_named_by_outer_fold(features, tmp_path):
-    # The grouped split skips one fold; each file carries its own fold's id.
-    table = load_table(features)
-    skipped = single_class_folds(table.truth, outer_folds(table, 3, 0, True), 3)
-    with pytest.warns(UserWarning, match="single class"):
-        assert main(["cv", "--table", str(features), "--k", "3", "--members", "1",
-                     "--group-by-patient", "--save-models",
-                     "--out", str(tmp_path)]) == 0
-    run = [f for f in range(3) if f not in skipped]
-    assert run != list(range(len(run)))       # a fold before the last is skipped
-    for cond in CONDITIONS:
-        files = sorted(tmp_path.glob(f"committee_{cond}_fold*.json"))
-        assert [p.name for p in files] == [f"committee_{cond}_fold{f}.json" for f in run]
-        for f, path in zip(run, files):
-            fold_seed = int(np.random.SeedSequence([0, f]).generate_state(1)[0])
-            assert load_committee(path).config.seed == fold_seed
 
 
 def test_one_pool_per_cv_run(cpus, features, tmp_path, monkeypatch):
@@ -252,7 +232,7 @@ def reference_memos(table, cfg, k, seed):
     return memos
 
 
-def test_probe_memo_identical(cpus, features, monkeypatch):
+def test_probe_memo_identical(cpus, features, monkeypatch, tmp_path):
     table = load_table(features)
     cfg = CommitteeConfig(n_members=2, seed=0,
                           selection=SelectionConfig(max_features=3, inner_folds=2))
@@ -261,21 +241,30 @@ def test_probe_memo_identical(cpus, features, monkeypatch):
     # Folds never share an entry, so a memo per fold loses no hit.
     keys = [key for after in reference for key in after[-1]]
     assert keys and len(keys) == len(set(keys))
+    fold_seeds = [int(np.random.SeedSequence([1, f]).generate_state(1)[0])
+                  for f in range(4)]
     real = crossval.train_committee
+    memos = tmp_path / "memos"
 
     def keeps_memo(X, y, cfg, **kwargs):
-        # The copy travels back from a worker with the committee.
+        # A worker's memo reaches the test through a file named by its fold
+        # seed and its condition's column count.
         committee = real(X, y, cfg, **kwargs)
-        committee.probes = dict(kwargs["probes"])
+        path = memos / f"{cfg.seed}-{X.shape[1]}.pkl"
+        path.write_bytes(pickle.dumps(kwargs["probes"]))
         return committee
     monkeypatch.setattr(crossval, "train_committee", keeps_memo)
     for n in CPUS:
         cpus(n)
-        results = cross_validate_conditions(table, CONDITIONS, cfg, k=4, seed=1)
-        for c, res in enumerate(results):
-            for f, committee in enumerate(res.fold_models):
-                assert committee.probes == reference[f][c]
-                assert list(committee.probes) == list(reference[f][c])
+        memos.mkdir()
+        cross_validate_conditions(table, CONDITIONS, cfg, k=4, seed=1)
+        for c, cond in enumerate(CONDITIONS):
+            width = len(condition_columns(cond))
+            for f in range(4):
+                memo = pickle.loads((memos / f"{fold_seeds[f]}-{width}.pkl").read_bytes())
+                assert memo == reference[f][c]
+                assert list(memo) == list(reference[f][c])
+        shutil.rmtree(memos)
 
 
 # ---------------------------------------------------------------------------

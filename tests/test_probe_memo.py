@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import vcfclass.committee as committee_mod
-from vcfclass import parallel
+from vcfclass import crossval, parallel
 from vcfclass.committee import CommitteeConfig, SelectionConfig, greedy_forward_select
 from vcfclass.crossval import cross_validate, cross_validate_conditions
 from vcfclass.features import ALL_COLUMNS, FeatureTable, assemble
@@ -56,14 +56,25 @@ def count_fits(monkeypatch):
     return calls
 
 
+def record_subsets(monkeypatch):
+    """Record the members' feature subsets of every committee that
+    cross-validation trains in this process, keyed by (fold seed, number of
+    condition columns), which names one fold and condition."""
+    subsets = {}
+    real = crossval.train_committee
+
+    def recorded(X, y, cfg, **kwargs):
+        committee = real(X, y, cfg, **kwargs)
+        subsets[cfg.seed, X.shape[1]] = [m.feature_indices for m in committee.members]
+        return committee
+    monkeypatch.setattr(crossval, "train_committee", recorded)
+    return subsets
+
+
 def run_conditions(table, shared, k):
     if shared:
         return cross_validate_conditions(table, CONDITIONS, CFG, k=k, seed=3)
     return [cross_validate(table, cond, CFG, k=k, seed=3) for cond in CONDITIONS]
-
-
-def selected_subsets(res):
-    return [[m.feature_indices for m in c.members] for c in res.fold_models]
 
 
 @pytest.mark.parametrize("source", ["phantom", "synthetic"])
@@ -72,14 +83,17 @@ def test_shared_memo_matches_fresh_memo_with_fewer_fits(source, phantom_table,
     table = phantom_table if source == "phantom" else synthetic_table(seed=5)
     k = 3 if source == "phantom" else 4
     calls = count_fits(monkeypatch)
+    subsets = record_subsets(monkeypatch)
     fresh = run_conditions(table, shared=False, k=k)
-    fresh_fits = len(calls)
+    fresh_fits, fresh_subsets = len(calls), dict(subsets)
     calls.clear()
+    subsets.clear()
     shared = run_conditions(table, shared=True, k=k)
     for a, b in zip(fresh, shared):
         assert np.array_equal(a.decision, b.decision)
         assert np.array_equal(a.predictions, b.predictions)
-        assert selected_subsets(a) == selected_subsets(b)
+    assert len(subsets) == k * len(CONDITIONS)
+    assert subsets == fresh_subsets
     # combined = measured + longitudinal: most of its probes repeat theirs
     assert len(calls) < fresh_fits
 
