@@ -99,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", choices=("linear", "rbf"), default="rbf")
     p.add_argument("--c", type=float, default=1.0, dest="c_value")
     p.add_argument("--gamma", type=float, default=None,
-                   help="RBF gamma; default scales with feature variance")
+                   help="RBF gamma; default 1/d for d selected features")
     p.add_argument("--group-by-patient", action="store_true",
                    help="keep each patient's instances in one fold")
     p.add_argument("--shuffle-labels", action="store_true",

@@ -3,7 +3,7 @@ mean-decision aggregation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,9 +12,6 @@ from .svm import SvmModel, SvmParams, train_svm
 
 SELECTION_METHODS = ("none", "greedy_forward")
 MIN_IMPROVEMENT = 1e-4
-# Inner selection models are throwaway accuracy probes; they get a lower
-# sweep cap than the final members (which train to full KKT convergence).
-SELECTION_MAX_PASSES = 40
 
 
 @dataclass(frozen=True)
@@ -43,10 +40,10 @@ class CommitteeConfig:
         check_seed(self.seed)
 
 
-def _inner_cv_accuracy(X, y, feature_subset, scored, probe: SvmParams,
+def _inner_cv_accuracy(X, y, feature_subset, scored, params: SvmParams,
                        bar: float) -> tuple[float, bool]:
     """Inner k-fold accuracy of one probe as ``(score, exact)`` over the test
-    masks in ``scored``, each fold trained under ``probe``. Before each fit,
+    masks in ``scored``, each fold trained under ``params``. Before each fit,
     if even every unscored row right could not lift the accuracy above
     ``bar``, the probe stops and returns that upper bound with ``exact`` False."""
     evaluated = unscored = sum(int(te.sum()) for te in scored)
@@ -56,7 +53,7 @@ def _inner_cv_accuracy(X, y, feature_subset, scored, probe: SvmParams,
     for te in scored:
         if (correct + unscored) / evaluated <= bar:
             return (correct + unscored) / evaluated, False
-        model = train_svm(X[~te], y[~te], probe, feature_indices=feature_subset)
+        model = train_svm(X[~te], y[~te], params, feature_indices=feature_subset)
         correct += int((model.predict(X[te]) == y[te]).sum())
         unscored -= int(te.sum())
     return correct / evaluated, True
@@ -99,12 +96,11 @@ def greedy_forward_select(X: np.ndarray, y: np.ndarray, candidates,
         raise ValueError("selection requires both classes")
     probes = {} if probes is None else probes
     setting = (_fingerprint(y), inner_folds, params, seed)
-    # Fixed for the whole selection: the inner folds, the test masks of those
-    # whose training rows hold both classes, and the capped probe params.
+    # Fixed for the whole selection: the inner folds and the test masks of
+    # those whose training rows hold both classes.
     folds = kfold_split(len(y), k=inner_folds, seed=seed, stratify_by=y)
     scored = [te for te in (folds == f for f in range(inner_folds))
               if y[~te].min() < y[~te].max()]
-    probe = replace(params, max_passes=min(params.max_passes, SELECTION_MAX_PASSES))
     subset: list[int] = []
     best = max(n_pos, y.size - n_pos) / y.size     # majority baseline
     while len(subset) < max_features:
@@ -117,7 +113,7 @@ def greedy_forward_select(X: np.ndarray, y: np.ndarray, candidates,
             score, exact = probes.get(key, (np.inf, False))
             if not exact and score > bar:
                 score, exact = probes[key] = _inner_cv_accuracy(
-                    X, y, subset + [c], scored, probe, bar)
+                    X, y, subset + [c], scored, params, bar)
             if score > bar:
                 round_best, round_feat = score, c
         if round_feat is None:
@@ -134,9 +130,6 @@ class Committee:
     def decision_values(self, X: np.ndarray) -> np.ndarray:
         """Mean of the member decision values."""
         return np.mean([m.decision_values(X) for m in self.members], axis=0)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return np.where(self.decision_values(X) > 0, 1, -1)
 
 
 def train_committee(X: np.ndarray, y: np.ndarray, cfg: CommitteeConfig,

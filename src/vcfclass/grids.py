@@ -388,7 +388,8 @@ _HEADER_KEYS = ("schema_version", "dims", "spacing_mm", "origin_mm", "data_file"
 
 
 def _parse_header(path: Path) -> dict:
-    """The header's fields; each key, legend label and role may appear once."""
+    """The header's fields; each key, legend label and role may appear once,
+    and each role is ``VERTEBRA:<level>``, ``MUSCLE_REF``, ``FAT_REF`` or ``CANAL``."""
     if not path.is_file():
         raise FileNotFoundError(f"no such header file: {path}")
     try:
@@ -411,10 +412,12 @@ def _parse_header(path: Path) -> dict:
             if role in fields["label"].values():
                 raise FormatError(f"{path}:{lineno}: role {role!r} given more than once")
             try:
-                parse_vertebra_level(role)
+                level = parse_vertebra_level(role)
             except ValueError:
                 raise FormatError(f"{path}:{lineno}: vertebra role {role!r} needs an "
                                   f"integer level") from None
+            if level is None and role not in (ROLE_MUSCLE, ROLE_FAT, ROLE_CANAL):
+                raise FormatError(f"{path}:{lineno}: unknown legend role {role!r}")
             fields["label"][int(value)] = role
         elif key in _HEADER_KEYS:
             if key in fields:

@@ -28,7 +28,7 @@ float64 copy of the whole grid is made.
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 
@@ -332,23 +332,6 @@ def _add_noise(hu: np.ndarray, spec: VertebraSpec,
     if rng is None:
         raise ValueError("noise_sd > 0 requires a random generator")
     return hu + rng.normal(0.0, spec.noise_sd, size=hu.size)
-
-
-def render_vertebra(spec: VertebraSpec, frame: LocalFrame, grid: GridGeometry,
-                    label: int = 1, rng: np.random.Generator | None = None):
-    """Rasterize one vertebral body onto ``grid``.
-
-    Returns ``(hu, labels)`` full-grid arrays: float64 HU values (0 outside
-    the body) and a uint16 patch holding ``label`` at body voxels. The body
-    bottom sits at ``centroid - max(cell_heights)/2`` along the superior axis
-    and each column rises to its interpolated target height.
-    """
-    body, values = _Footprint(spec, frame, grid).solid(spec)
-    hu = np.zeros(body.shape, dtype=np.float64)
-    hu[body] = _add_noise(values, spec, rng)
-    labels = np.zeros(body.shape, dtype=np.uint16)
-    labels[body] = label
-    return hu, labels
 
 
 def advance(spec: VertebraSpec, model: ProgressionModel, dt_years: float) -> VertebraSpec:

@@ -17,15 +17,16 @@ KERNELS = ("linear", "rbf")
 
 _BOUND_EPS = 1e-8
 _TAU = 1e-12            # curvature floor, as in LIBSVM
+TOL = 1e-3              # KKT tolerance of every fit
+MAX_PASSES = 500        # step budget of every fit, in sweep-equivalents
 
 
 @dataclass(frozen=True)
 class SvmParams:
+    """What a run can set; ``TOL`` and ``MAX_PASSES`` hold for every fit."""
     kernel: str = "rbf"
-    gamma: float | None = None      # None: 1 / (d * median standardized feature variance)
+    gamma: float | None = None      # None: 1 / d for the RBF kernel (LIBSVM's default)
     C: float = 1.0
-    tol: float = 1e-3               # KKT tolerance
-    max_passes: int = 500           # sweep-equivalent step budget
     class_weights: tuple[float, float] | None = None   # (C multiplier for -1, for +1)
 
     def __post_init__(self):
@@ -35,10 +36,6 @@ class SvmParams:
             raise ValueError(f"C must be finite and positive, got {self.C!r}")
         if self.gamma is not None and not _finite_positive(self.gamma):
             raise ValueError(f"gamma must be finite and positive, got {self.gamma!r}")
-        if not _finite_positive(self.tol):
-            raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
-        if not isinstance(self.max_passes, (int, np.integer)) or self.max_passes < 1:
-            raise ValueError(f"max_passes must be an integer >= 1, got {self.max_passes!r}")
         if self.class_weights is not None:
             weights = tuple(self.class_weights)    # a tuple keeps params hashable
             if len(weights) != 2 or not all(map(_finite_positive, weights)):
@@ -64,17 +61,10 @@ def kernel_matrix(X: np.ndarray, Y: np.ndarray, kernel: str, gamma: float | None
     return np.exp(sq, out=sq)
 
 
-def dual_objective(alpha: np.ndarray, y: np.ndarray, K: np.ndarray) -> float:
-    ay = alpha * y
-    return float(alpha.sum() - 0.5 * ay @ K @ ay)
-
-
 @dataclass
 class SvmModel:
     kernel: str
     gamma: float | None
-    C: float
-    tol: float
     feature_indices: tuple[int, ...]
     mean: np.ndarray                 # per-feature training mean (selected columns)
     std: np.ndarray
@@ -84,7 +74,7 @@ class SvmModel:
     # Training readouts, which prediction never reads.
     train_steps: int = field(repr=False)            # SMO pair updates
     train_exhausted: bool = field(repr=False)       # step budget ran out
-    train_violations: int = field(repr=False)       # KKT violators at tol
+    train_violations: int = field(repr=False)       # KKT violators at TOL
 
     def _standardize(self, X: np.ndarray) -> np.ndarray:
         """Pick the model's columns out of full-width rows and z-score them."""
@@ -110,18 +100,6 @@ class SvmModel:
     def kkt_violations(self) -> int:
         """Number of training examples violating the KKT conditions."""
         return self.train_violations
-
-
-def _resolve_gamma(params: SvmParams, Xs: np.ndarray) -> float | None:
-    if params.kernel != "rbf":
-        return None
-    if params.gamma is not None:
-        return params.gamma
-    variances = Xs.var(axis=0)
-    med = float(np.median(variances))
-    if med <= 0:
-        med = 1.0
-    return 1.0 / (Xs.shape[1] * med)
 
 
 def train_svm(X: np.ndarray, y: np.ndarray, params: SvmParams = SvmParams(),
@@ -152,16 +130,17 @@ def train_svm(X: np.ndarray, y: np.ndarray, params: SvmParams = SvmParams(),
     std = np.where(std > 0, std, 1.0)
     Xs = (Xsel - mean) / std
 
-    gamma = _resolve_gamma(params, Xs)
+    gamma = None
+    if params.kernel == "rbf":
+        gamma = params.gamma if params.gamma is not None else 1.0 / Xs.shape[1]
     K = kernel_matrix(Xs, Xs, params.kernel, gamma)
     w_neg, w_pos = params.class_weights or (1.0, 1.0)
     Cv = params.C * np.where(y < 0, w_neg, w_pos)
 
-    alpha, bias, steps, exhausted, violations = _smo(K, y, Cv, params.tol,
-                                                     params.max_passes)
+    alpha, bias, steps, exhausted, violations = _smo(K, y, Cv, TOL, MAX_PASSES)
 
     sv = alpha > 0
-    return SvmModel(kernel=params.kernel, gamma=gamma, C=params.C, tol=params.tol,
+    return SvmModel(kernel=params.kernel, gamma=gamma,
                     feature_indices=feature_indices, mean=mean, std=std,
                     support_vectors=Xs[sv], dual_coef=alpha[sv] * y[sv], bias=bias,
                     train_steps=steps, train_exhausted=exhausted,
@@ -179,7 +158,8 @@ def _smo(K: np.ndarray, y: np.ndarray, Cv: np.ndarray, tol: float,
     depend only on error differences, so the threshold is fitted once at
     termination from the KKT interval. The stopping rule (violation gap
     <= 2*tol) is exactly the per-example KKT certificate for that threshold.
-    The step budget is ``max_passes`` sweep-equivalents (n steps each).
+    The step budget is ``max_passes`` sweep-equivalents (n steps each);
+    ``train_svm`` passes ``TOL`` and ``MAX_PASSES`` for every fit.
 
     Row 0 of ``E`` holds E_i inside I_up (+inf outside), row 1 inside I_low
     (-inf outside). Every box has C_i > 0, so every example is in one set or

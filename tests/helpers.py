@@ -1,4 +1,5 @@
-"""Shared fixtures-in-code: single-vertebra phantom builders, tree hashing,
+"""Shared fixtures-in-code: single-vertebra phantom builders (one body rendered
+with the cohort writer's footprint), the SVM dual objective, tree hashing,
 a child-process CLI runner, the independent oracles (dense-QP projected
 gradient, exact hypergeometric enumeration) used to cross-check the
 production paths, a replay of an SVM fit's training state and of a cross-validation
@@ -22,8 +23,8 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 
-from vcfclass.committee import (MIN_IMPROVEMENT, SELECTION_MAX_PASSES,
-                                CommitteeConfig, _fingerprint, train_committee)
+from vcfclass.committee import (MIN_IMPROVEMENT, CommitteeConfig, _fingerprint,
+                                train_committee)
 from vcfclass.crossval import CvResult, imputation_constants, impute
 from vcfclass.densitometry import (DEFAULT_EROSION_MM, MIN_LABEL_VOXELS,
                                    _ball_structure)
@@ -42,10 +43,11 @@ from vcfclass.morphometry import (MIN_CELL_COLUMNS, MIN_COLUMN_VOXELS, N_CELLS,
                                   CellHeights, ColumnTable, CompassLayout,
                                   _axis_resolution, arc_index, assign_cells,
                                   cell_index)
-from vcfclass.phantom import (CohortSpec, VertebraSpec, _frame_coords, _plan_patient,
-                              _render_background, _rng, _study_grid, advance,
-                              render_vertebra)
-from vcfclass.svm import SvmModel, SvmParams, _smo, kernel_matrix, train_svm
+from vcfclass.phantom import (CohortSpec, VertebraSpec, _add_noise, _Footprint,
+                              _frame_coords, _plan_patient, _render_background,
+                              _rng, _study_grid, advance)
+from vcfclass import svm
+from vcfclass.svm import TOL, SvmModel, SvmParams, _smo, kernel_matrix, train_svm
 
 _PACKAGE_ROOT = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -60,6 +62,24 @@ def run_cli(*args) -> subprocess.CompletedProcess:
 
 
 WORLD_FRAME = make_frame((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, 1.0, 0.0))
+
+
+def render_vertebra(spec: VertebraSpec, frame, grid: GridGeometry,
+                    label: int = 1, rng: np.random.Generator | None = None):
+    """Rasterize one vertebral body onto ``grid`` with the cohort writer's
+    ``_Footprint`` and noise.
+
+    Returns ``(hu, labels)`` full-grid arrays: float64 HU values (0 outside
+    the body) and a uint16 patch holding ``label`` at body voxels. The body
+    bottom sits at ``centroid - max(cell_heights)/2`` along the superior axis
+    and each column rises to its interpolated target height.
+    """
+    body, values = _Footprint(spec, frame, grid).solid(spec)
+    hu = np.zeros(body.shape, dtype=np.float64)
+    hu[body] = _add_noise(values, spec, rng)
+    labels = np.zeros(body.shape, dtype=np.uint16)
+    labels[body] = label
+    return hu, labels
 
 
 def single_vertebra_grid(spacing=(1.0, 1.0, 1.0), with_refs=False) -> GridGeometry:
@@ -329,6 +349,12 @@ def reference_smo(K: np.ndarray, y: np.ndarray, Cv: np.ndarray, tol: float,
     return alpha, bias, steps
 
 
+def dual_objective(alpha: np.ndarray, y: np.ndarray, K: np.ndarray) -> float:
+    """The SVM dual objective sum(alpha) - (alpha*y)' K (alpha*y) / 2."""
+    ay = alpha * y
+    return float(alpha.sum() - 0.5 * ay @ K @ ay)
+
+
 def reference_rbf_kernel(X: np.ndarray, Y: np.ndarray, gamma: float) -> np.ndarray:
     """The RBF branch of ``kernel_matrix`` before it was built in place."""
     sq = (np.sum(X * X, axis=1)[:, None] + np.sum(Y * Y, axis=1)[None, :]
@@ -347,7 +373,7 @@ def replay_training(X, y, params: SvmParams, model: SvmModel):
     """``(Xs, alpha, Cv)`` of the ``train_svm(X, y, params, ...)`` fit that
     made ``model``: the standardized rows rebuilt from its ``mean`` and
     ``std`` with ``train_svm``'s expression, the per-row box, and the alphas
-    of ``_smo`` re-run on them. Asserts that the replay's nonzero alphas give
+    of ``_smo`` re-run on them under the current ``svm.MAX_PASSES``. Asserts that the replay's nonzero alphas give
     the model's ``support_vectors``, ``dual_coef`` and ``bias`` exactly."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -355,7 +381,7 @@ def replay_training(X, y, params: SvmParams, model: SvmModel):
     w_neg, w_pos = params.class_weights or (1.0, 1.0)
     Cv = params.C * np.where(y < 0, w_neg, w_pos)
     K = kernel_matrix(Xs, Xs, params.kernel, model.gamma)
-    alpha, bias, *_ = _smo(K, y, Cv, params.tol, params.max_passes)
+    alpha, bias, *_ = _smo(K, y, Cv, TOL, svm.MAX_PASSES)
     sv = alpha > 0
     assert np.array_equal(Xs[sv], model.support_vectors)
     assert np.array_equal(alpha[sv] * y[sv], model.dual_coef)
@@ -368,7 +394,7 @@ def reference_kkt_violations(self: SvmModel, train_X, train_y, train_alpha,
     """``SvmModel.kkt_violations`` as it stood when a model kept its training
     rows, verbatim but for reading those four arrays as arguments: the
     training decision values are rebuilt from the support vectors."""
-    tol = self.tol if tol is None else tol
+    tol = TOL if tol is None else tol
     u = (kernel_matrix(train_X, self.support_vectors, self.kernel, self.gamma)
          @ self.dual_coef + self.bias)
     r = train_y * u - 1.0
@@ -383,15 +409,13 @@ def reference_kkt_violations(self: SvmModel, train_X, train_y, train_alpha,
     return int(bad.sum())
 
 
-def inner_folds_scored(y, inner_folds: int, params: SvmParams, seed: int):
-    """``(scored, probe)`` as ``greedy_forward_select`` passes them to
+def inner_folds_scored(y, inner_folds: int, seed: int):
+    """``scored`` as ``greedy_forward_select`` passes it to
     ``_inner_cv_accuracy``: the test masks of the inner folds whose training
-    rows hold both classes, and the probe params with the selection cap."""
+    rows hold both classes."""
     folds = kfold_split(len(y), k=inner_folds, seed=seed, stratify_by=y)
-    scored = [folds == f for f in range(inner_folds)
-              if np.unique(y[folds != f]).size >= 2]
-    probe = replace(params, max_passes=min(params.max_passes, SELECTION_MAX_PASSES))
-    return scored, probe
+    return [folds == f for f in range(inner_folds)
+            if np.unique(y[folds != f]).size >= 2]
 
 
 def replay_fold(table: FeatureTable, res: CvResult, cfg: CommitteeConfig,
@@ -673,14 +697,13 @@ def reference_impute(values: np.ndarray, mask: np.ndarray, fill: np.ndarray) -> 
 def reference_inner_cv_accuracy(X, y, feature_subset, inner_folds, params, seed) -> float:
     """Inner k-fold accuracy with every fold scored (no bound)."""
     folds = kfold_split(len(y), k=inner_folds, seed=seed, stratify_by=y)
-    probe = replace(params, max_passes=min(params.max_passes, SELECTION_MAX_PASSES))
     correct = evaluated = 0
     for f in range(inner_folds):
         tr = folds != f
         te = folds == f
         if np.unique(y[tr]).size < 2:
             continue                       # a skipped fold's rows are not scored
-        model = train_svm(X[tr], y[tr], probe, feature_indices=feature_subset)
+        model = train_svm(X[tr], y[tr], params, feature_indices=feature_subset)
         correct += int((model.predict(X[te]) == y[te]).sum())
         evaluated += int(te.sum())
     return correct / evaluated if evaluated else 0.0

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import vcfclass.committee as committee_mod
 from helpers import inner_folds_scored
 from vcfclass.committee import (Committee, CommitteeConfig, SelectionConfig,
                                 _inner_cv_accuracy, greedy_forward_select,
@@ -75,7 +76,21 @@ def test_equal_members_average_to_member_value():
 def test_committee_training_accuracy_on_separated_data():
     X, y = labeled_noise(n=80, seed=7)
     committee = train_committee(X, y, CommitteeConfig(seed=3))
-    assert float((committee.predict(X) == y).mean()) >= 0.95
+    assert float(((committee.decision_values(X) > 0) == (y > 0)).mean()) >= 0.95
+
+
+def test_every_probe_trains_under_the_given_params(monkeypatch):
+    X, y = labeled_noise(n=40, d=5, seed=8)
+    params = SvmParams(kernel="rbf", gamma=0.3, C=2.0, class_weights=(1.5, 1.0))
+    seen = []
+
+    def recorder(X, y, params, feature_indices=None):
+        seen.append(params)
+        return train_svm(X, y, params, feature_indices=feature_indices)
+    monkeypatch.setattr(committee_mod, "train_svm", recorder)
+    greedy_forward_select(X, y, range(5), inner_folds=3, params=params,
+                          max_features=3, seed=2)
+    assert seen and all(p is params for p in seen)
 
 
 def test_inner_accuracy_scores_only_evaluated_rows():
@@ -85,8 +100,8 @@ def test_inner_accuracy_scores_only_evaluated_rows():
     y[:] = -1.0
     y[4] = 1.0
     X[:, 0] = y
-    scored, probe = inner_folds_scored(y, 2, SvmParams(), seed=0)
-    acc, exact = _inner_cv_accuracy(X, y, [0], scored, probe, bar=0.0)
+    scored = inner_folds_scored(y, 2, seed=0)
+    acc, exact = _inner_cv_accuracy(X, y, [0], scored, SvmParams(), bar=0.0)
     assert acc == 1.0 and exact
 
 

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from helpers import body_spec, render_single, single_vertebra_grid
+from helpers import body_spec, render_single, render_vertebra, single_vertebra_grid
 from vcfclass.frames import make_frame, vertebra_frame
 from vcfclass.grids import GridGeometry, LabelMap
-from vcfclass.phantom import render_vertebra, uniform_heights
+from vcfclass.phantom import uniform_heights
 
 
 def axis_aligned_lm():

@@ -108,6 +108,17 @@ def test_non_integer_legend_label_rejected(tmp_path, value):
         load_labelmap(hdr)
 
 
+@pytest.mark.parametrize("role", ["x1", "vertebra:12", "MUSCLE", "CANAL:1"])
+def test_unknown_legend_role_rejected(tmp_path, role):
+    hdr = tmp_path / "lab.vlbl"
+    raw = write_header(hdr, dtype="uint16le")
+    raw.write_bytes(bytes(128))
+    hdr.write_text(hdr.read_text() + f"label 2 {role}\n")
+    message = f"{hdr}:7: unknown legend role {role!r}"
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        load_labelmap(hdr)
+
+
 def test_unsupported_schema_version(tmp_path):
     hdr = tmp_path / "v9.vvol"
     raw = write_header(hdr, schema=9)
@@ -311,11 +322,11 @@ def test_grid_mutations_load_equal_data_or_name_the_file(study_grids, tmp_path_f
     """Each mutation of a volume or label-map header, or of its payload's
     size, either loads the original voxels or raises ``FormatError`` or
     ``FileNotFoundError`` naming the header or the payload. A repeated key,
-    label or role, a payload of the wrong size and a non-UTF-8 header always
-    fail.
+    label or role, a retyped legend line, a payload of the wrong size and a
+    non-UTF-8 header always fail.
     What still loads keeps its geometry and legend, except that a changed
     ``spacing_mm`` or ``origin_mm`` line may change the geometry and a
-    changed ``label`` line (a role, or a vertebra's level) the legend."""
+    changed vertebra level on a ``label`` line the legend."""
     suffix = data.draw(st.sampled_from(sorted(study_grids)))
     source, original = study_grids[suffix]
     lines = source.read_text(encoding="utf-8").splitlines()
@@ -362,6 +373,7 @@ def test_grid_mutations_load_equal_data_or_name_the_file(study_grids, tmp_path_f
         assert str(header) in str(exc) or str(raw) in str(exc), str(exc)
         return
     assert kind not in _MUST_FAIL, kind
+    assert (kind, key) != ("retype", "label"), lines[i]
     voxels = _VOXELS[suffix]
     assert loaded.dims == original.dims
     assert np.array_equal(voxels(loaded), voxels(original))

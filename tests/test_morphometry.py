@@ -252,7 +252,7 @@ def test_doubling_heights_scales_features():
     # Integer heights on an aligned grid measure exactly, so doubling is exact
     # and contrast ratios are preserved to fp precision.
     from vcfclass.grids import GridGeometry
-    from vcfclass.phantom import render_vertebra
+    from helpers import render_vertebra
 
     def stack(scale):
         grid = GridGeometry(dims=(49, 49, 120), spacing=(1.0, 1.0, 1.0),

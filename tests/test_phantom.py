@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from helpers import (WORLD_FRAME, body_spec, column_extents, reference_generate_cohort,
-                     reference_render_vertebra, single_vertebra_grid, tree_hash)
+                     reference_render_vertebra, render_vertebra, single_vertebra_grid,
+                     tree_hash)
 from vcfclass import parallel, phantom
 from vcfclass.frames import make_frame, vertebra_frame
 from vcfclass.grids import GridGeometry, load_labelmap, load_volume
@@ -11,8 +12,8 @@ from vcfclass.morphometry import (arc_index, cell_heights, cell_index,
                                   column_table, regional_summaries)
 from vcfclass.phantom import (ANTERIOR_LESION_CELLS, CohortSpec, FocalLesion,
                               N_CELLS, ProgressionModel, VertebraSpec, advance,
-                              generate_cohort, height_field, render_vertebra,
-                              uniform_heights, wedge_heights)
+                              generate_cohort, height_field, uniform_heights,
+                              wedge_heights)
 
 
 def test_uniform_columns_span_target():

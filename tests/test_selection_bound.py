@@ -101,13 +101,13 @@ def test_one_positive_problem_skips_a_fold():
     for inner_folds in (2, 3, 4, 5):
         folds = kfold_split(len(y), k=inner_folds, seed=0, stratify_by=y)
         assert [np.unique(y[folds != f]).size for f in range(inner_folds)].count(1) == 1
-        acc, exact = _inner_cv_accuracy(X, y, [0], *inner_folds_scored(
-            y, inner_folds, PARAMS, seed=0), bar=0.0)
+        acc, exact = _inner_cv_accuracy(X, y, [0], inner_folds_scored(
+            y, inner_folds, seed=0), PARAMS, bar=0.0)
         assert exact and acc == reference_inner_cv_accuracy(X, y, [0], inner_folds,
                                                             PARAMS, seed=0)
     pair = [4, 5]                           # one row of each class: both folds skipped
-    assert _inner_cv_accuracy(X[pair], y[pair], [0], *inner_folds_scored(
-        y[pair], 2, PARAMS, seed=0), bar=-1.0) == (0.0, True)
+    assert _inner_cv_accuracy(X[pair], y[pair], [0], inner_folds_scored(
+        y[pair], 2, seed=0), PARAMS, bar=-1.0) == (0.0, True)
 
 
 def test_memo_shared_across_conditions_matches_reference(monkeypatch):
@@ -146,8 +146,8 @@ def test_no_fit_once_the_bar_reaches_one(monkeypatch):
 def test_bound_only_entry_is_rescored_under_a_lower_bar():
     X, y = problem("graded", seed=2)
     want = reference_inner_cv_accuracy(X, y, [1], 3, PARAMS, seed=0)
-    bound, exact = _inner_cv_accuracy(X, y, [1], *inner_folds_scored(
-        y, 3, PARAMS, seed=0), bar=0.999)
+    bound, exact = _inner_cv_accuracy(X, y, [1], inner_folds_scored(
+        y, 3, seed=0), PARAMS, bar=0.999)
     assert not exact and want < bound < 1.0    # stopped after a fold
     # Candidate 0 is column 1; candidate 1 is constant and never wins.
     Xc = np.column_stack([X[:, 1], np.ones(len(y))])

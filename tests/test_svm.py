@@ -1,12 +1,12 @@
-from dataclasses import replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from helpers import (qp_dual_oracle, reference_kkt_violations,
+from helpers import (dual_objective, qp_dual_oracle, reference_kkt_violations,
                      reference_rbf_kernel, reference_smo, replay_training)
-from vcfclass.svm import (SvmParams, _smo, dual_objective, kernel_matrix,
-                          train_svm)
+from vcfclass import svm
+from vcfclass.svm import TOL, SvmParams, _smo, kernel_matrix, train_svm
 
 
 def test_two_point_separable_midpoint_boundary():
@@ -62,7 +62,7 @@ def test_interior_support_vectors_sit_on_margin():
          @ m.dual_coef + m.bias)
     interior = (alpha > 1e-8) & (alpha < Cv - 1e-8)
     assert interior.any()
-    assert np.all(np.abs(y[interior] * u[interior] - 1.0) <= m.tol)
+    assert np.all(np.abs(y[interior] * u[interior] - 1.0) <= TOL)
 
 
 def test_deterministic_training():
@@ -131,16 +131,37 @@ def test_param_validation():
 @pytest.mark.parametrize("field, value", [
     ("C", float("nan")), ("C", float("inf")), ("C", -1.0),
     ("gamma", float("nan")), ("gamma", float("inf")),
-    ("tol", float("nan")), ("tol", float("inf")), ("tol", 0.0),
-    ("max_passes", 0), ("max_passes", -3),
+    ("C", float("-inf")), ("gamma", float("-inf")), ("gamma", 0.0),
+    ("kernel", "RBF"), ("kernel", ""),
     ("class_weights", (1.0,)), ("class_weights", (1.0, 2.0, 3.0)),
     ("class_weights", (1.0, 0.0)), ("class_weights", (-1.0, 1.0)),
     ("class_weights", (float("nan"), 1.0)), ("class_weights", (1.0, float("inf"))),
-    ("max_passes", 2.5),
 ])
 def test_invalid_params_rejected(field, value):
     with pytest.raises(ValueError, match=field):
         SvmParams(**{field: value})
+
+
+def test_params_hold_only_what_a_run_sets():
+    assert [f.name for f in fields(SvmParams)] == ["kernel", "gamma", "C",
+                                                   "class_weights"]
+
+
+def test_default_gamma_is_one_over_d():
+    # Columns 2 and 3 are constant: half of the full subset has zero variance
+    # after standardizing, where the old median-variance rule gave 2/d.
+    # Gamma counts every selected column.
+    rng = np.random.default_rng(26)
+    X = rng.normal(size=(30, 4))
+    X[:, 2] = 5.0
+    X[:, 3] = 7.0
+    y = np.where(X[:, 0] > 0, 1.0, -1.0)
+    for subset in ((0,), (0, 1), (0, 1, 2), (0, 1, 2, 3)):
+        m = train_svm(X, y, SvmParams(), feature_indices=subset)
+        assert m.gamma == 1.0 / len(subset), subset
+    assert train_svm(X, y, SvmParams(gamma=0.25)).gamma == 0.25
+    assert train_svm(X, y, SvmParams(kernel="linear")).gamma is None
+    assert train_svm(X, y, SvmParams(kernel="linear", gamma=0.25)).gamma is None
 
 
 def test_class_weights_stored_as_tuple():
@@ -170,7 +191,7 @@ def test_dual_equality_constraint_holds():
     y = np.where(X @ np.array([1.0, -1.0, 0.5]) > 0, 1.0, -1.0)
     m = train_svm(X, y, SvmParams())
     alpha = replay_training(X, y, SvmParams(), m)[1]
-    assert abs(float(alpha @ y)) <= m.tol
+    assert abs(float(alpha @ y)) <= TOL
 
 
 def test_unsorted_full_width_subset_reorders_columns():
@@ -215,14 +236,14 @@ def _kkt_gap(errors, y, Cv, alpha):
     return float(errors[low].max() - errors[up].min())
 
 
-def test_second_order_solver_certifies_against_reference():
+def test_second_order_solver_certifies_against_reference(monkeypatch):
     # Every problem is solved to convergence by both solvers: the
     # second-order one must certify KKT, reach the first-order reference's
-    # dual objective and take at most 0.6x its pair updates. One-pass
-    # budgets are solved twice, once to report the exhausted budget. The
-    # KKT count each first fit stores must equal the rebuild from its
-    # training rows that models used to make; some one-pass counts are
-    # nonzero.
+    # dual objective and take at most 0.6x its pair updates. Every sixth
+    # problem is first fitted with a one-pass budget (``svm.MAX_PASSES = 1``)
+    # to report the exhausted budget. The KKT count each first fit stores
+    # must equal the rebuild from its training rows that models used to
+    # make; some one-pass counts are nonzero.
     rng = np.random.default_rng(21)
     steps = ref_steps = exhausted = nonzero = 0
     for p in range(240):
@@ -238,24 +259,25 @@ def test_second_order_solver_certifies_against_reference():
         y[:2] = (-1.0, 1.0)
         params = SvmParams(kernel=("rbf", "linear")[p % 2],
                            C=(0.1, 1.0, 10.0)[p // 2 % 3],
-                           max_passes=1 if p % 6 == 5 else 500,
                            class_weights=(2.0, 0.5) if p % 5 == 0 else None)
+        short_budget = p % 6 == 5
+        monkeypatch.setattr(svm, "MAX_PASSES", 1 if short_budget else 500)
         m = train_svm(X, y, params)
         Cv = _per_row_cv(params, y)
         Xs, m_alpha, m_C = replay_training(X, y, params, m)
         assert np.array_equal(m_C, Cv), p
         assert m.kkt_violations() == reference_kkt_violations(m, Xs, y, m_alpha, Cv), p
-        if params.max_passes == 1:
+        if short_budget:
             one_pass = m
             nonzero += one_pass.kkt_violations() > 0
-            params = replace(params, max_passes=500)
+            monkeypatch.setattr(svm, "MAX_PASSES", 500)
             m = train_svm(X, y, params)
             # The one-pass run follows the full run's path until its budget.
             assert one_pass.train_exhausted == (m.train_steps >= max(n, 8)), p
             exhausted += one_pass.train_exhausted
             Xs, m_alpha, _ = replay_training(X, y, params, m)
         K = kernel_matrix(Xs, Xs, params.kernel, m.gamma)
-        alpha, _, ref = reference_smo(K, y, Cv, params.tol, 500, _seeded(p))
+        alpha, _, ref = reference_smo(K, y, Cv, TOL, 500, _seeded(p))
         assert ref < 500 * max(n, 8), p           # the reference converges
         assert not m.train_exhausted, p
         assert m.kkt_violations() == 0, p
@@ -306,12 +328,14 @@ def test_rbf_kernel_matrix_equals_reference_expression(same):
                               reference_rbf_kernel(X, Y, gamma))
 
 
-def test_step_readout_is_training_state_only():
+def test_step_readout_is_training_state_only(monkeypatch):
     rng = np.random.default_rng(24)
     X = rng.normal(size=(40, 3))
     y = np.where(X[:, 0] + 0.3 * rng.normal(size=40) > 0, 1.0, -1.0)
     m = train_svm(X, y, SvmParams())
     assert m.train_steps > 0 and m.train_exhausted is False
     assert m.train_violations == m.kkt_violations() == 0
-    short = train_svm(X, y, SvmParams(max_passes=1))
-    assert short.train_steps <= 40
+    assert m.train_steps > 40              # so one pass (40 steps) runs out
+    monkeypatch.setattr(svm, "MAX_PASSES", 1)
+    short = train_svm(X, y, SvmParams())
+    assert short.train_steps == 40 and short.train_exhausted is True
