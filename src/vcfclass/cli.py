@@ -239,7 +239,8 @@ def cmd_cv(args) -> int:
         "table": str(args.table), "conditions": conditions, "k": args.k,
         "seed": args.seed, "members": args.members, "selection": args.selection,
         "max_features": args.max_features, "inner_folds": args.inner_folds,
-        "kernel": args.kernel, "C": args.c_value, "gamma": args.gamma,
+        "kernel": args.kernel, "C": args.c_value,
+        "gamma": "1/d" if args.gamma is None else args.gamma,
         "group_by_patient": args.group_by_patient,
         "shuffle_labels": args.shuffle_labels})
     print(f"reports -> {out}")

@@ -81,20 +81,21 @@ def study_reference(vol: Volume, lm: LabelMap,
                           _ball_structure(erosion_radius_mm, lm.spacing))
 
 
-def _trabecular_crop(lm: LabelMap, label: int, frame: LocalFrame,
-                     erosion_radius_mm: float, ball: np.ndarray
-                     ) -> tuple[tuple[slice, ...], np.ndarray]:
-    """The body's bounding box and the trabecular probe mask within it."""
+def trabecular_region(lm: LabelMap, label: int, frame: LocalFrame,
+                      ref: StudyReference) -> tuple[tuple[slice, ...], np.ndarray]:
+    """The trabecular probe: the body eroded by ``ref``'s ball, cut to the
+    half-space anterior to the centroid. Returns the body's bounding box and
+    the probe mask within it."""
     view = lm.view(label)
     body = view.mask
     if view.voxel_count == 0:
         raise ValueError(f"label {label} absent from the label map")
     # The box holds the whole body and erosion treats the space beyond it as
     # background, so the in-box erosion equals the full-grid one.
-    eroded = erode_by_ball(body, ball, border_value=False)
+    eroded = erode_by_ball(body, ref.ball, border_value=False)
     if not eroded.any():
         raise ValueError(
-            f"{erosion_radius_mm} mm erosion annihilates label {label}; "
+            f"{ref.erosion_radius_mm} mm erosion annihilates label {label}; "
             f"radius exceeds the body's half-extent")
 
     idx = np.argwhere(eroded)
@@ -106,18 +107,6 @@ def _trabecular_crop(lm: LabelMap, label: int, frame: LocalFrame,
         raise ValueError(
             f"anterior half of the eroded body is empty for label {label}")
     return view.box, mask
-
-
-def trabecular_region(lm: LabelMap, label: int, frame: LocalFrame,
-                      erosion_radius_mm: float = DEFAULT_EROSION_MM) -> np.ndarray:
-    """Boolean mask of the trabecular probe region: the body eroded by a
-    discrete ball of ``erosion_radius_mm`` intersected with the anterior
-    half-space through the centroid."""
-    box, crop = _trabecular_crop(lm, label, frame, erosion_radius_mm,
-                                 _ball_structure(erosion_radius_mm, lm.spacing))
-    mask = np.zeros(lm.labels.shape, dtype=bool)
-    mask[box] = crop
-    return mask
 
 
 def normalize(raw_hu: float, muscle_hu: float, fat_hu: float) -> float:
@@ -133,7 +122,7 @@ def density_features(vol: Volume, lm: LabelMap, label: int, frame: LocalFrame,
     """Whole-body and trabecular densities normalized against the study's
     muscle/fat reference means (``study_reference``)."""
     raw_den = mean_density(vol, lm, label)
-    box, trab = _trabecular_crop(lm, label, frame, ref.erosion_radius_mm, ref.ball)
+    box, trab = trabecular_region(lm, label, frame, ref)
     raw_trab = float(vol.data[box][trab].mean(dtype=np.float64))
 
     return DensityFeatures(

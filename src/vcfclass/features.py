@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from math import isnan
 from pathlib import Path
 from typing import Callable
 
@@ -195,7 +196,7 @@ def assemble(manifest: CohortManifest, base_dir, policy: str = "zero",
     policy = policy.lower()
     if policy not in FIRST_STUDY_POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {FIRST_STUDY_POLICIES}")
-    studies = [study for patient in manifest.patients for study in patient.studies]
+    studies = list(manifest.all_studies())
     measured = iter(pmap(partial(_study_rows, base_dir, layout, erosion_radius_mm),
                          studies))
     first_rates = np.zeros(len(RATE_COLUMNS))
@@ -296,17 +297,17 @@ _TABLE_COLUMNS = (list(zip(ID_COLUMNS, (str, str, int)))
 def save_table(table: FeatureTable, path) -> None:
     """CSV with canonical header, empty fields for missing values, truth last."""
     path = Path(path)
+    infinite = np.argwhere(np.isinf(table.matrix))
+    if infinite.size:
+        row, col = infinite[0]
+        raise ValueError(f"instance {table.instance_ids[row]}: column "
+                         f"{ALL_COLUMNS[col]}: non-finite value "
+                         f"{float(table.matrix[row, col])!r}")
     lines = [",".join(ID_COLUMNS + ALL_COLUMNS + [TRUTH_COLUMN])]
-    for (pid, sid, vertebra), values, truth in zip(table.instance_ids, table.matrix,
-                                                   table.truth):
-        cells = [pid, sid, str(vertebra)]
-        for name, v in zip(ALL_COLUMNS, values):
-            if np.isinf(v):
-                raise ValueError(f"instance {(pid, sid, vertebra)}: column {name}: "
-                                 f"non-finite value {float(v)!r}")
-            cells.append("" if np.isnan(v) else repr(float(v)))
-        cells.append(truth)
-        lines.append(",".join(cells))
+    for (pid, sid, vertebra), values, truth in zip(table.instance_ids,
+                                                   table.matrix.tolist(), table.truth):
+        cells = ["" if isnan(v) else repr(v) for v in values]
+        lines.append(",".join([pid, sid, str(vertebra), *cells, truth]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

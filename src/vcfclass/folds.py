@@ -14,16 +14,16 @@ def check_seed(value, field: str = "seed") -> None:
         raise ValueError(f"{field} must be a non-negative integer, got {value!r}")
 
 
-def kfold_split(n: int, k: int = 10, seed: int = 0, stratify_by=None,
+def kfold_split(n: int, k: int = 10, seed: int = 0, *, stratify_by,
                 group_by=None) -> np.ndarray:
     """Fold index (0..k-1) per instance.
 
-    Stratified mode deals each class's (seeded-shuffled) instances round-robin
-    with a running fold pointer, so fold sizes stay within 1 of n/k and each
-    fold's class counts within 1 of the global ratio. With ``group_by`` set,
-    whole groups go to the currently smallest fold and ``stratify_by`` is not
-    read, so grouped folds are not stratified; a group larger than n/k draws a
-    warning, not an error.
+    Each class of ``stratify_by`` has its (seeded-shuffled) instances dealt
+    round-robin with a running fold pointer, so fold sizes stay within 1 of
+    n/k and each fold's class counts within 1 of the global ratio. With
+    ``group_by`` set, whole groups go to the currently smallest fold and
+    ``stratify_by`` is not read, so grouped folds are not stratified; a group
+    larger than n/k draws a warning, not an error.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -49,11 +49,6 @@ def kfold_split(n: int, k: int = 10, seed: int = 0, stratify_by=None,
             sel = groups == uniq[gi]
             folds[sel] = target
             fold_load[target] += int(sel.sum())
-        return folds
-
-    if stratify_by is None:
-        order = rng.permutation(n)
-        folds[order] = np.arange(n) % k
         return folds
 
     strata = np.asarray(stratify_by)

@@ -1,8 +1,8 @@
 """Per-vertebra local coordinate frames.
 
 The superior axis comes from a principal-component analysis of the vertebra's
-voxel cloud; the anterior axis from an explicit hint, a canal-derived
-direction, or world +y, in that priority order.
+voxel cloud; the anterior axis from the canal-to-body direction, or world +y
+when the label map has no usable canal.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import numpy as np
 from .grids import LabelMap, ROLE_CANAL
 
 MIN_FRAME_VOXELS = 50
-_PARALLEL_COS = np.cos(np.deg2rad(1.0))
 
 
 @dataclass(frozen=True)
@@ -76,13 +75,13 @@ def make_frame(centroid, axis_si, axis_ap) -> LocalFrame:
                       axis_ap=tuple(ap), axis_lr=tuple(lr))
 
 
-def vertebra_frame(lm: LabelMap, label: int, anterior_hint=None) -> LocalFrame:
+def vertebra_frame(lm: LabelMap, label: int) -> LocalFrame:
     """Derive the local frame for one vertebra label.
 
     The superior axis is the principal axis closest (by absolute cosine) to
     world +z, sign-flipped into the +z hemisphere. The anterior axis is the
-    hint when given, else a canal-to-body direction when a CANAL label exists,
-    else world +y; it is projected orthogonal to the superior axis.
+    canal-to-body direction when a CANAL label exists, else world +y; it is
+    projected orthogonal to the superior axis.
     """
     if label not in lm.legend:
         raise ValueError(f"label {label} not present in legend")
@@ -103,18 +102,10 @@ def vertebra_frame(lm: LabelMap, label: int, anterior_hint=None) -> LocalFrame:
     if si[2] < 0 or (si[2] == 0 and si[si != 0][0] < 0):
         si = -si
 
-    if anterior_hint is not None:
-        hint = np.asarray(anterior_hint, dtype=np.float64)
-        hint = hint / np.linalg.norm(hint)
-        if abs(float(hint @ si)) > _PARALLEL_COS:
-            raise ValueError("anterior hint within 1 degree of the superior axis")
-    else:
-        hint = _canal_hint(lm, label, coords, centroid, si)
-        if hint is None:
-            hint = np.array([0.0, 1.0, 0.0])
-            if abs(float(hint @ si)) > _PARALLEL_COS:
-                raise ValueError("superior axis within 1 degree of default +y anterior")
-    return make_frame(centroid, si, hint)
+    # The eigenvectors are orthonormal, so the chosen one has |z| >= 1/sqrt(3)
+    # and the default +y anterior lies at least 35 degrees off it.
+    hint = _canal_hint(lm, label, coords, centroid, si)
+    return make_frame(centroid, si, np.array([0.0, 1.0, 0.0]) if hint is None else hint)
 
 
 def _canal_hint(lm: LabelMap, label: int, body_coords, body_centroid, si):

@@ -193,8 +193,10 @@ def wedge_heights(anterior_mm: float, posterior_mm: float) -> tuple[float, ...]:
 # rendering
 
 class _HeightWeights:
-    """``height_field``'s interpolation weights at fixed ``rho`` and
-    ``theta``, applied to any number of 17-cell height vectors.
+    """The target column height's interpolation weights at fixed normalized
+    radius ``rho`` and clockwise azimuth ``theta``, applied to any number of
+    17-cell height vectors; the height equals the cell target exactly at each
+    cell center.
 
     Around each ring the value is piecewise linear between the two arc
     centres either side of the clockwise-from-anterior azimuth ``theta``;
@@ -226,12 +228,6 @@ class _HeightWeights:
         return np.where(self.inner, self.w_c * h[0] + self.w * ring1,
                         np.where(self.middle, self.w2_c * ring1 + self.w2 * ring2,
                                  ring2))
-
-
-def height_field(spec: VertebraSpec, rho: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Target column height at normalized radius ``rho`` and clockwise azimuth
-    ``theta``; equals the cell target exactly at each cell center."""
-    return _HeightWeights(rho, theta)(spec.cell_heights)
 
 
 def _frame_coords(grid: GridGeometry, frame: LocalFrame):

@@ -27,7 +27,8 @@ from vcfclass.committee import (MIN_IMPROVEMENT, CommitteeConfig, _fingerprint,
                                 train_committee)
 from vcfclass.crossval import CvResult, imputation_constants, impute
 from vcfclass.densitometry import (DEFAULT_EROSION_MM, MIN_LABEL_VOXELS,
-                                   _ball_structure)
+                                   StudyReference, _ball_structure,
+                                   trabecular_region)
 from vcfclass.features import (ALL_COLUMNS, CONTRAST_COLUMNS,
                                RATE_BASE_COLUMNS, FeatureTable, _truth_code,
                                condition_columns, demographics, measured_features)
@@ -122,6 +123,19 @@ def render_single(spec: VertebraSpec, grid: GridGeometry | None = None,
     vol = Volume(geometry=grid, data=np.clip(np.rint(full), -1024, 3071).astype(np.int16))
     lm = LabelMap(geometry=grid, labels=labels, legend=legend)
     return vol, lm, frame
+
+
+def trabecular_mask(lm: LabelMap, label: int, frame,
+                    erosion_radius_mm: float = DEFAULT_EROSION_MM) -> np.ndarray:
+    """``densitometry.trabecular_region`` for a ball of ``erosion_radius_mm``,
+    as a full-grid mask. The probe reads no reference HU, so none is needed."""
+    ref = StudyReference(muscle_hu=100.0, fat_hu=0.0,
+                         erosion_radius_mm=erosion_radius_mm,
+                         ball=_ball_structure(erosion_radius_mm, lm.spacing))
+    box, crop = trabecular_region(lm, label, frame, ref)
+    mask = np.zeros(lm.labels.shape, dtype=bool)
+    mask[box] = crop
+    return mask
 
 
 def column_extents(labels: np.ndarray, label: int, spacing_z: float) -> np.ndarray:

@@ -174,11 +174,11 @@ def test_criterion_4_density_invariance():
             worst = max(worst, abs(tf.meanDen - base.meanDen),
                         abs(tf.meanTrab - base.meanTrab))
     assert worst < 1e-9
-    mask = trabecular_region(lm, 1, frame, erosion_radius_mm=3.0)
-    n_cortical = int((vol.data[mask] == 400).sum())
-    assert n_cortical == 0 and mask.any()
+    box, probe = trabecular_region(lm, 1, frame, study_reference(vol, lm, 3.0))
+    n_cortical = int((vol.data[box][probe] == 400).sum())
+    assert n_cortical == 0 and probe.any()
     ok(4, f"affine worst diff {worst:.2e} < 1e-9; trabecular mask "
-          f"({int(mask.sum())} voxels) contains 0 cortical voxels")
+          f"({int(probe.sum())} voxels) contains 0 cortical voxels")
 
 
 def test_criterion_5_longitudinal_exactness():

@@ -288,6 +288,16 @@ def test_cv_save_models_is_gone_exit_2(cli_features, tmp_path):
     assert not out.exists()
 
 
+def test_cv_run_config_names_the_gamma_rule(cli_features, tmp_path):
+    args = ["cv", "--table", str(cli_features), "--conditions", "measured",
+            "--k", "4", "--seed", "5", "--members", "1", "--selection", "none"]
+    for extra, gamma in (([], "1/d"), (["--gamma", "0.25"], 0.25)):
+        out = tmp_path / str(gamma).replace("/", "_")
+        assert main(args + extra + ["--out", str(out)]) == 0
+        settings = json.loads((out / "run_config.json").read_text())["settings"]
+        assert settings["gamma"] == gamma
+
+
 def test_report_regenerates_identical_files(cli_features, tmp_path):
     out = tmp_path / "res"
     assert main(["cv", "--table", str(cli_features), "--conditions",

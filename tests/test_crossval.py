@@ -53,14 +53,15 @@ def test_kfold_deterministic():
 
 def test_kfold_validation():
     with pytest.raises(ValueError, match="exceeds"):
-        kfold_split(5, k=10, seed=0)
+        kfold_split(5, k=10, seed=0, stratify_by=np.zeros(5))
     with pytest.raises(ValueError, match="at least 2"):
-        kfold_split(5, k=1, seed=0)
+        kfold_split(5, k=1, seed=0, stratify_by=np.zeros(5))
 
 
 def test_grouped_folds_keep_groups_whole():
     groups = np.repeat(np.arange(20), 5)    # 20 patients x 5 instances
-    folds = kfold_split(100, k=10, seed=0, group_by=groups)
+    folds = kfold_split(100, k=10, seed=0, stratify_by=np.zeros(100),
+                        group_by=groups)
     for g in range(20):
         assert np.unique(folds[groups == g]).size == 1
     sizes = np.bincount(folds, minlength=10)
@@ -70,7 +71,8 @@ def test_grouped_folds_keep_groups_whole():
 def test_oversized_group_warns():
     groups = np.array([0] * 30 + list(range(1, 71)))
     with pytest.warns(UserWarning, match="largest group"):
-        kfold_split(100, k=10, seed=0, group_by=groups)
+        kfold_split(100, k=10, seed=0, stratify_by=np.zeros(100),
+                    group_by=groups)
 
 
 # ---------------------------------------------------------------------------

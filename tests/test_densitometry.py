@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from helpers import WORLD_FRAME, body_spec, render_single
+from helpers import WORLD_FRAME, body_spec, render_single, trabecular_mask
+from vcfclass import densitometry
 from vcfclass.densitometry import (density_features, mean_density, normalize,
-                                   study_reference, trabecular_region)
-from vcfclass.grids import GridGeometry, LabelMap, Volume
+                                   study_reference)
+from vcfclass.features import measured_study_features
+from vcfclass.grids import (GridGeometry, LabelMap, Volume, load_labelmap,
+                            load_volume)
 from vcfclass.phantom import uniform_heights
 
 
@@ -40,7 +43,7 @@ def test_mean_density_errors(case):
 
 def test_erosion_excludes_cortical_shell(case):
     vol, lm, frame = case
-    mask = trabecular_region(lm, 1, frame, erosion_radius_mm=3.0)
+    mask = trabecular_mask(lm, 1, frame, erosion_radius_mm=3.0)
     assert mask.any()
     assert np.all(vol.data[mask] == 150)          # zero cortical-valued voxels
     assert np.all(lm.labels[mask] == 1)           # containment in the body
@@ -48,7 +51,7 @@ def test_erosion_excludes_cortical_shell(case):
 
 def test_zero_erosion_is_anterior_half(case):
     _, lm, frame = case
-    mask = trabecular_region(lm, 1, frame, erosion_radius_mm=0.0)
+    mask = trabecular_mask(lm, 1, frame, erosion_radius_mm=0.0)
     idx = np.argwhere(lm.labels == 1)
     coords = lm.geometry.world_coords(idx)
     anterior = (coords - frame.centroid_array) @ frame.ap > 0
@@ -60,7 +63,7 @@ def test_zero_erosion_is_anterior_half(case):
 def test_oversized_erosion_rejected(case):
     _, lm, frame = case
     with pytest.raises(ValueError, match="half-extent"):
-        trabecular_region(lm, 1, frame, erosion_radius_mm=25.0)
+        trabecular_mask(lm, 1, frame, erosion_radius_mm=25.0)
 
 
 def test_body_thinner_than_the_ball_rejected():
@@ -71,16 +74,16 @@ def test_body_thinner_than_the_ball_rejected():
     labels = np.zeros((9, 20, 20), dtype=np.uint16)
     labels[3:6, 2:18, 2:18] = 1
     lm = LabelMap(geometry=geo, labels=labels, legend={1: "VERTEBRA:12"})
-    assert trabecular_region(lm, 1, WORLD_FRAME, erosion_radius_mm=1.0).any()
+    assert trabecular_mask(lm, 1, WORLD_FRAME, erosion_radius_mm=1.0).any()
     with pytest.raises(ValueError, match="3.0 mm erosion annihilates label 1"):
-        trabecular_region(lm, 1, WORLD_FRAME, erosion_radius_mm=3.0)
+        trabecular_mask(lm, 1, WORLD_FRAME, erosion_radius_mm=3.0)
 
 
 @pytest.mark.parametrize("radius", [np.nan, np.inf, -1.0])
 def test_non_finite_or_negative_erosion_rejected(case, radius):
     vol, lm, frame = case
     with pytest.raises(ValueError, match="finite and nonnegative"):
-        trabecular_region(lm, 1, frame, erosion_radius_mm=radius)
+        trabecular_mask(lm, 1, frame, erosion_radius_mm=radius)
     with pytest.raises(ValueError, match="finite and nonnegative"):
         study_reference(vol, lm, erosion_radius_mm=radius)
 
@@ -99,7 +102,7 @@ def test_density_features_composition(case):
     df = density_features(vol, lm, 1, frame, ref)
     assert ref.muscle_hu == 50.0 and ref.fat_hu == -100.0
     assert df.meanTrab == pytest.approx(100.0 * 250.0 / 150.0, abs=0.5)
-    raw_trab = vol.data[trabecular_region(lm, 1, frame)].mean(dtype=np.float64)
+    raw_trab = vol.data[trabecular_mask(lm, 1, frame)].mean(dtype=np.float64)
     assert raw_trab == 150.0
     # normalization identity holds exactly
     raw_den = mean_density(vol, lm, 1)
@@ -131,15 +134,32 @@ def test_affine_invariance(case):
 
 def test_monotone_trabecular_shift(case):
     vol, lm, frame = case
-    mask = trabecular_region(lm, 1, frame)
+    mask = trabecular_mask(lm, 1, frame)
     base = density_features(vol, lm, 1, frame, study_reference(vol, lm))
     data = vol.data.copy()
     data[mask] += 25
     shifted = Volume(geometry=vol.geometry, data=data)
     ref = study_reference(shifted, lm)
     df = density_features(shifted, lm, 1, frame, ref)
-    mask = trabecular_region(lm, 1, frame)
+    mask = trabecular_mask(lm, 1, frame)
     assert shifted.data[mask].mean(dtype=np.float64) == pytest.approx(
         vol.data[mask].mean(dtype=np.float64) + 25.0, abs=1e-9)
     assert df.meanTrab == pytest.approx(
         base.meanTrab + 100.0 * 25.0 / (ref.muscle_hu - ref.fat_hu), abs=1e-9)
+
+
+def test_density_features_probe_once_per_vertebra(small_cohort, monkeypatch):
+    _, manifest, root = small_cohort
+    study = manifest.patients[0].studies[0]
+    vol = load_volume(root / study.volume_path)
+    lm = load_labelmap(root / study.labelmap_path)
+    probed = []
+    probe = densitometry.trabecular_region
+
+    def counted(lm, label, frame, ref):
+        probed.append(label)
+        return probe(lm, label, frame, ref)
+
+    monkeypatch.setattr(densitometry, "trabecular_region", counted)
+    measured = measured_study_features(vol, lm)
+    assert sorted(probed) == sorted(measured) == sorted(lm.vertebra_labels())

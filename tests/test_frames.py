@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from helpers import body_spec, render_single, render_vertebra, single_vertebra_grid
+from helpers import (WORLD_FRAME, body_spec, render_single, render_vertebra,
+                     single_vertebra_grid)
 from vcfclass.frames import make_frame, vertebra_frame
-from vcfclass.grids import GridGeometry, LabelMap
+from vcfclass.grids import ROLE_CANAL, GridGeometry, LabelMap
 from vcfclass.phantom import uniform_heights
 
 
@@ -12,9 +13,23 @@ def axis_aligned_lm():
     return lm
 
 
+def canal_lm(frame, distance=30.0, radius=4.0):
+    """A uniform body (label 1) rendered in ``frame``, centred at the origin,
+    with a vertical CANAL column of ``radius`` mm centred ``distance`` mm
+    behind it, against the frame's anterior axis."""
+    grid = single_vertebra_grid(with_refs=True)      # room behind the body
+    _, labels = render_vertebra(body_spec(uniform_heights(20.0)), frame, grid,
+                                label=1)
+    cx, cy, _ = -distance * frame.ap
+    xs, ys = grid.axis_coords(0), grid.axis_coords(1)
+    disc = (xs[None, :] - cx) ** 2 + (ys[:, None] - cy) ** 2 <= radius ** 2
+    labels[disc & (labels == 0)] = 103
+    return LabelMap(geometry=grid, labels=labels,
+                    legend={1: "VERTEBRA:12", 103: ROLE_CANAL})
+
+
 def test_axis_aligned_frame_matches_world():
-    lm = axis_aligned_lm()
-    f = vertebra_frame(lm, 1, anterior_hint=(0.0, 1.0, 0.0))
+    f = vertebra_frame(canal_lm(WORLD_FRAME), 1)
     assert np.allclose(f.si, (0, 0, 1), atol=1e-6)
     assert np.allclose(f.ap, (0, 1, 0), atol=1e-6)
     assert np.allclose(f.lr, (-1, 0, 0), atol=1e-6)
@@ -27,16 +42,12 @@ def test_default_anterior_is_plus_y_without_canal():
 
 
 def test_rotated_body_rotates_frame():
-    # Rotate the rendered solid 30 degrees about z by rendering along rotated
-    # axes; the PCA frame must follow within 1e-3 rad.
+    # Rotate the rendered solid and its canal 30 degrees about z by rendering
+    # along rotated axes; the PCA superior axis and the canal-derived anterior
+    # axis must follow within 1e-3 rad.
     ang = np.deg2rad(30.0)
     ap_rot = (-np.sin(ang), np.cos(ang), 0.0)
-    frame_rot = make_frame((0.0, 0.0, 0.0), (0, 0, 1), ap_rot)
-    grid = single_vertebra_grid()
-    spec = body_spec(uniform_heights(20.0))
-    _, lab = render_vertebra(spec, frame_rot, grid, label=1)
-    lm = LabelMap(geometry=grid, labels=lab, legend={1: "VERTEBRA:12"})
-    f = vertebra_frame(lm, 1, anterior_hint=ap_rot)
+    f = vertebra_frame(canal_lm(make_frame((0.0, 0.0, 0.0), (0, 0, 1), ap_rot)), 1)
     assert np.arccos(np.clip(abs(f.si @ np.array([0, 0, 1.0])), -1, 1)) < 1e-3
     assert np.arccos(np.clip(f.ap @ np.array(ap_rot), -1, 1)) < 1e-3
 
@@ -83,12 +94,6 @@ def test_flat_cloud_rejected():
     lm = LabelMap(geometry=geo, labels=labels, legend={1: "VERTEBRA:12"})
     with pytest.raises(ValueError, match="rank"):
         vertebra_frame(lm, 1)
-
-
-def test_hint_parallel_to_si_rejected():
-    lm = axis_aligned_lm()
-    with pytest.raises(ValueError, match="1 degree"):
-        vertebra_frame(lm, 1, anterior_hint=(0.0, 0.0, 1.0))
 
 
 def test_canal_derived_anterior(small_cohort):

@@ -8,9 +8,8 @@ import pytest
 
 from helpers import (reference_check_vertebra_connectivity, reference_column_table,
                      reference_label_world_coords, reference_mean_density,
-                     reference_trabecular_region)
+                     reference_trabecular_region, trabecular_mask)
 from vcfclass import densitometry, morphometry
-from vcfclass.densitometry import trabecular_region
 from vcfclass.features import measured_study_features
 from vcfclass.frames import vertebra_frame
 from vcfclass.grids import (ROLE_CANAL, GridGeometry, LabelMap, Volume,
@@ -86,9 +85,10 @@ def _reference_features(monkeypatch, vol, lm, erosion_mm):
         m.setattr(LabelMap, "view", _full_grid_view)
         m.setattr(morphometry, "column_table", reference_column_table)
         m.setattr(densitometry, "mean_density", reference_mean_density)
-        m.setattr(densitometry, "_trabecular_crop",
-                  lambda lm, label, frame, r, ball:
-                  (_FULL_GRID, reference_trabecular_region(lm, label, frame, r)))
+        m.setattr(densitometry, "trabecular_region",
+                  lambda lm, label, frame, ref:
+                  (_FULL_GRID, reference_trabecular_region(lm, label, frame,
+                                                           ref.erosion_radius_mm)))
         return measured_study_features(vol, lm, erosion_radius_mm=erosion_mm)
 
 
@@ -116,7 +116,7 @@ def test_trabecular_mask_identical_to_full_grid_reference(cases, name, erosion_m
     _, lm = cases[name]
     for label in lm.vertebra_labels():
         frame = vertebra_frame(lm, label)
-        got = trabecular_region(lm, label, frame, erosion_mm)
+        got = trabecular_mask(lm, label, frame, erosion_mm)
         assert got.shape == lm.labels.shape
         assert np.array_equal(got, reference_trabecular_region(lm, label, frame, erosion_mm))
 

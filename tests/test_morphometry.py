@@ -232,7 +232,7 @@ def _all_features(lm, frame):
 
 def test_whole_voxel_translation_invariance(uniform_case, wedge_case):
     for _, lm, _ in (uniform_case, wedge_case):
-        frame0 = vertebra_frame(lm, 1, anterior_hint=(0, 1, 0))
+        frame0 = vertebra_frame(lm, 1)
         base = _all_features(lm, frame0)
         g = lm.geometry
         moved = LabelMap(
@@ -242,7 +242,7 @@ def test_whole_voxel_translation_invariance(uniform_case, wedge_case):
                         g.origin[1] - 3 * g.spacing[1],
                         g.origin[2] + 2 * g.spacing[2])),
             labels=lm.labels, legend=lm.legend)
-        frame1 = vertebra_frame(moved, 1, anterior_hint=(0, 1, 0))
+        frame1 = vertebra_frame(moved, 1)
         shifted = _all_features(moved, frame1)
         for key in base:
             assert abs(shifted[key] - base[key]) < 1e-9, key
@@ -278,7 +278,7 @@ def test_doubling_heights_scales_features():
         h_avg = {}
         feats = {}
         for label, level in ((1, 10), (2, 11), (3, 12)):
-            frame = vertebra_frame(lm, label, anterior_hint=(0, 1, 0))
+            frame = vertebra_frame(lm, label)
             feats[level] = _all_features(lm, frame)
             h_avg[level] = feats[level]["h_avg"]
         results[scale] = (feats, contrast_features(h_avg))

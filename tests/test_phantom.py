@@ -12,7 +12,7 @@ from vcfclass.morphometry import (arc_index, cell_heights, cell_index,
                                   column_table, regional_summaries)
 from vcfclass.phantom import (ANTERIOR_LESION_CELLS, CohortSpec, FocalLesion,
                               N_CELLS, ProgressionModel, VertebraSpec, advance,
-                              generate_cohort, height_field, uniform_heights,
+                              _HeightWeights, generate_cohort, uniform_heights,
                               wedge_heights)
 
 
@@ -72,7 +72,8 @@ def test_heights_exact_at_cell_centers():
         ca, cl = ys[iy], -xs[ix]
         col_rho = np.sqrt((ca / r_ap) ** 2 + (cl / r_lr) ** 2)
         col_theta = np.arctan2(-cl, ca)
-        target = float(height_field(spec, np.array([col_rho]), np.array([col_theta]))[0])
+        target = float(_HeightWeights(np.array([col_rho]),
+                                      np.array([col_theta]))(spec.cell_heights)[0])
         assert abs(measured - target) <= 1.0, f"cell {cell}"
         assert abs(target - heights[cell]) <= 2.5, f"cell {cell} interpolation drift"
 
@@ -330,7 +331,7 @@ def test_height_field_matches_cells_at_centers():
     node1, node2 = 0.5, 5.0 / 6.0
     rho = np.array([0.0] + [node1] * 8 + [node2] * 8)
     theta = np.array([0.0] + [k * np.pi / 4 for k in range(8)] * 2)
-    assert np.allclose(height_field(spec, rho, theta), heights)
+    assert np.allclose(_HeightWeights(rho, theta)(spec.cell_heights), heights)
     cells = cell_index(rho, arc_index(theta))
     assert list(cells) == list(range(N_CELLS))
 

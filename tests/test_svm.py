@@ -128,7 +128,7 @@ def test_param_validation():
         SvmParams(gamma=-1.0)
 
 
-@pytest.mark.parametrize("field, value", [
+INVALID_PARAMS = [
     ("C", float("nan")), ("C", float("inf")), ("C", -1.0),
     ("gamma", float("nan")), ("gamma", float("inf")),
     ("C", float("-inf")), ("gamma", float("-inf")), ("gamma", 0.0),
@@ -136,7 +136,12 @@ def test_param_validation():
     ("class_weights", (1.0,)), ("class_weights", (1.0, 2.0, 3.0)),
     ("class_weights", (1.0, 0.0)), ("class_weights", (-1.0, 1.0)),
     ("class_weights", (float("nan"), 1.0)), ("class_weights", (1.0, float("inf"))),
-])
+]
+
+
+# Ids come from the case itself, so adding or deleting a case renames no other.
+@pytest.mark.parametrize("field, value", INVALID_PARAMS, ids=[
+    f"{field}-{value}".replace(" ", "") for field, value in INVALID_PARAMS])
 def test_invalid_params_rejected(field, value):
     with pytest.raises(ValueError, match=field):
         SvmParams(**{field: value})
