@@ -25,11 +25,9 @@ from . import __version__
 from .committee import CommitteeConfig, SelectionConfig
 from .crossval import (cross_validate_conditions, load_predictions, outer_folds,
                        predictions_path, save_predictions, single_class_folds)
-from .densitometry import DEFAULT_EROSION_MM
 from .evaluation import ComparisonReport, accuracy, compare, emit_report
 from .features import (CONDITIONS, FIRST_STUDY_POLICIES, assemble_from_path,
                        load_table, save_table)
-from .morphometry import CompassLayout
 from .phantom import CohortSpec, generate_cohort
 from .published import check_reference_arithmetic
 from .svm import SvmParams
@@ -80,9 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", type=Path, required=True)
     p.add_argument("--policy", choices=FIRST_STUDY_POLICIES, default="zero",
                    help="first-study handling for longitudinal rates")
-    p.add_argument("--erosion-mm", type=float, default=DEFAULT_EROSION_MM)
-    p.add_argument("--r1-fraction", type=float, default=CompassLayout.r1_fraction)
-    p.add_argument("--r2-fraction", type=float, default=CompassLayout.r2_fraction)
     p.add_argument("--out", type=Path, default=None, help="output CSV path")
 
     p = sub.add_parser("cv", help="cross-validate feature-set conditions")
@@ -147,22 +142,12 @@ def cmd_phantom(args) -> int:
 def cmd_extract(args) -> int:
     if not args.manifest.is_file():
         raise UsageError(f"no such manifest: {args.manifest}")
-    if not (np.isfinite(args.erosion_mm) and args.erosion_mm >= 0):
-        raise UsageError(f"--erosion-mm must be finite and >= 0, got {args.erosion_mm}")
-    try:
-        layout = CompassLayout(r1_fraction=args.r1_fraction,
-                               r2_fraction=args.r2_fraction)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     out = args.out or _default_out("features.csv")
-    table = assemble_from_path(args.manifest, policy=args.policy, layout=layout,
-                               erosion_radius_mm=args.erosion_mm)
+    table = assemble_from_path(args.manifest, policy=args.policy)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_table(table, out)
     _write_config(out.with_suffix(out.suffix + ".run_config.json"), "extract", {
-        "manifest": str(args.manifest), "policy": args.policy,
-        "erosion_mm": args.erosion_mm, "r1_fraction": args.r1_fraction,
-        "r2_fraction": args.r2_fraction})
+        "manifest": str(args.manifest), "policy": args.policy})
     print(f"wrote {len(table)} instances x 36 features -> {out}")
     return 0
 

@@ -98,7 +98,7 @@ def greedy_forward_select(X: np.ndarray, y: np.ndarray, candidates,
     setting = (_fingerprint(y), inner_folds, params, seed)
     # Fixed for the whole selection: the inner folds and the test masks of
     # those whose training rows hold both classes.
-    folds = kfold_split(len(y), k=inner_folds, seed=seed, stratify_by=y)
+    folds = kfold_split(y, k=inner_folds, seed=seed)
     scored = [te for te in (folds == f for f in range(inner_folds))
               if y[~te].min() < y[~te].max()]
     subset: list[int] = []

@@ -67,7 +67,7 @@ def outer_folds(table: FeatureTable, k: int, seed: int,
                 group_by_patient: bool) -> np.ndarray:
     """Outer fold index per instance: stratified by truth or, with
     ``group_by_patient``, each patient's instances in one (unstratified) fold."""
-    return kfold_split(len(table), k=k, seed=seed, stratify_by=table.truth,
+    return kfold_split(table.truth, k=k, seed=seed,
                        group_by=table.patient_ids if group_by_patient else None)
 
 

@@ -1,11 +1,11 @@
 """Bone density estimation: whole-body mean HU, trabecular mean via
 anterior-half erosion, and two-point muscle/fat normalization.
 
-The trabecular probe is the body eroded by a lattice ball of the erosion
-radius (``grids.erode_by_ball``: the intersection of the erosions by the
-ball's x-rows, one array operation per (dz, dy) row), computed on the body's
-bounding box with space beyond it counted as background, then cut to the
-half-space anterior to the centroid."""
+The trabecular probe is the body eroded by a lattice ball of radius
+``DEFAULT_EROSION_MM`` (``grids.erode_by_ball``: the intersection of the
+erosions by the ball's x-rows, one array operation per (dz, dy) row),
+computed on the body's bounding box with space beyond it counted as
+background, then cut to the half-space anterior to the centroid."""
 
 from __future__ import annotations
 
@@ -67,9 +67,9 @@ class StudyReference:
     ball: np.ndarray          # (z, y, x) lattice offsets; one voxel at 0 mm
 
 
-def study_reference(vol: Volume, lm: LabelMap,
-                    erosion_radius_mm: float = DEFAULT_EROSION_MM) -> StudyReference:
-    """Read the reference regions' means and build the erosion ball once."""
+def study_reference(vol: Volume, lm: LabelMap) -> StudyReference:
+    """Read the reference regions' means and build the ball of
+    ``DEFAULT_EROSION_MM`` once."""
     check_paired_geometry(vol, lm)
     means = []
     for role in (ROLE_MUSCLE, ROLE_FAT):
@@ -77,8 +77,8 @@ def study_reference(vol: Volume, lm: LabelMap,
         if ref_label is None:
             raise ValueError(f"missing reference region: {role}")
         means.append(mean_density(vol, lm, ref_label, min_voxels=1))
-    return StudyReference(*means, erosion_radius_mm,
-                          _ball_structure(erosion_radius_mm, lm.spacing))
+    return StudyReference(*means, DEFAULT_EROSION_MM,
+                          _ball_structure(DEFAULT_EROSION_MM, lm.spacing))
 
 
 def trabecular_region(lm: LabelMap, label: int, frame: LocalFrame,

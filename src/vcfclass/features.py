@@ -23,7 +23,6 @@ from .grids import (LabelMap, Volume, load_labelmap, load_volume,
                     parse_vertebra_level)
 from .manifest import (CohortManifest, NEOPLASTIC, StudyRecord,
                        load_manifest, years_between)
-from .morphometry import CompassLayout
 from .parallel import pmap
 
 HEIGHT_COLUMNS = [
@@ -114,16 +113,13 @@ def _truth_code(value: str) -> str:
 # ---------------------------------------------------------------------------
 # per-study extraction
 
-def measured_study_features(vol: Volume, lm: LabelMap,
-                            layout: CompassLayout = CompassLayout(),
-                            erosion_radius_mm: float = densitometry.DEFAULT_EROSION_MM,
-                            ) -> dict[int, dict[str, float]]:
+def measured_study_features(vol: Volume, lm: LabelMap) -> dict[int, dict[str, float]]:
     """Measured features for every vertebra in one study, keyed by label.
 
     All vertebrae are measured (unfractured ones supply contrast neighbors);
     contrasts are filled in across the study's level stack.
     """
-    ref = densitometry.study_reference(vol, lm, erosion_radius_mm)
+    ref = densitometry.study_reference(vol, lm)
     per_label: dict[int, dict[str, float]] = {}
     h_avg_by_level: dict[int, float] = {}
     level_by_label: dict[int, int] = {}
@@ -131,7 +127,7 @@ def measured_study_features(vol: Volume, lm: LabelMap,
         level = parse_vertebra_level(lm.legend[label])
         frame = vertebra_frame(lm, label)
         cols = morphometry.column_table(lm, label, frame)
-        ch = morphometry.cell_heights(cols, label, layout)
+        ch = morphometry.cell_heights(cols, label)
         feats = morphometry.regional_summaries(ch)
         feats.update(morphometry.sagittal_heights(cols, label))
         dens = densitometry.density_features(vol, lm, label, frame, ref)
@@ -148,16 +144,13 @@ def measured_study_features(vol: Volume, lm: LabelMap,
     return per_label
 
 
-def measured_features(study: StudyRecord, base_dir,
-                      layout: CompassLayout = CompassLayout(),
-                      erosion_radius_mm: float = densitometry.DEFAULT_EROSION_MM,
-                      ) -> dict[int, dict[str, float]]:
+def measured_features(study: StudyRecord, base_dir) -> dict[int, dict[str, float]]:
     """Load a study's volume/label pair and measure every vertebra."""
     base = Path(base_dir)
     try:
         vol = load_volume(base / study.volume_path)
         lm = load_labelmap(base / study.labelmap_path)
-        return measured_study_features(vol, lm, layout, erosion_radius_mm)
+        return measured_study_features(vol, lm)
     except Exception as exc:
         raise RuntimeError(f"study {study.study_id}: {exc}") from exc
 
@@ -166,11 +159,10 @@ def demographics(study: StudyRecord) -> dict[str, float]:
     return {"Gender": 0.0 if study.gender == "F" else 1.0, "Age": float(study.age)}
 
 
-def _study_rows(base_dir, layout: CompassLayout, erosion_radius_mm: float,
-                study: StudyRecord) -> dict[int, np.ndarray]:
+def _study_rows(base_dir, study: StudyRecord) -> dict[int, np.ndarray]:
     """A study's measured features as one ``MEASURED_COLUMNS``-ordered array
     per label, after checking that every fractured label was measured."""
-    measured = measured_features(study, base_dir, layout, erosion_radius_mm)
+    measured = measured_features(study, base_dir)
     for label in study.fractured_labels():
         if label not in measured:
             raise RuntimeError(f"study {study.study_id}: fractured label {label} "
@@ -182,10 +174,7 @@ def _study_rows(base_dir, layout: CompassLayout, erosion_radius_mm: float,
 # ---------------------------------------------------------------------------
 # longitudinal assembly
 
-def assemble(manifest: CohortManifest, base_dir, policy: str = "zero",
-             layout: CompassLayout = CompassLayout(),
-             erosion_radius_mm: float = densitometry.DEFAULT_EROSION_MM,
-             ) -> FeatureTable:
+def assemble(manifest: CohortManifest, base_dir, policy: str = "zero") -> FeatureTable:
     """One feature row per (fractured vertebra, study) instance.
 
     Rates compare against the same vertebra in the immediately preceding
@@ -197,8 +186,7 @@ def assemble(manifest: CohortManifest, base_dir, policy: str = "zero",
     if policy not in FIRST_STUDY_POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {FIRST_STUDY_POLICIES}")
     studies = list(manifest.all_studies())
-    measured = iter(pmap(partial(_study_rows, base_dir, layout, erosion_radius_mm),
-                         studies))
+    measured = iter(pmap(partial(_study_rows, base_dir), studies))
     first_rates = np.zeros(len(RATE_COLUMNS))
     ids, values, truths = [], [], []
     for patient in manifest.patients:
@@ -226,14 +214,10 @@ def assemble(manifest: CohortManifest, base_dir, policy: str = "zero",
                         truth=truths)
 
 
-def assemble_from_path(manifest_path, policy: str = "zero",
-                       layout: CompassLayout = CompassLayout(),
-                       erosion_radius_mm: float = densitometry.DEFAULT_EROSION_MM,
-                       ) -> FeatureTable:
+def assemble_from_path(manifest_path, policy: str = "zero") -> FeatureTable:
     manifest_path = Path(manifest_path)
     manifest = load_manifest(manifest_path)
-    return assemble(manifest, manifest_path.parent, policy, layout,
-                    erosion_radius_mm)
+    return assemble(manifest, manifest_path.parent, policy)
 
 
 # ---------------------------------------------------------------------------

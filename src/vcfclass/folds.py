@@ -14,17 +14,20 @@ def check_seed(value, field: str = "seed") -> None:
         raise ValueError(f"{field} must be a non-negative integer, got {value!r}")
 
 
-def kfold_split(n: int, k: int = 10, seed: int = 0, *, stratify_by,
+def kfold_split(stratify_by, k: int = 10, seed: int = 0, *,
                 group_by=None) -> np.ndarray:
-    """Fold index (0..k-1) per instance.
+    """Fold index (0..k-1) per instance, one instance per class label in
+    ``stratify_by``.
 
-    Each class of ``stratify_by`` has its (seeded-shuffled) instances dealt
-    round-robin with a running fold pointer, so fold sizes stay within 1 of
-    n/k and each fold's class counts within 1 of the global ratio. With
-    ``group_by`` set, whole groups go to the currently smallest fold and
-    ``stratify_by`` is not read, so grouped folds are not stratified; a group
+    Each class has its (seeded-shuffled) instances dealt round-robin with a
+    running fold pointer, so fold sizes stay within 1 of n/k and each fold's
+    class counts within 1 of the global ratio. With ``group_by`` (one group
+    per instance) set, whole groups go to the currently smallest fold and the
+    classes are not read, so grouped folds are not stratified; a group
     larger than n/k draws a warning, not an error.
     """
+    strata = np.asarray(stratify_by)
+    n = len(strata)
     if k < 2:
         raise ValueError("k must be at least 2")
     if k > n:
@@ -34,6 +37,9 @@ def kfold_split(n: int, k: int = 10, seed: int = 0, *, stratify_by,
 
     if group_by is not None:
         groups = np.asarray(group_by)
+        if len(groups) != n:
+            raise ValueError(f"group_by has {len(groups)} entries for the "
+                             f"{n} instances of stratify_by")
         uniq, sizes = np.unique(groups, return_counts=True)
         if uniq.size < k:
             raise ValueError(f"only {uniq.size} groups for k={k} folds")
@@ -51,7 +57,6 @@ def kfold_split(n: int, k: int = 10, seed: int = 0, *, stratify_by,
             fold_load[target] += int(sel.sum())
         return folds
 
-    strata = np.asarray(stratify_by)
     pointer = 0
     for value in sorted(set(strata.tolist())):
         idx = np.flatnonzero(strata == value)

@@ -75,7 +75,9 @@ class StudyRecord:
                 raise TypeError(f"study {self.study_id}: acquisition_date must be an "
                                 f"ISO date, got {self.acquisition_date!r}")
         with _field("age"):
-            if not (isinstance(self.age, (int, float)) and math.isfinite(self.age)):
+            # bool is an int, so a JSON true would read as age 1
+            if isinstance(self.age, bool) or not (
+                    isinstance(self.age, (int, float)) and math.isfinite(self.age)):
                 raise ValueError(
                     f"study {self.study_id}: age must be a finite number, got {self.age!r}")
             if self.age < 0:
@@ -88,6 +90,12 @@ class StudyRecord:
             if not isinstance(self.vertebra_truth, dict):
                 raise TypeError(f"study {self.study_id}: vertebra_truth must map "
                                 f"labels to truth values, got {self.vertebra_truth!r}")
+            # Only the plain decimal spelling is a label: "01", " 1" and "+1"
+            # would each land on label 1 and overwrite its truth.
+            odd = [k for k in self.vertebra_truth if str(k) != str(int(k))]
+            if odd:
+                raise ValueError(f"study {self.study_id}: vertebra_truth keys {odd} "
+                                 f"are not labels in plain decimal")
             truth = {int(k): str(v) for k, v in self.vertebra_truth.items()}
             bad = {k: v for k, v in truth.items() if v not in TRUTH_VALUES}
             if bad:

@@ -4,8 +4,8 @@ height features derived from it.
 Cell indexing: 0 = center, 1-8 = inner ring, 9-16 = outer ring. Arcs are
 numbered clockwise (viewed from superior) starting at the anterior direction,
 so cells 1 and 9 are anterior, 5 and 13 posterior. Ring boundaries sit at
-configurable fractions of the per-direction footprint radius, so the rings
-scale with the local cross-section.
+one and two thirds of the per-direction footprint radius, so the rings scale
+with the local cross-section.
 """
 
 from __future__ import annotations
@@ -22,6 +22,11 @@ ARC_COUNT = 8
 MIN_COLUMN_VOXELS = 3    # columns thinner than this carry no height
 MIN_CELL_COLUMNS = 3     # cells with fewer columns are marked missing
 
+# Ring boundaries as fractions of the footprint radius; the phantom's height
+# field has its ring nodes between them.
+R1_FRACTION = 1.0 / 3.0
+R2_FRACTION = 2.0 / 3.0
+
 # Overlapping regional arc sets (regions are summary means, not a partition).
 ANTERIOR_ARCS = (7, 0, 1)
 POSTERIOR_ARCS = (3, 4, 5)
@@ -29,17 +34,6 @@ LEFT_ARCS = (5, 6, 7)
 RIGHT_ARCS = (1, 2, 3)
 
 _EPS = 1e-9
-
-
-@dataclass(frozen=True)
-class CompassLayout:
-    r1_fraction: float = 1.0 / 3.0
-    r2_fraction: float = 2.0 / 3.0
-
-    def __post_init__(self):
-        if not (0.0 < self.r1_fraction < self.r2_fraction < 1.0):
-            raise ValueError(
-                f"need 0 < r1 < r2 < 1, got {self.r1_fraction}, {self.r2_fraction}")
 
 
 @dataclass(frozen=True)
@@ -131,15 +125,14 @@ def arc_index(phi: np.ndarray) -> np.ndarray:
     return arc % ARC_COUNT
 
 
-def cell_index(rho: np.ndarray, arc: np.ndarray,
-               layout: CompassLayout = CompassLayout()) -> np.ndarray:
+def cell_index(rho: np.ndarray, arc: np.ndarray) -> np.ndarray:
     """Compass cell (0..16) from a radius normalized to the footprint edge
-    and an arc index: the ring is chosen by the layout's fractions."""
-    return np.where(rho < layout.r1_fraction, 0,
-                    np.where(rho < layout.r2_fraction, 1 + arc, 9 + arc))
+    and an arc index."""
+    return np.where(rho < R1_FRACTION, 0,
+                    np.where(rho < R2_FRACTION, 1 + arc, 9 + arc))
 
 
-def assign_cells(cols: ColumnTable, layout: CompassLayout = CompassLayout()) -> np.ndarray:
+def assign_cells(cols: ColumnTable) -> np.ndarray:
     """Compass cell index (0..16) for every column of the footprint."""
     if cols.n_columns == 0:
         raise ValueError("empty footprint")
@@ -154,18 +147,17 @@ def assign_cells(cols: ColumnTable, layout: CompassLayout = CompassLayout()) -> 
         radius[k] = r[sel].max() if sel.any() else global_max
     safe = np.where(radius > 0, radius, 1.0)
     rho = np.where(radius[arc] > 0, r / safe[arc], 0.0)
-    return cell_index(rho, arc, layout)
+    return cell_index(rho, arc)
 
 
-def cell_heights(cols: ColumnTable, label: int,
-                 layout: CompassLayout = CompassLayout()) -> CellHeights:
+def cell_heights(cols: ColumnTable, label: int) -> CellHeights:
     """Median endplate-to-endplate column height per compass cell of the
     columns ``column_table`` built for ``label``.
 
     One sort by (cell, height) puts each cell's heights in order, NaN last;
     the median is the mean of the middle one or two, as ``np.median``
     computes it."""
-    cells = assign_cells(cols, layout)
+    cells = assign_cells(cols)
     counts = np.bincount(cells, minlength=N_CELLS)
     n = np.bincount(cells[~np.isnan(cols.height)], minlength=N_CELLS)
     ordered = cols.height[np.lexsort((cols.height, cells))]

@@ -41,7 +41,7 @@ from .folds import check_seed
 from .frames import LocalFrame, make_frame
 from .manifest import (CohortManifest, NEOPLASTIC, OSTEOPOROTIC, PatientEntry,
                        StudyRecord, UNFRACTURED, save_manifest)
-from .morphometry import N_CELLS, CompassLayout, arc_index, cell_index
+from .morphometry import N_CELLS, R1_FRACTION, R2_FRACTION, arc_index, cell_index
 from .parallel import pmap
 
 MIN_CELL_HEIGHT_MM = 1.0
@@ -211,9 +211,8 @@ class _HeightWeights:
         self.arc1 = (self.arc0 + 1) & 7
         self.frac = t - floor
         self.frac_c = 1.0 - self.frac
-        layout = CompassLayout()                    # the measurement side's rings
-        node1 = 0.5 * (layout.r1_fraction + layout.r2_fraction)   # inner-ring node radius
-        node2 = 0.5 * (layout.r2_fraction + 1.0)                  # outer-ring node radius
+        node1 = 0.5 * (R1_FRACTION + R2_FRACTION)   # inner-ring node radius
+        node2 = 0.5 * (R2_FRACTION + 1.0)           # outer-ring node radius
         self.inner, self.middle = rho <= node1, rho <= node2
         self.w = np.clip(rho / node1, 0.0, 1.0)
         self.w_c = 1.0 - self.w

@@ -41,9 +41,9 @@ from vcfclass.manifest import (NEOPLASTIC, OSTEOPOROTIC, CohortManifest,
                                PatientEntry, StudyRecord, save_manifest,
                                years_between)
 from vcfclass.morphometry import (MIN_CELL_COLUMNS, MIN_COLUMN_VOXELS, N_CELLS,
-                                  CellHeights, ColumnTable, CompassLayout,
-                                  _axis_resolution, arc_index, assign_cells,
-                                  cell_index)
+                                  R1_FRACTION, R2_FRACTION, CellHeights,
+                                  ColumnTable, _axis_resolution, arc_index,
+                                  assign_cells, cell_index)
 from vcfclass.phantom import (CohortSpec, VertebraSpec, _add_noise, _Footprint,
                               _frame_coords, _plan_patient, _render_background,
                               _rng, _study_grid, advance)
@@ -427,7 +427,7 @@ def inner_folds_scored(y, inner_folds: int, seed: int):
     """``scored`` as ``greedy_forward_select`` passes it to
     ``_inner_cv_accuracy``: the test masks of the inner folds whose training
     rows hold both classes."""
-    folds = kfold_split(len(y), k=inner_folds, seed=seed, stratify_by=y)
+    folds = kfold_split(y, k=inner_folds, seed=seed)
     return [folds == f for f in range(inner_folds)
             if np.unique(y[folds != f]).size >= 2]
 
@@ -504,11 +504,10 @@ def reference_column_table(lm: LabelMap, label: int, frame) -> ColumnTable:
     return ColumnTable(a=a_center, l=l_center, height=height, res_a=res_a, res_l=res_l)
 
 
-def reference_cell_heights(cols: ColumnTable, label: int,
-                           layout: CompassLayout = CompassLayout()) -> CellHeights:
+def reference_cell_heights(cols: ColumnTable, label: int) -> CellHeights:
     """Per-cell medians by one ``np.median`` per cell, as before the single
     sort by (cell, height)."""
-    cells = assign_cells(cols, layout)
+    cells = assign_cells(cols)
     heights = np.full(N_CELLS, np.nan)
     for c in range(N_CELLS):
         sel = cells == c
@@ -627,10 +626,8 @@ def reference_build_row(study: StudyRecord, measured: dict[str, float],
     return values, mask
 
 
-def reference_assemble(manifest: CohortManifest, base_dir, policy: str = "zero",
-                       layout: CompassLayout = CompassLayout(),
-                       erosion_radius_mm: float = DEFAULT_EROSION_MM,
-                       ) -> tuple[FeatureTable, np.ndarray]:
+def reference_assemble(manifest: CohortManifest, base_dir,
+                       policy: str = "zero") -> tuple[FeatureTable, np.ndarray]:
     """One feature row per (fractured vertebra, study) instance, and the
     (n, 36) mask, True where a value is not genuinely measured.
 
@@ -647,7 +644,7 @@ def reference_assemble(manifest: CohortManifest, base_dir, policy: str = "zero",
         previous: dict[int, dict[str, float]] | None = None
         prev_date = None
         for study in patient.studies:
-            measured = measured_features(study, base_dir, layout, erosion_radius_mm)
+            measured = measured_features(study, base_dir)
             for label in study.fractured_labels():
                 if label not in measured:
                     raise RuntimeError(
@@ -710,7 +707,7 @@ def reference_impute(values: np.ndarray, mask: np.ndarray, fill: np.ndarray) -> 
 
 def reference_inner_cv_accuracy(X, y, feature_subset, inner_folds, params, seed) -> float:
     """Inner k-fold accuracy with every fold scored (no bound)."""
-    folds = kfold_split(len(y), k=inner_folds, seed=seed, stratify_by=y)
+    folds = kfold_split(y, k=inner_folds, seed=seed)
     correct = evaluated = 0
     for f in range(inner_folds):
         tr = folds != f
@@ -781,9 +778,8 @@ def _reference_ring_values(theta: np.ndarray, ring: np.ndarray) -> np.ndarray:
 def reference_height_field(spec: VertebraSpec, rho: np.ndarray,
                            theta: np.ndarray) -> np.ndarray:
     h = np.asarray(spec.cell_heights)
-    layout = CompassLayout()
-    node1 = 0.5 * (layout.r1_fraction + layout.r2_fraction)
-    node2 = 0.5 * (layout.r2_fraction + 1.0)
+    node1 = 0.5 * (R1_FRACTION + R2_FRACTION)
+    node2 = 0.5 * (R2_FRACTION + 1.0)
     ring1 = _reference_ring_values(theta, h[1:9])
     ring2 = _reference_ring_values(theta, h[9:17])
 

@@ -174,7 +174,7 @@ def test_criterion_4_density_invariance():
             worst = max(worst, abs(tf.meanDen - base.meanDen),
                         abs(tf.meanTrab - base.meanTrab))
     assert worst < 1e-9
-    box, probe = trabecular_region(lm, 1, frame, study_reference(vol, lm, 3.0))
+    box, probe = trabecular_region(lm, 1, frame, study_reference(vol, lm))
     n_cortical = int((vol.data[box][probe] == 400).sum())
     assert n_cortical == 0 and probe.any()
     ok(4, f"affine worst diff {worst:.2e} < 1e-9; trabecular mask "
@@ -231,7 +231,7 @@ def test_criterion_7_cv_integrity():
     for n in (20, 695):
         truth = np.array(["O"] * int(round(n * 490 / 695)) +
                          ["N"] * (n - int(round(n * 490 / 695))))
-        folds = kfold_split(n, k=10, seed=3, stratify_by=truth)
+        folds = kfold_split(truth, k=10, seed=3)
         sizes = np.bincount(folds, minlength=10)
         assert sizes.sum() == n and sizes.max() - sizes.min() <= 1
         for cls in ("O", "N"):

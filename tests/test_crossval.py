@@ -13,13 +13,13 @@ from vcfclass.svm import SvmParams
 
 
 def test_ten_of_ten_singleton_folds():
-    folds = kfold_split(10, k=10, seed=0, stratify_by=np.zeros(10))
+    folds = kfold_split(np.zeros(10), k=10, seed=0)
     assert sorted(folds.tolist()) == list(range(10))
 
 
 def test_paper_shaped_stratification():
     truth = np.array(["O"] * 490 + ["N"] * 205)
-    folds = kfold_split(695, k=10, seed=1, stratify_by=truth)
+    folds = kfold_split(truth, k=10, seed=1)
     for f in range(10):
         sel = folds == f
         assert int((truth[sel] == "O").sum()) == 49
@@ -31,7 +31,7 @@ def test_fold_partition_properties():
     rng = np.random.default_rng(2)
     for n in (20, 695):
         truth = np.where(rng.random(n) < 0.3, "N", "O")
-        folds = kfold_split(n, k=10, seed=3, stratify_by=truth)
+        folds = kfold_split(truth, k=10, seed=3)
         assert folds.min() >= 0 and folds.max() <= 9
         sizes = np.bincount(folds, minlength=10)
         assert sizes.max() - sizes.min() <= 1
@@ -44,24 +44,23 @@ def test_fold_partition_properties():
 
 def test_kfold_deterministic():
     truth = np.where(np.arange(100) % 3 == 0, "N", "O")
-    a = kfold_split(100, k=10, seed=5, stratify_by=truth)
-    b = kfold_split(100, k=10, seed=5, stratify_by=truth)
+    a = kfold_split(truth, k=10, seed=5)
+    b = kfold_split(truth, k=10, seed=5)
     assert np.array_equal(a, b)
-    c = kfold_split(100, k=10, seed=6, stratify_by=truth)
+    c = kfold_split(truth, k=10, seed=6)
     assert not np.array_equal(a, c)
 
 
 def test_kfold_validation():
     with pytest.raises(ValueError, match="exceeds"):
-        kfold_split(5, k=10, seed=0, stratify_by=np.zeros(5))
+        kfold_split(np.zeros(5), k=10, seed=0)
     with pytest.raises(ValueError, match="at least 2"):
-        kfold_split(5, k=1, seed=0, stratify_by=np.zeros(5))
+        kfold_split(np.zeros(5), k=1, seed=0)
 
 
 def test_grouped_folds_keep_groups_whole():
     groups = np.repeat(np.arange(20), 5)    # 20 patients x 5 instances
-    folds = kfold_split(100, k=10, seed=0, stratify_by=np.zeros(100),
-                        group_by=groups)
+    folds = kfold_split(np.zeros(100), k=10, seed=0, group_by=groups)
     for g in range(20):
         assert np.unique(folds[groups == g]).size == 1
     sizes = np.bincount(folds, minlength=10)
@@ -71,8 +70,15 @@ def test_grouped_folds_keep_groups_whole():
 def test_oversized_group_warns():
     groups = np.array([0] * 30 + list(range(1, 71)))
     with pytest.warns(UserWarning, match="largest group"):
-        kfold_split(100, k=10, seed=0, stratify_by=np.zeros(100),
-                    group_by=groups)
+        kfold_split(np.zeros(100), k=10, seed=0, group_by=groups)
+
+
+def test_group_by_of_another_length_rejected():
+    # group_by must name one group per instance of stratify_by.
+    with pytest.raises(ValueError, match="group_by has 5 entries for the 10 instances"):
+        kfold_split(np.zeros(10), k=2, seed=0, group_by=np.arange(5))
+    with pytest.raises(ValueError, match="group_by has 12 entries for the 10 instances"):
+        kfold_split(np.zeros(10), k=2, seed=0, group_by=np.arange(12))
 
 
 # ---------------------------------------------------------------------------

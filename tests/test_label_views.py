@@ -79,8 +79,16 @@ def _full_grid_view(lm, label):
     return SimpleNamespace(coords=reference_label_world_coords(lm, label))
 
 
+def _features(monkeypatch, vol, lm, erosion_mm):
+    """``measured_study_features`` with the trabecular probe eroded by
+    ``erosion_mm`` instead of the method's ``DEFAULT_EROSION_MM``."""
+    with monkeypatch.context() as m:
+        m.setattr(densitometry, "DEFAULT_EROSION_MM", erosion_mm)
+        return measured_study_features(vol, lm)
+
+
 def _reference_features(monkeypatch, vol, lm, erosion_mm):
-    """``measured_study_features`` with every label-map read on the full grid."""
+    """``_features`` with every label-map read on the full grid."""
     with monkeypatch.context() as m:
         m.setattr(LabelMap, "view", _full_grid_view)
         m.setattr(morphometry, "column_table", reference_column_table)
@@ -89,7 +97,7 @@ def _reference_features(monkeypatch, vol, lm, erosion_mm):
                   lambda lm, label, frame, ref:
                   (_FULL_GRID, reference_trabecular_region(lm, label, frame,
                                                            ref.erosion_radius_mm)))
-        return measured_study_features(vol, lm, erosion_radius_mm=erosion_mm)
+        return _features(m, vol, lm, erosion_mm)
 
 
 def _fresh(lm):
@@ -101,7 +109,7 @@ def _fresh(lm):
 def test_features_identical_to_full_grid_reference(cases, monkeypatch, name, erosion_mm):
     vol, lm = cases[name]
     expected = _reference_features(monkeypatch, vol, lm, erosion_mm)
-    got = measured_study_features(vol, _fresh(lm), erosion_radius_mm=erosion_mm)
+    got = _features(monkeypatch, vol, _fresh(lm), erosion_mm)
     assert got.keys() == expected.keys()
     for label, feats in expected.items():
         assert got[label].keys() == feats.keys()

@@ -52,6 +52,10 @@ def test_duplicate_patient_ids():
 def test_bad_values_rejected():
     with pytest.raises(ValueError, match="age"):
         study(age=-1)
+    with pytest.raises(ValueError, match="age must be a finite number, got True"):
+        study(age=True)
+    with pytest.raises(ValueError, match=r"keys \['01'\] are not labels"):
+        study(truth={1: "OSTEOPOROTIC", "01": "NEOPLASTIC"})
     with pytest.raises(ValueError, match="gender"):
         study(gender="X")
     with pytest.raises(ValueError, match="truth"):
@@ -122,9 +126,17 @@ def _study0(doc):
     (lambda d: _study0(d).update(foo=1), "patients[0].studies[0].foo"),
     (lambda d: _study0(d).pop("age"), "patients[0].studies[0].age"),
     (lambda d: _study0(d).update(age="50"), "patients[0].studies[0].age"),
+    (lambda d: _study0(d).update(age=True), "patients[0].studies[0].age"),
+    (lambda d: _study0(d)["vertebra_truth"].update({"01": "NEOPLASTIC"}),
+     "patients[0].studies[0].vertebra_truth"),
+    (lambda d: _study0(d)["vertebra_truth"].update({" 1": "NEOPLASTIC"}),
+     "patients[0].studies[0].vertebra_truth"),
+    (lambda d: _study0(d)["vertebra_truth"].update({"+1": "NEOPLASTIC"}),
+     "patients[0].studies[0].vertebra_truth"),
     (lambda d: d["patients"][0].update(studies=None), "patients[0].studies"),
 ], ids=["no-patients", "patients-object", "bad-date", "bad-truth-key", "unknown-key",
-        "no-age", "string-age", "null-studies"])
+        "no-age", "string-age", "bool-age", "zero-padded-truth-key",
+        "spaced-truth-key", "signed-truth-key", "null-studies"])
 def test_extract_names_manifest_and_field(tmp_path, capsys, mutate, field):
     path = tmp_path / "manifest.json"
     _write_manifest(path, "P0", "S7")

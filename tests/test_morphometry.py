@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import WORLD_FRAME, body_spec, reference_cell_heights, render_single
 from vcfclass.frames import vertebra_frame
 from vcfclass.grids import GridGeometry, LabelMap
-from vcfclass.morphometry import (ColumnTable, CompassLayout, assign_cells,
+from vcfclass.morphometry import (ColumnTable, assign_cells,
                                   cell_heights, column_table, contrast_features,
                                   regional_summaries, sagittal_heights)
 from vcfclass.phantom import uniform_heights
@@ -295,9 +295,3 @@ def test_doubling_heights_scales_features():
             else:
                 assert abs(a - b) < 1e-6
 
-
-def test_layout_validation():
-    with pytest.raises(ValueError):
-        CompassLayout(r1_fraction=0.7, r2_fraction=0.5)
-    with pytest.raises(ValueError):
-        CompassLayout(r1_fraction=0.0, r2_fraction=0.5)

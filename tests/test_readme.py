@@ -1,10 +1,14 @@
-"""README's "Library use" block runs as written: it guards the names the
-package exports at its top level and the documented API."""
+"""README as written: its "Library use" block runs, which guards the names
+the package exports at its top level and the documented API, and every
+command-line flag it names is an option of the ``vcfclass`` parser."""
 
+import argparse
 import contextlib
 import io
 import re
 from pathlib import Path
+
+from vcfclass.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -23,3 +27,32 @@ def test_library_use_block_runs(tmp_path, monkeypatch):
     lines = printed.getvalue().splitlines()
     assert [line.split()[0] for line in lines] == ["measured", "longitudinal",
                                                    "combined"]
+
+
+FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+
+
+def subcommand_options() -> dict[str, set[str]]:
+    """Each ``vcfclass`` subcommand's option strings."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: {opt for action in p._actions for opt in action.option_strings}
+            for name, p in sub.choices.items()}
+
+
+def test_readme_flags_are_cli_options():
+    options = subcommand_options()
+    text = README.read_text(encoding="utf-8")
+    # Walkthrough commands, continuation lines joined, and inline code spans
+    # outside the fenced blocks; either may name its subcommand first.
+    commands = [line.strip() for line in text.replace("\\\n", " ").splitlines()
+                if line.startswith("vcfclass ")]
+    prose = re.sub(r"```.*?```", "", text, flags=re.S)
+    snippets = commands + re.findall(r"`([^`\n]*)`", prose)
+    assert commands, "no vcfclass walkthrough line found"
+    unknown = []
+    for snippet in snippets:
+        words = snippet.removeprefix("vcfclass ").split()
+        allowed = options.get(words[0] if words else "", set().union(*options.values()))
+        unknown += [(snippet, flag) for flag in FLAG.findall(snippet) if flag not in allowed]
+    assert not unknown

@@ -99,7 +99,7 @@ def test_one_positive_problem_skips_a_fold():
     # skipped, and a probe that scores no fold is 0.0.
     X, y = problem("one_positive")
     for inner_folds in (2, 3, 4, 5):
-        folds = kfold_split(len(y), k=inner_folds, seed=0, stratify_by=y)
+        folds = kfold_split(y, k=inner_folds, seed=0)
         assert [np.unique(y[folds != f]).size for f in range(inner_folds)].count(1) == 1
         acc, exact = _inner_cv_accuracy(X, y, [0], inner_folds_scored(
             y, inner_folds, seed=0), PARAMS, bar=0.0)
