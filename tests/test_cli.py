@@ -73,17 +73,27 @@ def test_phantom_bad_settings_exit_2(tmp_path, capsys, flags, message):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flags", [
-    ["--erosion-mm", "3"], ["--r1-fraction", "0.3"], ["--r2-fraction", "0.6"],
+@pytest.mark.parametrize("flags, message", [
+    (["--r1-fraction", "0.3"], "--r1-fraction"),
+    (["--r2-fraction", "0.6"], "--r2-fraction"),
+    (["--erosion-mm", "nan"], "--erosion-mm"),
+    (["--erosion-mm", "inf"], "--erosion-mm"),
+    (["--erosion-mm", "-1"], "--erosion-mm"),
 ])
-def test_extract_measurement_settings_are_not_options(cli_cohort, tmp_path, capsys,
-                                                      flags):
+def test_extract_bad_settings_exit_2(cli_cohort, tmp_path, capsys, monkeypatch,
+                                     flags, message):
     # The ring fractions and the probe's erosion radius are constants of the
-    # method; no extract option sets them.
+    # method; no extract option sets them, whatever the value.
+    def no_reads(*args, **kwargs):
+        raise AssertionError("a study was read before the settings were checked")
+
+    monkeypatch.setattr("vcfclass.features.measured_features", no_reads)
     out = tmp_path / "feat" / "features.csv"
     assert main(["extract", "--manifest", str(cli_cohort / "manifest.json"),
                  *flags, "--out", str(out)]) == 2
-    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(flags)}" in err
+    assert message in err
     assert not out.parent.exists()
 
 
