@@ -87,8 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--members", type=int, default=5)
-    p.add_argument("--selection", choices=("none", "greedy_forward"),
-                   default="greedy_forward")
     p.add_argument("--max-features", type=int, default=4)
     p.add_argument("--inner-folds", type=int, default=2)
     p.add_argument("--kernel", choices=("linear", "rbf"), default="rbf")
@@ -99,13 +97,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="keep each patient's instances in one fold")
     p.add_argument("--shuffle-labels", action="store_true",
                    help="permutation control: shuffle truth labels before CV")
-    p.add_argument("--heatmaps", action="store_true", help="write SVG confusion maps")
     p.add_argument("--out", type=Path, default=None, help="output directory")
 
     p = sub.add_parser("report", help="re-emit report files from saved predictions")
     p.add_argument("--results", type=Path, required=True,
                    help="directory holding predictions_*.csv")
-    p.add_argument("--heatmaps", action="store_true")
     p.add_argument("--out", type=Path, default=None)
 
     p = sub.add_parser("paper-check",
@@ -152,11 +148,11 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def _report(results, out, heatmaps: bool) -> ComparisonReport:
+def _report(results, out) -> ComparisonReport:
     """The report step of `cv` and `report`: compare the conditions, in the
     order given, and write the report files."""
     report = compare(results)
-    emit_report(report, out, heatmaps=heatmaps)
+    emit_report(report, out)
     return report
 
 
@@ -177,10 +173,8 @@ def cmd_cv(args) -> int:
             n_members=args.members,
             member_params=SvmParams(kernel=args.kernel, gamma=args.gamma,
                                     C=args.c_value),
-            selection=(SelectionConfig(method="none") if args.selection == "none"
-                       else SelectionConfig(method="greedy_forward",
-                                            max_features=args.max_features,
-                                            inner_folds=args.inner_folds)),
+            selection=SelectionConfig(max_features=args.max_features,
+                                      inner_folds=args.inner_folds),
             seed=args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -196,12 +190,11 @@ def cmd_cv(args) -> int:
             raise UsageError(f"--k {args.k} exceeds the {n_patients} patients "
                              f"that --group-by-patient assigns to folds")
     folds = outer_folds(table, args.k, args.seed, args.group_by_patient)
-    if args.selection == "greedy_forward":
-        smallest = len(table) - int(np.bincount(folds).max())
-        if args.inner_folds > smallest:
-            raise UsageError(f"--inner-folds {args.inner_folds} exceeds the "
-                             f"{smallest} instances of the smallest outer "
-                             f"training split")
+    smallest = len(table) - int(np.bincount(folds).max())
+    if args.inner_folds > smallest:
+        raise UsageError(f"--inner-folds {args.inner_folds} exceeds the "
+                         f"{smallest} instances of the smallest outer "
+                         f"training split")
     if len(single_class_folds(table.truth, folds, args.k)) == args.k:
         raise UsageError(f"--k {args.k}: every outer training split holds a "
                          f"single class, so no fold can be evaluated")
@@ -214,7 +207,7 @@ def cmd_cv(args) -> int:
     for cond, res in zip(conditions, results):
         save_predictions(res, predictions_path(out, cond))
 
-    report = _report(results, out, args.heatmaps)
+    report = _report(results, out)
     for cond, cm in report.confusions.items():
         print(f"{cond}: accuracy {accuracy(cm):.3f} "
               f"({cm.misclassified} misclassified of {cm.grand_total})")
@@ -222,7 +215,7 @@ def cmd_cv(args) -> int:
         print(f"fisher {pair.condition_a} vs {pair.condition_b}: p = {pair.p_value:.6g}")
     _write_config(out / "run_config.json", "cv", {
         "table": str(args.table), "conditions": conditions, "k": args.k,
-        "seed": args.seed, "members": args.members, "selection": args.selection,
+        "seed": args.seed, "members": args.members,
         "max_features": args.max_features, "inner_folds": args.inner_folds,
         "kernel": args.kernel, "C": args.c_value,
         "gamma": "1/d" if args.gamma is None else args.gamma,
@@ -246,7 +239,7 @@ def cmd_report(args) -> int:
     if not results:
         raise UsageError(f"no predictions_*.csv files under {args.results}")
     out = args.out or args.results
-    _report(results, out, args.heatmaps)
+    _report(results, out)
     _write_config(Path(out) / "run_config.json", "report", {
         "results": str(args.results)})
     print(f"reports -> {out}")

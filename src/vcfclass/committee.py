@@ -10,19 +10,15 @@ import numpy as np
 from .folds import check_seed, kfold_split
 from .svm import SvmModel, SvmParams, train_svm
 
-SELECTION_METHODS = ("none", "greedy_forward")
 MIN_IMPROVEMENT = 1e-4
 
 
 @dataclass(frozen=True)
 class SelectionConfig:
-    method: str = "greedy_forward"
     max_features: int = 4
     inner_folds: int = 2
 
     def __post_init__(self):
-        if self.method not in SELECTION_METHODS:
-            raise ValueError(f"unknown selection method {self.method!r}")
         if self.max_features < 1 or self.inner_folds < 2:
             raise ValueError("need max_features >= 1 and inner_folds >= 2")
 
@@ -134,22 +130,21 @@ class Committee:
 
 def train_committee(X: np.ndarray, y: np.ndarray, cfg: CommitteeConfig,
                     probes: dict | None = None) -> Committee:
-    """Train ``n_members`` SVMs, each on its own (seeded) selected subset;
-    ``probes`` is the selection memo (see ``greedy_forward_select``)."""
+    """Train ``n_members`` SVMs, each on its own (seeded) greedy-selected
+    subset, or on every column when the table has one column or selection
+    keeps none; ``probes`` is the selection memo (see
+    ``greedy_forward_select``)."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     members, fitted = [], {}
     for m_idx in range(cfg.n_members):
         member_seed = int(np.random.SeedSequence([cfg.seed, m_idx]).generate_state(1)[0])
-        if cfg.selection.method == "greedy_forward" and X.shape[1] >= 2:
+        subset = list(range(X.shape[1]))
+        if len(subset) >= 2:
             subset = greedy_forward_select(
-                X, y, range(X.shape[1]), cfg.selection.inner_folds, cfg.member_params,
+                X, y, subset, cfg.selection.inner_folds, cfg.member_params,
                 max_features=cfg.selection.max_features, seed=member_seed,
-                probes=probes)
-            if not subset:
-                subset = list(range(X.shape[1]))
-        else:
-            subset = list(range(X.shape[1]))
+                probes=probes) or subset
         if tuple(subset) not in fitted:    # train_svm is deterministic
             fitted[tuple(subset)] = train_svm(X, y, cfg.member_params,
                                               feature_indices=subset)

@@ -185,34 +185,9 @@ def _format_confusion_block(title: str, cm: ConfusionMatrix2) -> list[str]:
     ]
 
 
-def _heatmap_svg(cm: ConfusionMatrix2) -> str:
-    cell = 90
-    vmax = max(1, int(cm.counts.max()))
-    parts = [
-        '<svg xmlns="http://www.w3.org/2000/svg" width="280" height="260">',
-        '<style>text{font-family:monospace;font-size:14px}</style>',
-        '<text x="130" y="20">prediction</text>',
-        '<text x="10" y="140" transform="rotate(-90 14 140)">truth</text>',
-    ]
-    labels = ("O", "N")
-    for i in range(2):
-        for j in range(2):
-            v = int(cm.counts[i, j])
-            shade = 255 - int(195 * v / vmax)
-            x, y = 70 + j * cell, 40 + i * cell
-            parts.append(f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" '
-                         f'fill="rgb({shade},{shade},255)" stroke="black"/>')
-            parts.append(f'<text x="{x + 32}" y="{y + 50}">{v}</text>')
-    for j, lab in enumerate(labels):
-        parts.append(f'<text x="{70 + j * cell + 40}" y="36">{lab}</text>')
-        parts.append(f'<text x="52" y="{40 + j * cell + 50}">{lab}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
-
-
-def emit_report(report: ComparisonReport, out_dir, heatmaps: bool = False) -> list[Path]:
-    """Write metrics.csv, comparisons.csv, report.txt (and optional SVG
-    heatmaps); bytes are deterministic for deterministic inputs."""
+def emit_report(report: ComparisonReport, out_dir) -> list[Path]:
+    """Write metrics.csv, comparisons.csv and report.txt; bytes are
+    deterministic for deterministic inputs."""
     if not report.confusions:
         raise ValueError("nothing to report")
     out_dir = Path(out_dir)
@@ -243,10 +218,4 @@ def emit_report(report: ComparisonReport, out_dir, heatmaps: bool = False) -> li
     path = out_dir / "report.txt"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     written.append(path)
-
-    if heatmaps:
-        for cond, cm in report.confusions.items():
-            path = out_dir / f"confusion_{cond}.svg"
-            path.write_text(_heatmap_svg(cm), encoding="utf-8")
-            written.append(path)
     return written

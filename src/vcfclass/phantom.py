@@ -179,16 +179,6 @@ def uniform_heights(height_mm: float) -> tuple[float, ...]:
     return (float(height_mm),) * N_CELLS
 
 
-def wedge_heights(anterior_mm: float, posterior_mm: float) -> tuple[float, ...]:
-    """Heights varying with the cosine of the clockwise-from-anterior azimuth,
-    identical in both rings: anterior arcs get ``anterior_mm``, posterior arcs
-    ``posterior_mm``, the center cell their midpoint."""
-    mid = 0.5 * (anterior_mm + posterior_mm)
-    half = 0.5 * (posterior_mm - anterior_mm)
-    ring = [mid - half * np.cos(k * np.pi / 4.0) for k in range(8)]
-    return tuple([mid] + ring + ring)
-
-
 # ---------------------------------------------------------------------------
 # rendering
 

@@ -1,7 +1,7 @@
 import pytest
 
-from helpers import body_spec, render_single
-from vcfclass.phantom import CohortSpec, generate_cohort, uniform_heights, wedge_heights
+from helpers import body_spec, render_single, wedge_heights
+from vcfclass.phantom import CohortSpec, generate_cohort, uniform_heights
 
 
 @pytest.fixture(scope="session")

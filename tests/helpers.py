@@ -1,5 +1,6 @@
 """Shared fixtures-in-code: single-vertebra phantom builders (one body rendered
-with the cohort writer's footprint), the SVM dual objective, tree hashing,
+with the cohort writer's footprint, wedge-shaped cell heights), each
+``vcfclass`` subcommand's option strings, the SVM dual objective, tree hashing,
 a child-process CLI runner, the independent oracles (dense-QP projected
 gradient, exact hypergeometric enumeration) used to cross-check the
 production paths, a replay of an SVM fit's training state and of a cross-validation
@@ -11,6 +12,7 @@ vertebra renderer, the per-study cohort writer) kept as references."""
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import os
 import subprocess
@@ -23,6 +25,7 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 
+from vcfclass.cli import build_parser
 from vcfclass.committee import (MIN_IMPROVEMENT, CommitteeConfig, _fingerprint,
                                 train_committee)
 from vcfclass.crossval import CvResult, imputation_constants, impute
@@ -62,6 +65,15 @@ def run_cli(*args) -> subprocess.CompletedProcess:
                           env={**os.environ, "PYTHONPATH": path})
 
 
+def subcommand_options() -> dict[str, list[str]]:
+    """Each ``vcfclass`` subcommand's option strings, in the order ``--help``
+    lists them."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: [opt for action in p._actions for opt in action.option_strings]
+            for name, p in sub.choices.items()}
+
+
 WORLD_FRAME = make_frame((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, 1.0, 0.0))
 
 
@@ -90,6 +102,16 @@ def single_vertebra_grid(spacing=(1.0, 1.0, 1.0), with_refs=False) -> GridGeomet
     return GridGeometry(dims=(int(48 / sx) + 1, int(ny), int(44 / sz) + 1),
                         spacing=spacing,
                         origin=(-24.0 + sx / 2, oy, -22.0 + sz / 2))
+
+
+def wedge_heights(anterior_mm: float, posterior_mm: float) -> tuple[float, ...]:
+    """Heights varying with the cosine of the clockwise-from-anterior azimuth,
+    identical in both rings: anterior arcs get ``anterior_mm``, posterior arcs
+    ``posterior_mm``, the center cell their midpoint."""
+    mid = 0.5 * (anterior_mm + posterior_mm)
+    half = 0.5 * (posterior_mm - anterior_mm)
+    ring = [mid - half * np.cos(k * np.pi / 4.0) for k in range(8)]
+    return tuple([mid] + ring + ring)
 
 
 def body_spec(heights, trabecular_hu=150, cortical_hu=400, cortical_thickness=3.0,

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from helpers import (WORLD_FRAME, body_spec, dual_objective, qp_dual_oracle,
-                     render_single, replay_fold, replay_training, run_cli, tree_hash)
+                     render_single, replay_fold, replay_training, run_cli, tree_hash,
+                     wedge_heights)
 from vcfclass.cli import main
 from vcfclass.densitometry import (density_features, study_reference,
                                    trabecular_region)
@@ -19,7 +20,7 @@ from vcfclass.features import load_table, rate
 from vcfclass.folds import kfold_split
 from vcfclass.morphometry import (cell_heights, column_table, regional_summaries,
                                   sagittal_heights)
-from vcfclass.phantom import uniform_heights, wedge_heights
+from vcfclass.phantom import uniform_heights
 from vcfclass.svm import SvmParams, kernel_matrix, train_svm
 
 SPACING_Z = 1.0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from helpers import run_cli, tree_hash
+from helpers import run_cli, subcommand_options, tree_hash
 from vcfclass.cli import main
 from vcfclass.crossval import load_predictions, outer_folds
 from vcfclass.features import ALL_COLUMNS, load_table
@@ -292,9 +292,56 @@ def test_cv_save_models_is_gone_exit_2(cli_features, tmp_path):
     assert not out.exists()
 
 
+# Every option of every subcommand besides -h/--help, in --help order: adding
+# or removing a knob takes a deliberate edit here.
+CLI_OPTIONS = {
+    "phantom": ["--patients", "--studies", "--studies-max", "--interval",
+                "--fraction-neoplastic", "--vertebrae", "--spacing", "--noise",
+                "--seed", "--out"],
+    "extract": ["--manifest", "--policy", "--out"],
+    "cv": ["--table", "--conditions", "--k", "--seed", "--members",
+           "--max-features", "--inner-folds", "--kernel", "--c", "--gamma",
+           "--group-by-patient", "--shuffle-labels", "--out"],
+    "report": ["--results", "--out"],
+    "paper-check": ["--out"],
+}
+
+
+def test_cli_options_are_pinned():
+    assert subcommand_options() == {name: ["-h", "--help", *options]
+                                    for name, options in CLI_OPTIONS.items()}
+
+
+@pytest.fixture(scope="module")
+def cli_results(cli_features, tmp_path_factory):
+    out = tmp_path_factory.mktemp("cli_res") / "res"
+    assert main(["cv", "--table", str(cli_features), "--conditions", "measured",
+                 "--k", "4", "--members", "1", "--max-features", "1",
+                 "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("cv", ["--selection", "none"]),
+    ("cv", ["--selection", "greedy_forward"]),
+    ("cv", ["--heatmaps"]),
+    ("report", ["--heatmaps"]),
+])
+def test_cv_and_report_removed_flags_exit_2(cli_features, cli_results, tmp_path,
+                                            capsys, command, flags):
+    # Every member runs greedy selection and the reports are text and CSV
+    # only, so the options that chose otherwise are gone.
+    source = (["--table", str(cli_features)] if command == "cv"
+              else ["--results", str(cli_results)])
+    out = tmp_path / "out"
+    assert main([command, *source, *flags, "--out", str(out)]) == 2
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cv_run_config_names_the_gamma_rule(cli_features, tmp_path):
     args = ["cv", "--table", str(cli_features), "--conditions", "measured",
-            "--k", "4", "--seed", "5", "--members", "1", "--selection", "none"]
+            "--k", "4", "--seed", "5", "--members", "1", "--max-features", "1"]
     for extra, gamma in (([], "1/d"), (["--gamma", "0.25"], 0.25)):
         out = tmp_path / str(gamma).replace("/", "_")
         assert main(args + extra + ["--out", str(out)]) == 0

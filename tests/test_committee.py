@@ -51,22 +51,19 @@ def test_selection_needs_two_candidates():
 
 
 def test_single_member_no_selection_equals_plain_svm():
-    X, y = labeled_noise(seed=5)
-    cfg = CommitteeConfig(n_members=1, selection=SelectionConfig(method="none"),
-                          seed=4)
+    # A one-column table skips selection: the member trains on that column.
+    X, y = labeled_noise(d=1, seed=5)
+    cfg = CommitteeConfig(n_members=1, seed=4)
     committee = train_committee(X, y, cfg)
     single = train_svm(X, y, SvmParams())
-    probe = np.random.default_rng(0).normal(size=(10, X.shape[1]))
-    probe[:, 0] = np.where(np.arange(10) % 2 == 0, 1.0, -1.0)
+    probe = np.random.default_rng(0).normal(size=(10, 1))
     assert np.array_equal(committee.decision_values(probe),
                           single.decision_values(probe))
 
 
 def test_equal_members_average_to_member_value():
     X, y = labeled_noise(seed=6)
-    cfg = CommitteeConfig(n_members=1, selection=SelectionConfig(method="none"), seed=9)
-    one = train_committee(X, y, cfg)
-    member = one.members[0]
+    member = train_svm(X, y, SvmParams())
     trio = Committee(members=[member, member, member])
     probe = np.random.default_rng(1).normal(size=(8, X.shape[1]))
     assert np.allclose(trio.decision_values(probe), member.decision_values(probe),
@@ -114,7 +111,5 @@ def test_config_rejects_bad_seed(seed):
 def test_config_validation():
     with pytest.raises(ValueError, match="n_members"):
         CommitteeConfig(n_members=0)
-    with pytest.raises(ValueError, match="selection"):
-        SelectionConfig(method="pca")
     with pytest.raises(ValueError, match="max_features"):
         SelectionConfig(max_features=0)

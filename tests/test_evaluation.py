@@ -197,8 +197,8 @@ def test_emit_report_deterministic(tmp_path):
     res = [fake_result("measured", truth, pred),
            fake_result("combined", truth, truth)]
     report = compare(res)
-    files1 = emit_report(report, tmp_path / "a", heatmaps=True)
-    files2 = emit_report(report, tmp_path / "b", heatmaps=True)
+    files1 = emit_report(report, tmp_path / "a")
+    files2 = emit_report(report, tmp_path / "b")
     assert [f.name for f in files1] == [f.name for f in files2]
     for f1, f2 in zip(files1, files2):
         assert f1.read_bytes() == f2.read_bytes()

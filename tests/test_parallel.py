@@ -158,7 +158,7 @@ def test_features_identical(cpus, n, cohort, tmp_path):
 
 
 CV_RUNS = {
-    "plain": ["--k", "4", "--seed", "5", "--members", "2", "--heatmaps"],
+    "plain": ["--k", "4", "--seed", "5", "--members", "2"],
     "shuffled": ["--k", "3", "--seed", "2", "--members", "1", "--shuffle-labels"],
 }
 

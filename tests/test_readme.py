@@ -2,13 +2,12 @@
 the package exports at its top level and the documented API, and every
 command-line flag it names is an option of the ``vcfclass`` parser."""
 
-import argparse
 import contextlib
 import io
 import re
 from pathlib import Path
 
-from vcfclass.cli import build_parser
+from helpers import subcommand_options
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -30,14 +29,6 @@ def test_library_use_block_runs(tmp_path, monkeypatch):
 
 
 FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
-
-
-def subcommand_options() -> dict[str, set[str]]:
-    """Each ``vcfclass`` subcommand's option strings."""
-    parser = build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {name: {opt for action in p._actions for opt in action.option_strings}
-            for name, p in sub.choices.items()}
 
 
 def test_readme_flags_are_cli_options():
