@@ -177,12 +177,17 @@ class LabelView:
         return xyz
 
 
+# Voxels per legend-lookup pass: the lookup's intp index copy stays at 128 kB.
+_LEGEND_CHUNK = 1 << 14
+
+
 @dataclass(frozen=True)
 class LabelMap:
     """Integer identity per voxel (0 = background) with a role legend.
 
     Construction checks the legend with one lookup table over the uint16
-    values. The first ``view`` call lists the labelled voxels in one
+    values, ``_LEGEND_CHUNK`` voxels at a time so no full-grid index array is
+    made. The first ``view`` call lists the labelled voxels in one
     full-grid pass; each view then picks its label's voxels from that list,
     in C order, instead of scanning the full grid.
     """
@@ -197,10 +202,14 @@ class LabelMap:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "legend", {int(k): str(v) for k, v in self.legend.items()})
         known = np.zeros(1 << 16, dtype=bool)
-        known[0] = True
-        known[[k for k in self.legend if 0 < k < known.size]] = True
-        if not known.take(labels).all():
-            missing = np.unique(labels[~known.take(labels)]).tolist()
+        for k in self.legend:
+            if not 0 < k < known.size:
+                raise FormatError(f"legend label {k} lies outside 1..{known.size - 1}")
+        known[[0, *self.legend]] = True
+        flat = labels.reshape(-1)
+        if not all(known.take(flat[i:i + _LEGEND_CHUNK]).all()
+                   for i in range(0, flat.size, _LEGEND_CHUNK)):
+            missing = np.unique(flat[~known.take(flat)]).tolist()
             raise FormatError(f"labels {missing} present in grid but absent from legend")
         object.__setattr__(self, "_views", {})
 
@@ -476,8 +485,7 @@ def save_volume(vol: Volume, path) -> None:
     data_file = path.name + ".raw"
     lines = _header_lines(vol.geometry, data_file, "int16le")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    (path.parent / data_file).write_bytes(
-        np.ascontiguousarray(vol.data, dtype="<i2").tobytes())
+    (path.parent / data_file).write_bytes(np.ascontiguousarray(vol.data, dtype="<i2"))
 
 
 def load_labelmap(path) -> LabelMap:
@@ -497,5 +505,4 @@ def save_labelmap(lm: LabelMap, path) -> None:
     for lab in sorted(lm.legend):
         lines.append(f"label {lab} {lm.legend[lab]}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    (path.parent / data_file).write_bytes(
-        np.ascontiguousarray(lm.labels, dtype="<u2").tobytes())
+    (path.parent / data_file).write_bytes(np.ascontiguousarray(lm.labels, dtype="<u2"))

@@ -14,15 +14,20 @@ blocks and a spinal-canal cylinder are rendered posterior to the bodies. All
 randomness derives from (seed, patient_index, ...) so generation is
 reproducible byte-for-byte and patients are independent.
 
+Bodies stand upright: the superior axis is world +z, so a body fills one
+z-range of each (y, x) column of its elliptical footprint, and the polar
+coordinates, height weights and compass cells are computed once per column.
 A patient's vertebrae keep their radii, frame and cortical thickness in every
 study, so the writer builds each vertebra's footprint (``_Footprint``: the
-elliptical mask, per-voxel polar coordinates, height interpolation weights,
-compass cells and shell ball) once per patient, on the crop that holds its
-tallest study. Per study only the height field, the body, its erosion, its HU
-values and the noise are computed, and a vertebra whose spec did not change
-(an unfractured one) reuses its noise-free body. Each body's HU values are
-rounded and clipped to int16 and pasted into the int16 study volume; no
-float64 copy of the whole grid is made.
+elliptical columns with their polar coordinates, height interpolation
+weights and compass cells, and the shell ball) once per patient, on the crop
+that holds its tallest study. Per study only the column heights, the body,
+its erosion, its HU values and the noise are computed, and a vertebra whose
+spec did not change (an unfractured one) reuses its noise-free body. Each
+body's HU values are rounded and clipped to int16 and pasted into the int16
+study volume. The background paints the canal through a (y, x) disc and the
+reference blocks through index slices; no full-grid float64 copy or boolean
+mask is made.
 """
 
 from __future__ import annotations
@@ -219,19 +224,6 @@ class _HeightWeights:
                                  ring2))
 
 
-def _frame_coords(grid: GridGeometry, frame: LocalFrame):
-    """Broadcast (a, l, s) local coordinates of all voxel centers, shape (nz, ny, nx)."""
-    cx, cy, cz = frame.centroid
-    dx = (grid.axis_coords(0) - cx)[None, None, :]
-    dy = (grid.axis_coords(1) - cy)[None, :, None]
-    dz = (grid.axis_coords(2) - cz)[:, None, None]
-
-    def project(axis):
-        return axis[0] * dx + axis[1] * dy + axis[2] * dz
-
-    return project(frame.axis_ap), project(frame.axis_lr), project(frame.axis_si)
-
-
 def _shell_ball(radius: float, sampling) -> np.ndarray:
     """(z, y, x) lattice offsets whose length is at most ``radius`` mm.
 
@@ -249,10 +241,13 @@ class _Footprint:
     """The geometry of one vertebra slot on ``grid``, shared by every spec
     with the slot's frame, radii and cortical thickness.
 
-    Built once: the elliptical footprint with each inside voxel's normalized
-    radius, azimuth and superior coordinate ``s``, the height interpolation
-    weights, each voxel's compass cell, the voxels on the grid's faces and the
-    cortical shell's ball. ``solid`` then renders one spec from these.
+    The frame's superior axis must be world +z (the anterior axis may turn
+    about it), so every (y, x) column of the grid has one normalized radius
+    and azimuth and a body fills one z-range of each column. Built once: the
+    elliptical footprint's columns with their radii, azimuths, height
+    interpolation weights and compass cells, the superior coordinate ``s`` of
+    each z plane, the columns on the grid's edges and the cortical shell's
+    ball. ``solid`` then renders one spec from these.
 
     The cohort writer builds it on a crop of the study grid (``_crop``). A
     crop shares the study grid's lattice: its voxel centres are the grid's,
@@ -267,21 +262,30 @@ class _Footprint:
     """
 
     def __init__(self, spec: VertebraSpec, frame: LocalFrame, grid: GridGeometry):
-        a, l, s = _frame_coords(grid, frame)
+        if frame.axis_si != (0.0, 0.0, 1.0):
+            raise ValueError(f"footprints need the superior axis +z, got {frame.axis_si}")
+        cx, cy, cz = frame.centroid
+        dx = (grid.axis_coords(0) - cx)[None, :]
+        dy = (grid.axis_coords(1) - cy)[:, None]
+        ap, lr = frame.axis_ap, frame.axis_lr
+        # The products and sums of a full (a, l, s) projection; its z terms
+        # only add zeros, so the values are the same bits.
+        a = ap[0] * dx + ap[1] * dy
+        l = lr[0] * dx + lr[1] * dy
         r_ap, r_lr = spec.body_radii
         # For an ellipse, sqrt of the implicit value is exactly radius/boundary-radius.
         rho = np.sqrt((a / r_ap) ** 2 + (l / r_lr) ** 2)
-        # Heights are needed only inside the ellipse: every per-voxel array
-        # below holds just those voxels, in C order.
+        # Heights are needed only inside the ellipse: every per-column array
+        # below holds just those (y, x) columns, in C order.
         self.ellipse = rho <= 1.0
         rho = rho[self.ellipse]
         theta = np.arctan2(-l[self.ellipse], a[self.ellipse])
-        self.s = s[self.ellipse]
+        self.s = (grid.axis_coords(2) - cz)[:, None]
         self.heights = _HeightWeights(rho, theta)
         self.cells = cell_index(rho, arc_index(theta))
-        face = np.ones_like(self.ellipse)
-        face[1:-1, 1:-1, 1:-1] = False
-        self.face = np.flatnonzero(face[self.ellipse])
+        edge = np.ones_like(self.ellipse)
+        edge[1:-1, 1:-1] = False
+        self.edge = edge[self.ellipse]
         sampling = (grid.spacing[2], grid.spacing[1], grid.spacing[0])
         self.ball = _shell_ball(spec.cortical_thickness + 1e-6, sampling)
 
@@ -296,15 +300,16 @@ class _Footprint:
         in_body = (self.s >= z0) & (self.s < z0 + self.heights(spec.cell_heights))
         if not in_body.any():
             raise ValueError("vertebra body does not intersect the grid")
-        if in_body[self.face].any():
+        if in_body[[0, -1]].any() or in_body[:, self.edge].any():
             raise ValueError("vertebra body exceeds grid bounds")
-        body = np.zeros_like(self.ellipse)
-        body[self.ellipse] = in_body
+        body = np.zeros((self.s.size, *self.ellipse.shape), dtype=bool)
+        body[:, self.ellipse] = in_body
 
-        hu = np.full(np.count_nonzero(in_body), spec.trabecular_hu, dtype=np.float64)
+        column_hu = np.full(self.cells.size, spec.trabecular_hu, dtype=np.float64)
         deltas = np.asarray(spec.cell_hu_delta)
         if np.any(deltas != 0.0):
-            hu += deltas[self.cells[in_body]]
+            column_hu += deltas[self.cells]
+        hu = np.broadcast_to(column_hu, in_body.shape)[in_body]
         hu[~erode_by_ball(body, self.ball, border_value=True)[body]] = spec.cortical_hu
         return body, hu
 
@@ -455,32 +460,34 @@ def _study_grid(spec: CohortSpec, plan: _PatientPlan):
                                  muscle=muscle, fat=fat)
 
 
+def _span(coords: np.ndarray, lo: float, hi: float) -> slice:
+    """The slice of ascending ``coords`` that lie in ``[lo, hi]``."""
+    return slice(int(np.searchsorted(coords, lo, side="left")),
+                 int(np.searchsorted(coords, hi, side="right")))
+
+
 def _render_background(grid: GridGeometry, layout):
     """Air-filled int16 canvas with the canal cylinder and muscle/fat
-    reference blocks."""
+    reference blocks, painted through (y, x) masks and index slices."""
     hu = np.full([grid.dims[2], grid.dims[1], grid.dims[0]], AIR_HU, dtype=np.int16)
     labels = np.zeros(hu.shape, dtype=np.uint16)
     legend: dict[int, str] = {}
 
-    xs = grid.axis_coords(0)[None, None, :]
-    ys = grid.axis_coords(1)[None, :, None]
-    zs = grid.axis_coords(2)[:, None, None]
-
+    xs, ys, zs = (grid.axis_coords(axis) for axis in range(3))
     canal = layout["canal"]
-    canal_mask = (((xs - 0.0) ** 2 + (ys - canal["y"]) ** 2 <= canal["r"] ** 2)
-                  & (zs >= canal["z"][0]) & (zs <= canal["z"][1]))
-    hu[canal_mask] = CANAL_HU
-    labels[canal_mask] = CANAL_LABEL
+    slab = _span(zs, *canal["z"])
+    disc = ((xs[None, :] - 0.0) ** 2 + (ys[:, None] - canal["y"]) ** 2
+            <= canal["r"] ** 2)
+    hu[slab, disc] = CANAL_HU
+    labels[slab, disc] = CANAL_LABEL
     legend[CANAL_LABEL] = ROLE_CANAL
 
     for name, lab, value in (("muscle", MUSCLE_LABEL, MUSCLE_HU),
                              ("fat", FAT_LABEL, FAT_HU)):
         box = layout[name]
-        mask = ((xs >= box["x"][0]) & (xs <= box["x"][1])
-                & (ys >= box["y"][0]) & (ys <= box["y"][1])
-                & (zs >= canal["z"][0]) & (zs <= canal["z"][1]))
-        hu[mask] = value
-        labels[mask] = lab
+        block = (slab, _span(ys, *box["y"]), _span(xs, *box["x"]))
+        hu[block] = value
+        labels[block] = lab
         legend[lab] = ROLE_MUSCLE if name == "muscle" else ROLE_FAT
 
     return hu, labels, legend

@@ -36,7 +36,7 @@ from vcfclass.features import (ALL_COLUMNS, CONTRAST_COLUMNS,
                                RATE_BASE_COLUMNS, FeatureTable, _truth_code,
                                condition_columns, demographics, measured_features)
 from vcfclass.folds import kfold_split
-from vcfclass.frames import make_frame
+from vcfclass.frames import LocalFrame, make_frame
 from vcfclass.grids import (FormatError, GridGeometry, LabelMap, Volume,
                             check_paired_geometry, save_labelmap, save_volume,
                             vertebra_role)
@@ -48,8 +48,8 @@ from vcfclass.morphometry import (MIN_CELL_COLUMNS, MIN_COLUMN_VOXELS, N_CELLS,
                                   ColumnTable, _axis_resolution, arc_index,
                                   assign_cells, cell_index)
 from vcfclass.phantom import (CohortSpec, VertebraSpec, _add_noise, _Footprint,
-                              _frame_coords, _plan_patient, _render_background,
-                              _rng, _study_grid, advance)
+                              _plan_patient, _render_background, _rng, _study_grid,
+                              advance)
 from vcfclass import svm
 from vcfclass.svm import TOL, SvmModel, SvmParams, _smo, kernel_matrix, train_svm
 
@@ -787,8 +787,9 @@ def reference_greedy_forward_select(X: np.ndarray, y: np.ndarray, candidates,
 
 # ---------------------------------------------------------------------------
 # reference renderer: the vertebra rasterizer as it stood when the cortical
-# shell thresholded a distance transform and the height field was evaluated
-# on the whole grid, kept verbatim so tests can require identical voxels
+# shell thresholded a distance transform and every voxel was projected into
+# the frame (``_frame_coords``) to evaluate the height field on the whole
+# grid, kept verbatim so tests can require identical voxels
 
 def _reference_ring_values(theta: np.ndarray, ring: np.ndarray) -> np.ndarray:
     t = (theta / (np.pi / 4.0)) % 8.0
@@ -815,6 +816,19 @@ def reference_height_field(spec: VertebraSpec, rho: np.ndarray,
     out[mid] = (1.0 - w2[mid]) * ring1[mid] + w2[mid] * ring2[mid]
     out[outer] = ring2[outer]
     return out
+
+
+def _frame_coords(grid: GridGeometry, frame: LocalFrame):
+    """Broadcast (a, l, s) local coordinates of all voxel centers, shape (nz, ny, nx)."""
+    cx, cy, cz = frame.centroid
+    dx = (grid.axis_coords(0) - cx)[None, None, :]
+    dy = (grid.axis_coords(1) - cy)[None, :, None]
+    dz = (grid.axis_coords(2) - cz)[:, None, None]
+
+    def project(axis):
+        return axis[0] * dx + axis[1] * dy + axis[2] * dz
+
+    return project(frame.axis_ap), project(frame.axis_lr), project(frame.axis_si)
 
 
 def reference_render_vertebra(spec: VertebraSpec, frame, grid: GridGeometry,

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy import ndimage
 
 from helpers import reference_check_vertebra_connectivity
+from vcfclass import grids
 from vcfclass.densitometry import _ball_structure
 from vcfclass.grids import (FormatError, GridGeometry, LabelMap, Volume,
                             check_vertebra_connectivity, erode_by_ball,
@@ -171,6 +172,33 @@ def test_label_missing_from_legend_rejected():
     labels[5] = 7
     with pytest.raises(FormatError, match=r"\[7\]"):
         LabelMap(geometry=geo, labels=labels, legend={})
+    # more than one lookup chunk, the stray label in the last voxel
+    geo = GridGeometry(dims=(64, 64, 5), spacing=(1, 1, 1), origin=(0, 0, 0))
+    assert geo.voxel_count > grids._LEGEND_CHUNK
+    labels = np.ones(geo.voxel_count, dtype=np.uint16)
+    labels[-1] = 9
+    message = "labels [9] present in grid but absent from legend"
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        LabelMap(geometry=geo, labels=labels, legend={1: "CANAL"})
+
+
+@pytest.mark.parametrize("label", [0, 65536, 70000])
+def test_legend_label_out_of_range_rejected(label):
+    geo = GridGeometry(dims=(3, 3, 3), spacing=(1, 1, 1), origin=(0, 0, 0))
+    message = f"legend label {label} lies outside 1..65535"
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        LabelMap(geometry=geo, labels=np.zeros(27, dtype=np.uint16),
+                 legend={1: "VERTEBRA:12", label: "CANAL"})
+
+
+def test_legend_label_zero_in_file_rejected(tmp_path):
+    hdr = tmp_path / "lab.vlbl"
+    raw = write_header(hdr, dtype="uint16le")
+    raw.write_bytes(bytes(128))
+    hdr.write_text(hdr.read_text() + "label 0 CANAL\n")
+    message = f"{hdr}: legend label 0 lies outside 1..65535"
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        load_labelmap(hdr)
 
 
 def test_disconnected_vertebra_rejected(tmp_path):

@@ -120,7 +120,8 @@ _NONE = (0.0,) * N_CELLS
 _LESION = tuple(90.0 if c in ANTERIOR_LESION_CELLS else 0.0 for c in range(N_CELLS))
 _ROTATED = make_frame((0.0, 0.0, 0.0), (0, 0, 1),
                       (-np.sin(np.deg2rad(30.0)), np.cos(np.deg2rad(30.0)), 0.0))
-_TILTED = make_frame((0.4, -0.3, 0.2), (0.0, -0.25, 1.0), (0.1, 1.0, 0.0))
+# Upright, turned about +z by the anterior hint (0.1, 1, 0), centred off the lattice.
+_TURNED = make_frame((0.4, -0.3, 0.2), (0, 0, 1), (0.1, 1.0, 0.0))
 _OFF = (0.3, -0.2, 0.1)
 
 
@@ -129,7 +130,7 @@ _OFF = (0.3, -0.2, 0.1)
     ((0.9, 1.1, 0.7), _OFF, 3.0, wedge_heights(10.0, 20.0), _NONE, 0.0, WORLD_FRAME),
     ((2.0, 0.8, 1.0), _OFF, 3.0, wedge_heights(12.0, 18.0), _LESION, 6.0, WORLD_FRAME),
     ((1.0, 1.0, 1.0), (0, 0, 0), 3.0, uniform_heights(20.0), _NONE, 0.0, _ROTATED),
-    ((1.1, 0.9, 1.3), _OFF, 2.2, wedge_heights(12.0, 20.0), _LESION, 6.0, _TILTED),
+    ((1.1, 0.9, 1.3), _OFF, 2.2, wedge_heights(12.0, 20.0), _LESION, 6.0, _TURNED),
     # thicknesses on a lattice distance: 1 x 2.0 and 4 x 0.5, 2 x 1.25, the
     # (3, 4, 0) offset at 1 mm, and 3 x 1.1, which rounds to above 3.3
     ((0.5, 2.0, 1.5), _OFF, 2.0, uniform_heights(18.0), _LESION, 0.0, WORLD_FRAME),
@@ -154,9 +155,27 @@ def test_render_matches_distance_transform_reference(spacing, shift, thickness, 
     assert np.array_equal(hu, ref_hu)
 
 
+def test_footprint_rejects_tilted_superior_axis():
+    tilted = make_frame((0.4, -0.3, 0.2), (0.0, -0.25, 1.0), (0.1, 1.0, 0.0))
+    with pytest.raises(ValueError, match=r"superior axis \+z, got \(0\.0, -0\.24"):
+        phantom._Footprint(body_spec(uniform_heights(20.0)), tilted,
+                           _grid_about_origin((1.0, 1.0, 1.0), _OFF))
+
+
 def test_body_exceeding_grid_rejected():
     grid = GridGeometry(dims=(20, 20, 20), spacing=(1, 1, 1),
                         origin=(-9.5, -9.5, -9.5))
+    with pytest.raises(ValueError, match="bounds"):
+        render_vertebra(body_spec(uniform_heights(20.0)), WORLD_FRAME, grid)
+
+
+@pytest.mark.parametrize("dims, origin", [
+    ((49, 49, 20), (-24.0, -24.0, -9.5)),     # 20 mm tall body, 20 z planes
+    ((49, 30, 44), (-24.0, -14.5, -21.5)),    # anterior-posterior radius 16 mm
+    ((24, 49, 44), (-11.5, -24.0, -21.5)),    # left-right radius 13 mm
+])
+def test_body_reaching_one_pair_of_faces_rejected(dims, origin):
+    grid = GridGeometry(dims=dims, spacing=(1, 1, 1), origin=origin)
     with pytest.raises(ValueError, match="bounds"):
         render_vertebra(body_spec(uniform_heights(20.0)), WORLD_FRAME, grid)
 
@@ -261,7 +280,7 @@ def test_footprint_built_once_per_vertebra_slot(tmp_path, monkeypatch):
     # 3 patients x 3 slots: one footprint each. Per patient the unfractured
     # slot keeps one spec, so it is eroded once; the 2 fractured slots are
     # eroded in each of the 4 studies: 3 x (1 + 2 x 4) = 27 erosions.
-    calls = {"_frame_coords": 0, "erode_by_ball": 0}
+    calls = {"_Footprint": 0, "erode_by_ball": 0}
     for name in calls:
         def counted(*args, _fn=getattr(phantom, name), _name=name, **kwargs):
             calls[_name] += 1
@@ -270,7 +289,7 @@ def test_footprint_built_once_per_vertebra_slot(tmp_path, monkeypatch):
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)   # count in this process
     generate_cohort(CohortSpec(n_patients=3, studies_per_patient=4, vertebrae_per_patient=3,
                                spacing=(2.0, 2.0, 2.0)), tmp_path)
-    assert calls == {"_frame_coords": 9, "erode_by_ball": 27}
+    assert calls == {"_Footprint": 9, "erode_by_ball": 27}
 
 
 def test_fraction_zero_has_no_neoplastic(tmp_path):
