@@ -89,7 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--members", type=int, default=5)
     p.add_argument("--max-features", type=int, default=4)
     p.add_argument("--inner-folds", type=int, default=2)
-    p.add_argument("--kernel", choices=("linear", "rbf"), default="rbf")
     p.add_argument("--c", type=float, default=1.0, dest="c_value")
     p.add_argument("--gamma", type=float, default=None,
                    help="RBF gamma; default 1/d for d selected features")
@@ -171,8 +170,7 @@ def cmd_cv(args) -> int:
     try:
         cfg = CommitteeConfig(
             n_members=args.members,
-            member_params=SvmParams(kernel=args.kernel, gamma=args.gamma,
-                                    C=args.c_value),
+            member_params=SvmParams(gamma=args.gamma, C=args.c_value),
             selection=SelectionConfig(max_features=args.max_features,
                                       inner_folds=args.inner_folds),
             seed=args.seed)
@@ -217,8 +215,7 @@ def cmd_cv(args) -> int:
         "table": str(args.table), "conditions": conditions, "k": args.k,
         "seed": args.seed, "members": args.members,
         "max_features": args.max_features, "inner_folds": args.inner_folds,
-        "kernel": args.kernel, "C": args.c_value,
-        "gamma": "1/d" if args.gamma is None else args.gamma,
+        "C": args.c_value, "gamma": "1/d" if args.gamma is None else args.gamma,
         "group_by_patient": args.group_by_patient,
         "shuffle_labels": args.shuffle_labels})
     print(f"reports -> {out}")

@@ -92,7 +92,7 @@ def trabecular_region(lm: LabelMap, label: int, frame: LocalFrame,
         raise ValueError(f"label {label} absent from the label map")
     # The box holds the whole body and erosion treats the space beyond it as
     # background, so the in-box erosion equals the full-grid one.
-    eroded = erode_by_ball(body, ref.ball, border_value=False)
+    eroded = erode_by_ball(body, ref.ball)
     if not eroded.any():
         raise ValueError(
             f"{ref.erosion_radius_mm} mm erosion annihilates label {label}; "

@@ -58,7 +58,7 @@ class GridGeometry:
     origin: tuple[float, float, float]
 
     def __post_init__(self):
-        if len(self.dims) != 3 or any(int(d) <= 0 for d in self.dims):
+        if len(self.dims) != 3 or any(int(d) != d or d <= 0 for d in self.dims):
             raise FormatError(f"dims must be three positive counts, got {self.dims}")
         if len(self.spacing) != 3 or not all(np.isfinite(s) and s > 0
                                              for s in self.spacing):
@@ -90,9 +90,20 @@ class GridGeometry:
                 and self.origin == other.origin)
 
 
-def _as_locked(arr: np.ndarray, dtype, dims) -> np.ndarray:
+def _as_locked(arr: np.ndarray, dtype, dims, name: str) -> np.ndarray:
+    """``arr`` as a read-only (z, y, x) ``dtype`` grid; raises, naming the
+    field ``name``, if the cast would change a value."""
     nx, ny, nz = dims
-    out = np.ascontiguousarray(arr, dtype=dtype).reshape(nz, ny, nx)
+    arr = np.asarray(arr)
+    if arr.dtype != dtype:
+        with np.errstate(invalid="ignore"):
+            cast = arr.astype(dtype)
+        changed = cast != arr
+        if changed.any():
+            raise FormatError(f"{name} holds {arr[changed].flat[0].item()!r}, "
+                              f"which {np.dtype(dtype)} cannot store exactly")
+        arr = cast
+    out = np.ascontiguousarray(arr).reshape(nz, ny, nx)
     out.flags.writeable = False
     return out
 
@@ -105,7 +116,7 @@ class Volume:
     data: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        data = _as_locked(self.data, np.int16, self.geometry.dims)
+        data = _as_locked(self.data, np.int16, self.geometry.dims, "data")
         object.__setattr__(self, "data", data)
         lo, hi = int(data.min(initial=0)), int(data.max(initial=0))
         if lo < HU_MIN or hi > HU_MAX:
@@ -198,7 +209,7 @@ class LabelMap:
     _views: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        labels = _as_locked(self.labels, np.uint16, self.geometry.dims)
+        labels = _as_locked(self.labels, np.uint16, self.geometry.dims, "labels")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "legend", {int(k): str(v) for k, v in self.legend.items()})
         known = np.zeros(1 << 16, dtype=bool)
@@ -327,10 +338,10 @@ def _count_groups(n: int, a: np.ndarray, b: np.ndarray) -> int:
             parent = grand
 
 
-def erode_by_ball(mask: np.ndarray, ball: np.ndarray, border_value: bool) -> np.ndarray:
+def erode_by_ball(mask: np.ndarray, ball: np.ndarray) -> np.ndarray:
     """Binary erosion of the (z, y, x) ``mask`` by ``ball``, voxel for voxel
-    what ``ndimage.binary_erosion(mask, ball, border_value=border_value)``
-    returns; space beyond the mask reads as ``border_value``.
+    what ``ndimage.binary_erosion(mask, ball)`` returns; space beyond the
+    mask is background.
 
     Every (dz, dy) row of ``ball`` must be empty or a run ``|dx| <= w``
     centred on dx = 0, as every row of a lattice ball is. The ball is the
@@ -353,7 +364,7 @@ def erode_by_ball(mask: np.ndarray, ball: np.ndarray, border_value: bool) -> np.
             f"centred on dx = 0")
 
     nz, ny, nx = mask.shape
-    padded = np.full((nz + 2 * hz, ny + 2 * hy, nx + 2 * hx), bool(border_value))
+    padded = np.zeros((nz + 2 * hz, ny + 2 * hy, nx + 2 * hx), dtype=bool)
     padded[hz:hz + nz, hy:hy + ny, hx:hx + nx] = mask
     out = np.ones(mask.shape, dtype=bool)
     run = padded[:, :, hx:hx + nx]      # erosion along x by the run |dx| <= 0

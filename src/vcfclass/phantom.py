@@ -8,11 +8,11 @@ the body minus its erosion by the lattice ball of that radius. This equals
 thresholding the exact Euclidean distance transform, since a voxel lies within
 the radius of a background voxel exactly when the ball centred on it reaches
 one. The erosion (``grids.erode_by_ball``) intersects the x-erosions of the
-ball's rows, one array operation per (dz, dy) row, and counts space beyond
-the grid as body. Everything deeper is trabecular. Muscle and fat reference
-blocks and a spinal-canal cylinder are rendered posterior to the bodies. All
-randomness derives from (seed, patient_index, ...) so generation is
-reproducible byte-for-byte and patients are independent.
+ball's rows, one array operation per (dz, dy) row. Everything deeper is
+trabecular. Muscle and fat reference blocks and a spinal-canal cylinder are
+rendered posterior to the bodies. All randomness derives from (seed,
+patient_index, ...) so generation is reproducible byte-for-byte and patients
+are independent.
 
 Bodies stand upright: the superior axis is world +z, so a body fills one
 z-range of each (y, x) column of its elliptical footprint, and the polar
@@ -253,11 +253,10 @@ class _Footprint:
     crop shares the study grid's lattice: its voxel centres are the grid's,
     each computed as ``origin + i * spacing`` from the crop's own origin, so
     they can differ from the grid's in the last bit. The crop holds the
-    slot's tallest study with two spare voxels a side, so its faces hold no
-    body, and a ball reaching past a face also reaches background on it:
-    counting space beyond the crop as body erodes what the whole grid would.
-    Cohorts are byte-identical to rendering each study on a crop of its own,
-    as ``tests/test_phantom.py`` checks against that writer, whose digests it
+    slot's tallest study with two spare voxels a side, so no body reaches its
+    faces and the erosion on the crop is the whole grid's. Cohorts are
+    byte-identical to rendering each study on a crop of its own, as
+    ``tests/test_phantom.py`` checks against that writer, whose digests it
     also pins.
     """
 
@@ -294,8 +293,9 @@ class _Footprint:
         body voxels in C order. The body bottom sits at ``-max(cell_heights)/2``
         along the superior axis and each column rises to its interpolated
         target height; cortical bone is the body minus its erosion by the
-        ball, with space beyond the grid counting as body, as the distance
-        transform measures only to background voxels inside the grid."""
+        ball. A body that reaches a face of the grid raises, so a ball that
+        reaches past a face reaches the background voxel on it, which the
+        distance transform measures to as well."""
         z0 = -max(spec.cell_heights) / 2.0
         in_body = (self.s >= z0) & (self.s < z0 + self.heights(spec.cell_heights))
         if not in_body.any():
@@ -310,7 +310,7 @@ class _Footprint:
         if np.any(deltas != 0.0):
             column_hu += deltas[self.cells]
         hu = np.broadcast_to(column_hu, in_body.shape)[in_body]
-        hu[~erode_by_ball(body, self.ball, border_value=True)[body]] = spec.cortical_hu
+        hu[~erode_by_ball(body, self.ball)[body]] = spec.cortical_hu
         return body, hu
 
 

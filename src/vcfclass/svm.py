@@ -1,4 +1,4 @@
-"""Soft-margin kernel SVM trained by sequential minimal optimization.
+"""Soft-margin RBF-kernel SVM trained by sequential minimal optimization.
 
 The solver pairs the maximal KKT violator with the partner that second-order
 working-set selection picks and moves that pair by one curvature-floored
@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-KERNELS = ("linear", "rbf")
-
 _BOUND_EPS = 1e-8
 _TAU = 1e-12            # curvature floor, as in LIBSVM
 TOL = 1e-3              # KKT tolerance of every fit
@@ -24,14 +22,11 @@ MAX_PASSES = 500        # step budget of every fit, in sweep-equivalents
 @dataclass(frozen=True)
 class SvmParams:
     """What a run can set; ``TOL`` and ``MAX_PASSES`` hold for every fit."""
-    kernel: str = "rbf"
-    gamma: float | None = None      # None: 1 / d for the RBF kernel (LIBSVM's default)
+    gamma: float | None = None      # None: 1 / d (LIBSVM's default)
     C: float = 1.0
     class_weights: tuple[float, float] | None = None   # (C multiplier for -1, for +1)
 
     def __post_init__(self):
-        if self.kernel not in KERNELS:
-            raise ValueError(f"unknown kernel {self.kernel!r}")
         if not _finite_positive(self.C):
             raise ValueError(f"C must be finite and positive, got {self.C!r}")
         if self.gamma is not None and not _finite_positive(self.gamma):
@@ -48,9 +43,8 @@ def _finite_positive(v) -> bool:
     return math.isfinite(v) and v > 0
 
 
-def kernel_matrix(X: np.ndarray, Y: np.ndarray, kernel: str, gamma: float | None) -> np.ndarray:
-    if kernel == "linear":
-        return X @ Y.T
+def kernel_matrix(X: np.ndarray, Y: np.ndarray, gamma: float) -> np.ndarray:
+    """RBF kernel exp(-gamma * |x - y|^2) between the rows of X and Y."""
     g = X @ Y.T
     g *= 2.0
     xx = np.sum(X * X, axis=1)
@@ -63,8 +57,7 @@ def kernel_matrix(X: np.ndarray, Y: np.ndarray, kernel: str, gamma: float | None
 
 @dataclass
 class SvmModel:
-    kernel: str
-    gamma: float | None
+    gamma: float
     feature_indices: tuple[int, ...]
     mean: np.ndarray                 # per-feature training mean (selected columns)
     std: np.ndarray
@@ -90,7 +83,7 @@ class SvmModel:
         """Signed decision value per row of the full training-width table;
         > 0 classifies as the +1 class."""
         Xs = self._standardize(X)
-        K = kernel_matrix(Xs, self.support_vectors, self.kernel, self.gamma)
+        K = kernel_matrix(Xs, self.support_vectors, self.gamma)
         return K @ self.dual_coef + self.bias
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -130,18 +123,15 @@ def train_svm(X: np.ndarray, y: np.ndarray, params: SvmParams = SvmParams(),
     std = np.where(std > 0, std, 1.0)
     Xs = (Xsel - mean) / std
 
-    gamma = None
-    if params.kernel == "rbf":
-        gamma = params.gamma if params.gamma is not None else 1.0 / Xs.shape[1]
-    K = kernel_matrix(Xs, Xs, params.kernel, gamma)
+    gamma = params.gamma if params.gamma is not None else 1.0 / Xs.shape[1]
+    K = kernel_matrix(Xs, Xs, gamma)
     w_neg, w_pos = params.class_weights or (1.0, 1.0)
     Cv = params.C * np.where(y < 0, w_neg, w_pos)
 
     alpha, bias, steps, exhausted, violations = _smo(K, y, Cv, TOL, MAX_PASSES)
 
     sv = alpha > 0
-    return SvmModel(kernel=params.kernel, gamma=gamma,
-                    feature_indices=feature_indices, mean=mean, std=std,
+    return SvmModel(gamma=gamma, feature_indices=feature_indices, mean=mean, std=std,
                     support_vectors=Xs[sv], dual_coef=alpha[sv] * y[sv], bias=bias,
                     train_steps=steps, train_exhausted=exhausted,
                     train_violations=violations)

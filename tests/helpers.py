@@ -416,7 +416,7 @@ def replay_training(X, y, params: SvmParams, model: SvmModel):
     Xs = (X[:, list(model.feature_indices)] - model.mean) / model.std
     w_neg, w_pos = params.class_weights or (1.0, 1.0)
     Cv = params.C * np.where(y < 0, w_neg, w_pos)
-    K = kernel_matrix(Xs, Xs, params.kernel, model.gamma)
+    K = kernel_matrix(Xs, Xs, model.gamma)
     alpha, bias, *_ = _smo(K, y, Cv, TOL, svm.MAX_PASSES)
     sv = alpha > 0
     assert np.array_equal(Xs[sv], model.support_vectors)
@@ -425,14 +425,37 @@ def replay_training(X, y, params: SvmParams, model: SvmModel):
     return Xs, alpha, Cv
 
 
+def linear_gram_fit(X, y, Cv, max_passes: int | None = None):
+    """``_smo`` on the linear Gram matrix ``Xs @ Xs.T`` of ``train_svm``'s
+    z-scored rows, the fit a linear-kernel SVM makes. The Gram is
+    rank-deficient whenever n > d, so it has flat pair directions that
+    exercise the solver's curvature floor. Returns
+    ``(Xs, K, alpha, bias, steps, exhausted, violations)``; the budget is
+    ``svm.MAX_PASSES`` unless ``max_passes`` is given."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    mean, std = X.mean(axis=0), X.std(axis=0)
+    Xs = (X - mean) / np.where(std > 0, std, 1.0)
+    K = Xs @ Xs.T
+    passes = svm.MAX_PASSES if max_passes is None else max_passes
+    return (Xs, K, *_smo(K, y, Cv, TOL, passes))
+
+
 def reference_kkt_violations(self: SvmModel, train_X, train_y, train_alpha,
                              train_C, tol: float | None = None) -> int:
     """``SvmModel.kkt_violations`` as it stood when a model kept its training
     rows, verbatim but for reading those four arrays as arguments: the
     training decision values are rebuilt from the support vectors."""
-    tol = TOL if tol is None else tol
-    u = (kernel_matrix(train_X, self.support_vectors, self.kernel, self.gamma)
+    u = (kernel_matrix(train_X, self.support_vectors, self.gamma)
          @ self.dual_coef + self.bias)
+    return kkt_count(u, train_y, train_alpha, train_C, tol)
+
+
+def kkt_count(u, train_y, train_alpha, train_C, tol: float | None = None) -> int:
+    """Training examples whose decision value ``u`` breaks their KKT
+    condition at ``tol`` (default ``TOL``): y*u >= 1 at alpha = 0, y*u = 1
+    strictly inside the box and y*u <= 1 at C."""
+    tol = TOL if tol is None else tol
     r = train_y * u - 1.0
     a = train_alpha
     C = train_C

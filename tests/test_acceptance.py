@@ -9,9 +9,9 @@ from math import comb
 import numpy as np
 import pytest
 
-from helpers import (WORLD_FRAME, body_spec, dual_objective, qp_dual_oracle,
-                     render_single, replay_fold, replay_training, run_cli, tree_hash,
-                     wedge_heights)
+from helpers import (WORLD_FRAME, body_spec, dual_objective, linear_gram_fit,
+                     qp_dual_oracle, render_single, replay_fold, replay_training,
+                     run_cli, tree_hash, wedge_heights)
 from vcfclass.cli import main
 from vcfclass.densitometry import (density_features, study_reference,
                                    trabecular_region)
@@ -206,22 +206,25 @@ def test_criterion_6_svm_solver_correctness():
         y = np.where(X @ w + 0.4 * rng.normal(size=n) > 0, 1.0, -1.0)
         if np.unique(y).size < 2:
             continue
-        kernel = "rbf" if done % 2 else "linear"
-        params = SvmParams(kernel=kernel, gamma=0.8 if kernel == "rbf" else None,
-                           C=float(rng.choice([0.5, 1.0, 5.0])))
-        m = train_svm(X, y, params)
-        assert m.kkt_violations() == 0
-        Xs, alpha, _ = replay_training(X, y, params, m)
-        K = kernel_matrix(Xs, Xs, kernel, m.gamma)
+        C = float(rng.choice([0.5, 1.0, 5.0]))
+        if done % 2:
+            params = SvmParams(gamma=0.8, C=C)
+            m = train_svm(X, y, params)
+            assert m.kkt_violations() == 0
+            Xs, alpha, _ = replay_training(X, y, params, m)
+            K = kernel_matrix(Xs, Xs, m.gamma)
+        else:       # the solver alone on a linear Gram, rank-deficient when n > d
+            _, K, alpha, _, _, _, violations = linear_gram_fit(X, y, np.full(n, C))
+            assert violations == 0
         obj = dual_objective(alpha, y, K)
-        oracle = dual_objective(qp_dual_oracle(K, y, params.C), y, K)
+        oracle = dual_objective(qp_dual_oracle(K, y, C), y, K)
         rel = abs(obj - oracle) / max(1.0, abs(oracle))
         worst = max(worst, rel)
         assert rel <= 1e-3, done
         done += 1
     X = np.array([[0, 0], [1, 1], [0, 1], [1, 0]], dtype=float)
     y = np.array([1, 1, -1, -1])
-    m = train_svm(X, y, SvmParams(kernel="rbf", gamma=1.0, C=10.0))
+    m = train_svm(X, y, SvmParams(gamma=1.0, C=10.0))
     assert np.array_equal(m.predict(X), y)
     assert m.kkt_violations() == 0
     ok(6, f"50 instances vs dense-QP oracle, worst rel diff {worst:.2e}; "

@@ -300,7 +300,7 @@ CLI_OPTIONS = {
                 "--seed", "--out"],
     "extract": ["--manifest", "--policy", "--out"],
     "cv": ["--table", "--conditions", "--k", "--seed", "--members",
-           "--max-features", "--inner-folds", "--kernel", "--c", "--gamma",
+           "--max-features", "--inner-folds", "--c", "--gamma",
            "--group-by-patient", "--shuffle-labels", "--out"],
     "report": ["--results", "--out"],
     "paper-check": ["--out"],
@@ -326,11 +326,13 @@ def cli_results(cli_features, tmp_path_factory):
     ("cv", ["--selection", "greedy_forward"]),
     ("cv", ["--heatmaps"]),
     ("report", ["--heatmaps"]),
+    ("cv", ["--kernel", "rbf"]),
+    ("cv", ["--kernel", "linear"]),
 ])
 def test_cv_and_report_removed_flags_exit_2(cli_features, cli_results, tmp_path,
                                             capsys, command, flags):
-    # Every member runs greedy selection and the reports are text and CSV
-    # only, so the options that chose otherwise are gone.
+    # Every member runs greedy selection with the RBF kernel and the reports
+    # are text and CSV only, so the options that chose otherwise are gone.
     source = (["--table", str(cli_features)] if command == "cv"
               else ["--results", str(cli_results)])
     out = tmp_path / "out"
@@ -347,6 +349,7 @@ def test_cv_run_config_names_the_gamma_rule(cli_features, tmp_path):
         assert main(args + extra + ["--out", str(out)]) == 0
         settings = json.loads((out / "run_config.json").read_text())["settings"]
         assert settings["gamma"] == gamma
+        assert settings["C"] == 1.0 and "kernel" not in settings     # RBF only
 
 
 def test_report_regenerates_identical_files(cli_features, tmp_path):

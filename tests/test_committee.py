@@ -78,7 +78,7 @@ def test_committee_training_accuracy_on_separated_data():
 
 def test_every_probe_trains_under_the_given_params(monkeypatch):
     X, y = labeled_noise(n=40, d=5, seed=8)
-    params = SvmParams(kernel="rbf", gamma=0.3, C=2.0, class_weights=(1.5, 1.0))
+    params = SvmParams(gamma=0.3, C=2.0, class_weights=(1.5, 1.0))
     seen = []
 
     def recorder(X, y, params, feature_indices=None):

@@ -3,8 +3,9 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from helpers import (dual_objective, qp_dual_oracle, reference_kkt_violations,
-                     reference_rbf_kernel, reference_smo, replay_training)
+from helpers import (dual_objective, kkt_count, linear_gram_fit, qp_dual_oracle,
+                     reference_kkt_violations, reference_rbf_kernel,
+                     reference_smo, replay_training)
 from vcfclass import svm
 from vcfclass.svm import TOL, SvmParams, _smo, kernel_matrix, train_svm
 
@@ -12,7 +13,7 @@ from vcfclass.svm import TOL, SvmParams, _smo, kernel_matrix, train_svm
 def test_two_point_separable_midpoint_boundary():
     X = np.array([[0.0], [1.0]])
     y = np.array([-1, 1])
-    m = train_svm(X, y, SvmParams(kernel="linear", C=10.0))
+    m = train_svm(X, y, SvmParams(C=10.0))
     assert list(m.predict(X)) == [-1, 1]
     assert abs(float(m.decision_values([[0.5]])[0])) <= 0.05
     assert m.kkt_violations() == 0
@@ -21,7 +22,7 @@ def test_two_point_separable_midpoint_boundary():
 def test_xor_rbf_zero_training_error():
     X = np.array([[0, 0], [1, 1], [0, 1], [1, 0]], dtype=float)
     y = np.array([1, 1, -1, -1])
-    m = train_svm(X, y, SvmParams(kernel="rbf", gamma=1.0, C=10.0))
+    m = train_svm(X, y, SvmParams(gamma=1.0, C=10.0))
     assert np.array_equal(m.predict(X), y)
     assert m.kkt_violations() == 0
 
@@ -37,16 +38,18 @@ def test_dual_matches_projected_gradient_oracle():
         y = np.where(X @ w + 0.3 * rng.normal(size=n) > 0, 1.0, -1.0)
         if np.unique(y).size < 2:
             continue
-        kernel = "rbf" if done % 2 else "linear"
-        params = SvmParams(kernel=kernel, gamma=0.7 if kernel == "rbf" else None,
-                           C=2.0)
-        m = train_svm(X, y, params)
-        Xs, alpha, _ = replay_training(X, y, params, m)
-        K = kernel_matrix(Xs, Xs, kernel, m.gamma)
+        if done % 2:
+            params = SvmParams(gamma=0.7, C=2.0)
+            m = train_svm(X, y, params)
+            Xs, alpha, _ = replay_training(X, y, params, m)
+            K = kernel_matrix(Xs, Xs, m.gamma)
+            violations = m.kkt_violations()
+        else:
+            _, K, alpha, _, _, _, violations = linear_gram_fit(X, y, np.full(n, 2.0))
         obj = dual_objective(alpha, y, K)
         oracle = dual_objective(qp_dual_oracle(K, y, 2.0), y, K)
         assert abs(obj - oracle) <= 1e-3 * max(1.0, abs(oracle)), done
-        assert m.kkt_violations() == 0
+        assert violations == 0
         done += 1
 
 
@@ -55,10 +58,10 @@ def test_interior_support_vectors_sit_on_margin():
     X = np.vstack([rng.normal(loc=(-2, 0), scale=0.6, size=(20, 2)),
                    rng.normal(loc=(2, 0), scale=0.6, size=(20, 2))])
     y = np.array([-1.0] * 20 + [1.0] * 20)
-    params = SvmParams(kernel="linear", C=1.0)
+    params = SvmParams(C=1.0)
     m = train_svm(X, y, params)
     Xs, alpha, Cv = replay_training(X, y, params, m)
-    u = (kernel_matrix(Xs, m.support_vectors, m.kernel, m.gamma)
+    u = (kernel_matrix(Xs, m.support_vectors, m.gamma)
          @ m.dual_coef + m.bias)
     interior = (alpha > 1e-8) & (alpha < Cv - 1e-8)
     assert interior.any()
@@ -83,7 +86,7 @@ def test_duplicate_point_keeps_training_labels():
     X = np.vstack([rng.normal(loc=(-2, 0), size=(12, 2)),
                    rng.normal(loc=(2, 0), size=(12, 2))])
     y = np.array([-1.0] * 12 + [1.0] * 12)
-    p = SvmParams(kernel="linear", C=100.0)
+    p = SvmParams(C=100.0)
     base = train_svm(X, y, p)
     X2 = np.vstack([X, X[3]])
     y2 = np.append(y, y[3])
@@ -120,8 +123,6 @@ def test_non_finite_rejected():
 
 
 def test_param_validation():
-    with pytest.raises(ValueError, match="kernel"):
-        SvmParams(kernel="poly")
     with pytest.raises(ValueError, match="C"):
         SvmParams(C=0.0)
     with pytest.raises(ValueError, match="gamma"):
@@ -132,7 +133,6 @@ INVALID_PARAMS = [
     ("C", float("nan")), ("C", float("inf")), ("C", -1.0),
     ("gamma", float("nan")), ("gamma", float("inf")),
     ("C", float("-inf")), ("gamma", float("-inf")), ("gamma", 0.0),
-    ("kernel", "RBF"), ("kernel", ""),
     ("class_weights", (1.0,)), ("class_weights", (1.0, 2.0, 3.0)),
     ("class_weights", (1.0, 0.0)), ("class_weights", (-1.0, 1.0)),
     ("class_weights", (float("nan"), 1.0)), ("class_weights", (1.0, float("inf"))),
@@ -148,8 +148,7 @@ def test_invalid_params_rejected(field, value):
 
 
 def test_params_hold_only_what_a_run_sets():
-    assert [f.name for f in fields(SvmParams)] == ["kernel", "gamma", "C",
-                                                   "class_weights"]
+    assert [f.name for f in fields(SvmParams)] == ["gamma", "C", "class_weights"]
 
 
 def test_default_gamma_is_one_over_d():
@@ -165,8 +164,6 @@ def test_default_gamma_is_one_over_d():
         m = train_svm(X, y, SvmParams(), feature_indices=subset)
         assert m.gamma == 1.0 / len(subset), subset
     assert train_svm(X, y, SvmParams(gamma=0.25)).gamma == 0.25
-    assert train_svm(X, y, SvmParams(kernel="linear")).gamma is None
-    assert train_svm(X, y, SvmParams(kernel="linear", gamma=0.25)).gamma is None
 
 
 def test_class_weights_stored_as_tuple():
@@ -181,7 +178,7 @@ def test_class_weights_scale_box():
     y = np.where(X[:, 0] > -0.5, 1.0, -1.0)
     if np.unique(y).size < 2:
         y[0] = -1.0
-    params = SvmParams(kernel="linear", C=1.0, class_weights=(3.0, 1.0))
+    params = SvmParams(C=1.0, class_weights=(3.0, 1.0))
     m = train_svm(X, y, params)
     alpha = replay_training(X, y, params, m)[1]
     neg = y < 0
@@ -244,11 +241,12 @@ def _kkt_gap(errors, y, Cv, alpha):
 def test_second_order_solver_certifies_against_reference(monkeypatch):
     # Every problem is solved to convergence by both solvers: the
     # second-order one must certify KKT, reach the first-order reference's
-    # dual objective and take at most 0.6x its pair updates. Every sixth
-    # problem is first fitted with a one-pass budget (``svm.MAX_PASSES = 1``)
-    # to report the exhausted budget. The KKT count each first fit stores
-    # must equal the rebuild from its training rows that models used to
-    # make; some one-pass counts are nonzero.
+    # dual objective and take at most 0.6x its pair updates. Even problems
+    # train RBF models; odd ones run ``_smo`` on the linear Gram of the same
+    # z-scored rows, which is rank-deficient when n > d. Every sixth problem
+    # is first fitted with a one-pass budget to report the exhausted budget.
+    # The KKT count of every fit must equal the rebuild from its support
+    # vectors that models used to make; some one-pass counts are nonzero.
     rng = np.random.default_rng(21)
     steps = ref_steps = exhausted = nonzero = 0
     for p in range(240):
@@ -262,33 +260,39 @@ def test_second_order_solver_certifies_against_reference(monkeypatch):
             X = rng.normal(size=(n, int(rng.integers(1, 5))))
         y = np.where(X[:, 0] + rng.normal(size=n) > 0.3, 1.0, -1.0)
         y[:2] = (-1.0, 1.0)
-        params = SvmParams(kernel=("rbf", "linear")[p % 2],
-                           C=(0.1, 1.0, 10.0)[p // 2 % 3],
+        params = SvmParams(C=(0.1, 1.0, 10.0)[p // 2 % 3],
                            class_weights=(2.0, 0.5) if p % 5 == 0 else None)
-        short_budget = p % 6 == 5
-        monkeypatch.setattr(svm, "MAX_PASSES", 1 if short_budget else 500)
-        m = train_svm(X, y, params)
         Cv = _per_row_cv(params, y)
-        Xs, m_alpha, m_C = replay_training(X, y, params, m)
-        assert np.array_equal(m_C, Cv), p
-        assert m.kkt_violations() == reference_kkt_violations(m, Xs, y, m_alpha, Cv), p
-        if short_budget:
-            one_pass = m
-            nonzero += one_pass.kkt_violations() > 0
-            monkeypatch.setattr(svm, "MAX_PASSES", 500)
-            m = train_svm(X, y, params)
+        fits = []           # (K, alpha, steps, exhausted, violations)
+        for passes in ((1, 500) if p % 6 == 5 else (500,)):
+            if p % 2:
+                Xs, K, alpha, bias, *run = linear_gram_fit(X, y, Cv, passes)
+                sv = alpha > 0
+                u = (Xs @ Xs[sv].T) @ (alpha[sv] * y[sv]) + bias
+                assert run[2] == kkt_count(u, y, alpha, Cv), p
+            else:
+                monkeypatch.setattr(svm, "MAX_PASSES", passes)
+                m = train_svm(X, y, params)
+                Xs, alpha, m_C = replay_training(X, y, params, m)
+                assert np.array_equal(m_C, Cv), p
+                K = kernel_matrix(Xs, Xs, m.gamma)
+                run = [m.train_steps, m.train_exhausted, m.kkt_violations()]
+                assert run[2] == reference_kkt_violations(m, Xs, y, alpha, Cv), p
+            fits.append((K, alpha, *run))
+        if len(fits) == 2:
+            (*_, one_exhausted, one_violations), full = fits
+            nonzero += one_violations > 0
             # The one-pass run follows the full run's path until its budget.
-            assert one_pass.train_exhausted == (m.train_steps >= max(n, 8)), p
-            exhausted += one_pass.train_exhausted
-            Xs, m_alpha, _ = replay_training(X, y, params, m)
-        K = kernel_matrix(Xs, Xs, params.kernel, m.gamma)
+            assert one_exhausted == (full[2] >= max(n, 8)), p
+            exhausted += one_exhausted
+        K, m_alpha, m_steps, m_exhausted, m_violations = fits[-1]
         alpha, _, ref = reference_smo(K, y, Cv, TOL, 500, _seeded(p))
         assert ref < 500 * max(n, 8), p           # the reference converges
-        assert not m.train_exhausted, p
-        assert m.kkt_violations() == 0, p
+        assert not m_exhausted, p
+        assert m_violations == 0, p
         obj, ref_obj = dual_objective(m_alpha, y, K), dual_objective(alpha, y, K)
         assert abs(obj - ref_obj) <= 1e-3 * max(1.0, abs(ref_obj)), p
-        steps += m.train_steps
+        steps += m_steps
         ref_steps += ref
     assert steps <= 0.6 * ref_steps, (steps, ref_steps)
     assert exhausted > 0       # some one-pass budgets ran out before KKT
@@ -300,7 +304,7 @@ def test_pinched_boxes_certify():
     # second problem every box is that narrow. The floored step still moves
     # such pairs, so both problems certify KKT over the full set.
     pts = np.random.default_rng(22).normal(size=(7, 2))
-    K = kernel_matrix(pts, pts, "rbf", 0.5)
+    K = kernel_matrix(pts, pts, 0.5)
     y = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0, -1.0])
     partly, every = np.array([1e-13, 1, 1, 1, 1, 1, 1.0]), np.full(7, 1e-13)
     for Cv in (partly, every):
@@ -329,7 +333,7 @@ def test_rbf_kernel_matrix_equals_reference_expression(same):
     X = rng.normal(size=(37, 4))
     Y = X if same else rng.normal(size=(23, 4))
     for gamma in (0.05, 0.7, 3.0):
-        assert np.array_equal(kernel_matrix(X, Y, "rbf", gamma),
+        assert np.array_equal(kernel_matrix(X, Y, gamma),
                               reference_rbf_kernel(X, Y, gamma))
 
 
