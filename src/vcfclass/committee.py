@@ -1,5 +1,5 @@
-"""SVM committee: per-member greedy forward feature selection and
-mean-decision aggregation."""
+"""SVM committee: per-member greedy forward selection among given columns of
+one table, and mean-decision aggregation."""
 
 from __future__ import annotations
 
@@ -55,18 +55,17 @@ def _inner_cv_accuracy(X, y, feature_subset, scored, params: SvmParams,
     return correct / evaluated, True
 
 
-def _fingerprint(a: np.ndarray) -> tuple:
-    """Shape, dtype and a 16-byte digest of an array's values in C order."""
-    # hashlib maps OpenSSL, about 3.7 MB resident, which extraction never uses.
-    import hashlib
-    a = np.ascontiguousarray(a)
-    return a.shape, a.dtype.str, hashlib.blake2b(a, digest_size=16).digest()
+class ProbeMemo(dict):
+    """Probe scores, ``(seed, *subset, c) -> (score, exact)``, of the one
+    ``scope = (X, y, inner_folds, params)`` that the first selection to use
+    the memo sets; ``greedy_forward_select`` refuses any other."""
+    scope = None
 
 
 def greedy_forward_select(X: np.ndarray, y: np.ndarray, candidates,
                           inner_folds: int, params: SvmParams,
                           max_features: int = 4, seed: int = 0,
-                          probes: dict | None = None) -> list[int]:
+                          probes: ProbeMemo | None = None) -> list[int]:
     """Wrapper selection: grow the subset by the candidate maximizing inner
     k-fold accuracy, stopping when no addition beats the current score by more
     than 1e-4 (the majority-class fraction seeds the score). Ties fall to the
@@ -78,20 +77,23 @@ def greedy_forward_select(X: np.ndarray, y: np.ndarray, candidates,
     after the fold that settles it. The subset is the one exhaustive scoring
     picks.
 
-    ``probes`` memoises probes by content as ``(score, exact)``: the key holds
-    a digest of the subset's columns, of ``y``, the inner folds, ``params``
-    and ``seed``, which is all a probe reads. An entry that is only a bound
-    is scored again when a later bar lies below it. Callers sharing one dict
-    across tables (conditions over the same rows) score each distinct probe
-    once; ``None`` uses a fresh dict."""
+    ``probes`` memoises probes as ``(score, exact)`` under ``(seed, *subset,
+    c)``. A memo serves one ``(X, y, inner_folds, params)`` and raises
+    ``ValueError`` on any other (see ``ProbeMemo``); selections over other
+    candidates of that table (conditions over the same rows) share it and
+    score each common probe once. An entry that is only a bound is scored
+    again when a later bar lies below it; ``None`` uses a fresh memo."""
     candidates = [int(c) for c in candidates]
     if len(candidates) < 2:
         raise ValueError("need at least two candidate features")
     n_pos = int((y > 0).sum())
     if not 0 < n_pos < y.size:
         raise ValueError("selection requires both classes")
-    probes = {} if probes is None else probes
-    setting = (_fingerprint(y), inner_folds, params, seed)
+    probes = ProbeMemo() if probes is None else probes
+    scope = probes.scope = probes.scope or (X, y, inner_folds, params)
+    if scope[2:] != (inner_folds, params) or not (
+            np.array_equal(scope[0], X) and np.array_equal(scope[1], y)):
+        raise ValueError("probe memo belongs to another table, labels or settings")
     # Fixed for the whole selection: the inner folds and the test masks of
     # those whose training rows hold both classes.
     folds = kfold_split(y, k=inner_folds, seed=seed)
@@ -105,7 +107,7 @@ def greedy_forward_select(X: np.ndarray, y: np.ndarray, candidates,
             if c in subset:
                 continue
             bar = round_best + MIN_IMPROVEMENT
-            key = (_fingerprint(X[:, subset + [c]]), *setting)
+            key = (seed, *subset, c)
             score, exact = probes.get(key, (np.inf, False))
             if not exact and score > bar:
                 score, exact = probes[key] = _inner_cv_accuracy(
@@ -129,25 +131,24 @@ class Committee:
 
 
 def train_committee(X: np.ndarray, y: np.ndarray, cfg: CommitteeConfig,
-                    probes: dict | None = None) -> Committee:
-    """Train ``n_members`` SVMs, each on its own (seeded) greedy-selected
-    subset, or on every column when the table has one column or selection
-    keeps none; ``probes`` is the selection memo (see
+                    columns, probes: ProbeMemo | None = None) -> Committee:
+    """Train ``n_members`` SVMs on the ``columns`` of ``X``, each on its own
+    (seeded) greedy-selected subset of them, or on all of them when there
+    is one or selection keeps none; ``probes`` is the selection memo (see
     ``greedy_forward_select``)."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     members, fitted = [], {}
     for m_idx in range(cfg.n_members):
         member_seed = int(np.random.SeedSequence([cfg.seed, m_idx]).generate_state(1)[0])
-        subset = list(range(X.shape[1]))
-        if len(subset) >= 2:
+        subset = columns
+        if len(columns) >= 2:
             subset = greedy_forward_select(
-                X, y, subset, cfg.selection.inner_folds, cfg.member_params,
+                X, y, columns, cfg.selection.inner_folds, cfg.member_params,
                 max_features=cfg.selection.max_features, seed=member_seed,
-                probes=probes) or subset
+                probes=probes) or columns
         if tuple(subset) not in fitted:    # train_svm is deterministic
             fitted[tuple(subset)] = train_svm(X, y, cfg.member_params,
                                               feature_indices=subset)
         members.append(fitted[tuple(subset)])
     return Committee(members=members)
-

@@ -3,19 +3,20 @@
 Everything fitted to data (imputation constants, standardization, feature
 selection, SVM training) uses the training fold only; the test fold is
 imputed with training constants and predicted once. The outer fold is the
-unit of work: one task per fold trains every condition on that fold.
+unit of work: one task per fold imputes its rows over every column and
+trains each condition on that condition's columns.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .committee import CommitteeConfig, train_committee
+from .committee import CommitteeConfig, ProbeMemo, train_committee
 from .features import (ALL_COLUMNS, CONTRAST_COLUMNS, FeatureTable,
                        condition_columns, optional_float, read_csv_rows,
                        truth_cell)
@@ -28,39 +29,45 @@ class CvResult:
     condition: str
     ids: list[tuple[str, str, int]]
     truth: np.ndarray              # 'O' / 'N' per instance
-    predictions: np.ndarray        # 'O' / 'N'; '' for instances in skipped folds
-    decision: np.ndarray
+    decision: np.ndarray           # NaN for instances in skipped folds
     fold_assignment: np.ndarray
-    k: int
-    skipped_folds: list[int] = field(default_factory=list)
+
+    @property
+    def predictions(self) -> np.ndarray:    # 'O' / 'N'; '' in skipped folds
+        return np.where(np.isnan(self.decision), "",
+                        np.where(self.decision > 0, "N", "O"))
 
     @property
     def evaluated(self) -> np.ndarray:
-        return self.predictions != ""
+        return ~np.isnan(self.decision)
+
+    @property
+    def k(self) -> int:
+        return int(self.fold_assignment.max()) + 1    # every fold is nonempty
+
+    @property
+    def skipped_folds(self) -> list[int]:
+        return sorted(set(self.fold_assignment[~self.evaluated].tolist()))
 
 
-def imputation_constants(values: np.ndarray, columns: list[str]) -> np.ndarray:
-    """Per-feature fill values from training data only: contrasts fall back to
-    1.0, rates to 0.0, everything else to the training mean of non-NaN
-    entries."""
-    fill = np.zeros(len(columns))
-    for j, col in enumerate(columns):
+def imputation_constants(values: np.ndarray) -> np.ndarray:
+    """Per-column fill values of a table of ``ALL_COLUMNS`` from training
+    data only: contrasts fall back to 1.0, rates to 0.0, everything else to
+    the training mean of non-NaN entries."""
+    fill = np.zeros(len(ALL_COLUMNS))
+    for j, col in enumerate(ALL_COLUMNS):
         if col in CONTRAST_COLUMNS:
             fill[j] = 1.0
         elif col.startswith("R_"):
             fill[j] = 0.0
         else:
-            observed = values[:, j]
-            observed = observed[~np.isnan(observed)]
+            observed = values[~np.isnan(values[:, j]), j]
             fill[j] = float(observed.mean()) if observed.size else 0.0
     return fill
 
 
 def impute(values: np.ndarray, fill: np.ndarray) -> np.ndarray:
-    out = values.copy()
-    use = np.isnan(out)
-    out[use] = np.broadcast_to(fill, out.shape)[use]
-    return out
+    return np.where(np.isnan(values), fill, values)
 
 
 def outer_folds(table: FeatureTable, k: int, seed: int,
@@ -77,23 +84,18 @@ def single_class_folds(truth: np.ndarray, folds: np.ndarray, k: int) -> list[int
     return [f for f in range(k) if len(set(truth[folds != f].tolist())) < 2]
 
 
-def _fold_task(values: np.ndarray, y: np.ndarray, conditions, cfg: CommitteeConfig,
+def _fold_task(values: np.ndarray, y: np.ndarray, column_sets, cfg: CommitteeConfig,
                seed: int, folds: np.ndarray, f: int):
-    """Train and test outer fold ``f`` for each condition in turn; return
-    each condition's test-fold decision values. The conditions share the
-    fold's probe memo."""
+    """Impute outer fold ``f``'s training and test rows, then train and test
+    each condition's column set in turn on them; return each condition's
+    test-fold decision values. The conditions share the fold's probe memo."""
     tr = folds != f
-    train, test = values[tr], values[~tr]
-    fill = imputation_constants(train, ALL_COLUMNS)
-    fold_seed = int(np.random.SeedSequence([seed, f]).generate_state(1)[0])
-    probes: dict = {}
-    decisions = []
-    for condition in conditions:
-        idx = [ALL_COLUMNS.index(c) for c in condition_columns(condition)]
-        committee = train_committee(impute(train[:, idx], fill[idx]), y[tr],
-                                    replace(cfg, seed=fold_seed), probes=probes)
-        decisions.append(committee.decision_values(impute(test[:, idx], fill[idx])))
-    return decisions
+    fill = imputation_constants(values[tr])
+    train, test = impute(values[tr], fill), impute(values[~tr], fill)
+    cfg = replace(cfg, seed=int(np.random.SeedSequence([seed, f]).generate_state(1)[0]))
+    probes = ProbeMemo()
+    return [train_committee(train, y[tr], cfg, columns, probes=probes)
+            .decision_values(test) for columns in column_sets]
 
 
 def cross_validate_conditions(table: FeatureTable, conditions,
@@ -104,10 +106,11 @@ def cross_validate_conditions(table: FeatureTable, conditions,
     order given, on the same outer folds.
 
     The folds run through ``parallel.pmap``, one task per fold. A task
-    trains the conditions one after another with one probe memo (see
+    trains the conditions, as ``ALL_COLUMNS`` index sets of one imputed
+    table, one after another with one probe memo (see
     ``committee.greedy_forward_select``), so a probe they have in common is
-    scored once. Folds never share a memo entry (their member seeds
-    differ), so results equal those of a fresh memo per condition."""
+    scored once. Folds never share a memo, so results equal those of a fresh
+    memo per condition."""
     folds = outer_folds(table, k, seed, group_by_patient)
     skipped = single_class_folds(table.truth, folds, k)
     for f in skipped:
@@ -115,19 +118,16 @@ def cross_validate_conditions(table: FeatureTable, conditions,
                       stacklevel=2)
     run = [f for f in range(k) if f not in skipped]
     y = np.where(table.truth == "N", 1.0, -1.0)
-    outcomes = pmap(partial(_fold_task, table.matrix, y, conditions, cfg, seed,
+    column_sets = [[ALL_COLUMNS.index(c) for c in condition_columns(condition)]
+                   for condition in conditions]
+    outcomes = pmap(partial(_fold_task, table.matrix, y, column_sets, cfg, seed,
                             folds), run)
-    results = []
-    for c, condition in enumerate(conditions):
-        decision = np.full(len(table), np.nan)
-        for f, fold in zip(run, outcomes):
-            decision[folds == f] = fold[c]
-        results.append(CvResult(
-            condition=condition, ids=table.instance_ids, truth=table.truth,
-            predictions=np.where(np.isin(folds, run),
-                                 np.where(decision > 0, "N", "O"), ""),
-            decision=decision, fold_assignment=folds, k=k, skipped_folds=skipped))
-    return results
+    decisions = np.full((len(conditions), len(table)), np.nan)
+    for f, fold in zip(run, outcomes):
+        decisions[:, folds == f] = fold
+    return [CvResult(condition=condition, ids=table.instance_ids, truth=table.truth,
+                     decision=decision, fold_assignment=folds)
+            for condition, decision in zip(conditions, decisions)]
 
 
 def cross_validate(table: FeatureTable, condition: str,
@@ -153,10 +153,10 @@ def predictions_path(out_dir: Path, condition: str) -> Path:
 
 def save_predictions(res: CvResult, path: Path) -> None:
     lines = [PREDICTIONS_HEADER]
-    for i, (pid, sid, vert) in enumerate(res.ids):
-        dec = "" if np.isnan(res.decision[i]) else repr(float(res.decision[i]))
-        lines.append(f"{pid},{sid},{vert},{res.truth[i]},{res.predictions[i]},"
-                     f"{dec},{res.fold_assignment[i]}")
+    for (pid, sid, vert), truth, pred, dec, fold in zip(
+            res.ids, res.truth, res.predictions, res.decision, res.fold_assignment):
+        dec = "" if np.isnan(dec) else repr(float(dec))
+        lines.append(f"{pid},{sid},{vert},{truth},{pred},{dec},{fold}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -177,10 +177,7 @@ def load_predictions(path: Path, condition: str) -> CvResult:
         if pred != want:
             raise ValueError(f"{path}:{n}: column prediction: {pred!r} disagrees "
                              f"with decision {dec!r}, which gives {want!r}")
-    pid, sid, vert, truth, preds, decision, folds = zip(*rows)
-    fold_arr, preds = np.array(folds), np.array(preds)
+    pid, sid, vert, truth, _, decision, folds = zip(*rows)
     return CvResult(condition=condition, ids=list(zip(pid, sid, vert)),
-                    truth=np.array(truth), predictions=preds,
-                    decision=np.array(decision), fold_assignment=fold_arr,
-                    k=int(fold_arr.max()) + 1,
-                    skipped_folds=sorted(set(fold_arr[preds == ""].tolist())))
+                    truth=np.array(truth), decision=np.array(decision),
+                    fold_assignment=np.array(folds))

@@ -150,14 +150,19 @@ class ComparisonReport:
 
 def compare(results: list[CvResult]) -> ComparisonReport:
     """Each condition's confusion matrix, in the order given, and pairwise
-    Fisher tests on their correct/incorrect tables."""
+    Fisher tests on their correct/incorrect tables; results share truth."""
     if not results:
         raise ValueError("no results to compare")
-    ref_ids = results[0].ids
+    ref = results[0]
     for r in results[1:]:
-        if r.ids != ref_ids:
+        if r.ids != ref.ids:
             raise ValueError(
-                f"instance sets differ between {results[0].condition} and {r.condition}")
+                f"instance sets differ between {ref.condition} and {r.condition}")
+        if (r.truth != ref.truth).any():
+            i = int(np.argmax(r.truth != ref.truth))
+            raise ValueError(
+                f"truth differs between {ref.condition} and {r.condition}, first "
+                f"at instance {ref.ids[i]}: {ref.truth[i]} vs {r.truth[i]}")
     confusions = {}
     for r in results:
         if r.condition in confusions:

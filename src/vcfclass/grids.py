@@ -85,10 +85,6 @@ class GridGeometry:
         idx_xyz = index_zyx[:, ::-1].astype(np.float64)
         return np.asarray(self.origin) + idx_xyz * np.asarray(self.spacing)
 
-    def same_lattice(self, other: "GridGeometry") -> bool:
-        return (self.dims == other.dims and self.spacing == other.spacing
-                and self.origin == other.origin)
-
 
 def _as_locked(arr: np.ndarray, dtype, dims, name: str) -> np.ndarray:
     """``arr`` as a read-only (z, y, x) ``dtype`` grid; raises, naming the
@@ -266,7 +262,7 @@ class LabelMap:
 
 
 def check_paired_geometry(vol: Volume, lm: LabelMap) -> None:
-    if not vol.geometry.same_lattice(lm.geometry):
+    if vol.geometry != lm.geometry:
         raise FormatError(
             f"label map geometry {lm.geometry} does not match paired volume {vol.geometry}")
 

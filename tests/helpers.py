@@ -26,8 +26,7 @@ import numpy as np
 from scipy import ndimage
 
 from vcfclass.cli import build_parser
-from vcfclass.committee import (MIN_IMPROVEMENT, CommitteeConfig, _fingerprint,
-                                train_committee)
+from vcfclass.committee import MIN_IMPROVEMENT, CommitteeConfig, train_committee
 from vcfclass.crossval import CvResult, imputation_constants, impute
 from vcfclass.densitometry import (DEFAULT_EROSION_MM, MIN_LABEL_VOXELS,
                                    StudyReference, _ball_structure,
@@ -482,18 +481,17 @@ def replay_fold(table: FeatureTable, res: CvResult, cfg: CommitteeConfig,
     """``(fill, committee)`` that the cross-validation run behind ``res``
     (``cfg``, ``seed``) fitted on outer fold ``f``, rebuilt as
     ``crossval._fold_task`` builds them: fill values from the fold's training
-    rows over every column, then the committee on the condition's imputed
-    columns under the fold seed ``SeedSequence([seed, f])``. Asserts that
-    the committee gives the fold's decisions in ``res`` bit for bit."""
+    rows over every column, then the committee on the condition's columns of
+    the imputed rows under the fold seed ``SeedSequence([seed, f])``. Asserts
+    that the committee gives the fold's decisions in ``res`` bit for bit."""
     tr = res.fold_assignment != f
-    idx = [ALL_COLUMNS.index(c) for c in condition_columns(res.condition)]
-    fill = imputation_constants(table.matrix[tr], ALL_COLUMNS)[idx]
-    values = table.matrix[:, idx]
+    columns = [ALL_COLUMNS.index(c) for c in condition_columns(res.condition)]
+    fill = imputation_constants(table.matrix[tr])
     y = np.where(table.truth == "N", 1.0, -1.0)
     fold_seed = int(np.random.SeedSequence([seed, f]).generate_state(1)[0])
-    committee = train_committee(impute(values[tr], fill), y[tr],
-                                replace(cfg, seed=fold_seed))
-    assert np.array_equal(committee.decision_values(impute(values[~tr], fill)),
+    committee = train_committee(impute(table.matrix[tr], fill), y[tr],
+                                replace(cfg, seed=fold_seed), columns)
+    assert np.array_equal(committee.decision_values(impute(table.matrix[~tr], fill)),
                           res.decision[~tr])
     return fill, committee
 
@@ -774,18 +772,16 @@ def reference_greedy_forward_select(X: np.ndarray, y: np.ndarray, candidates,
     than 1e-4 (the majority-class fraction seeds the score). Ties fall to the
     lower feature index.
 
-    ``probes`` memoises inner accuracies by content: the key holds a digest
-    of the subset's columns, of ``y``, the inner folds, ``params`` and
-    ``seed``, which is all a probe reads. Callers sharing one dict across
-    tables (conditions over the same rows) score each distinct probe once;
-    ``None`` uses a fresh dict."""
+    ``probes`` memoises inner accuracies under ``(seed, *subset, c)``; one
+    dict serves one ``(X, y, inner_folds, params)``. Callers sharing it
+    across candidate sets of one table (conditions over the same rows) score
+    each distinct probe once; ``None`` uses a fresh dict."""
     candidates = [int(c) for c in candidates]
     if len(candidates) < 2:
         raise ValueError("need at least two candidate features")
     if np.unique(y).size < 2:
         raise ValueError("selection requires both classes")
     probes = {} if probes is None else probes
-    setting = (_fingerprint(y), inner_folds, params, seed)
     subset: list[int] = []
     counts = np.unique(y, return_counts=True)[1]
     best = counts.max() / counts.sum()     # majority baseline
@@ -794,7 +790,7 @@ def reference_greedy_forward_select(X: np.ndarray, y: np.ndarray, candidates,
         for c in candidates:
             if c in subset:
                 continue
-            key = (_fingerprint(X[:, subset + [c]]), *setting)
+            key = (seed, *subset, c)
             acc = probes.get(key)
             if acc is None:
                 acc = probes[key] = reference_inner_cv_accuracy(

@@ -247,17 +247,16 @@ def test_criterion_7_cv_integrity():
     from vcfclass.features import ALL_COLUMNS, condition_columns
     table = synthetic_table(seed=77)
     res = cross_validate(table, "measured", FAST_CFG, k=5, seed=7)
-    columns = condition_columns("measured")
-    col_idx = [ALL_COLUMNS.index(c) for c in columns]
-    values = table.matrix[:, col_idx]
+    col_idx = [ALL_COLUMNS.index(c) for c in condition_columns("measured")]
     fold_ids = [f for f in range(5) if f not in res.skipped_folds]
     for f in fold_ids:
         fill, committee = replay_fold(table, res, FAST_CFG, 7, f)
         tr = res.fold_assignment != f
-        assert np.array_equal(fill, imputation_constants(values[tr], columns))
-        Xtr = impute(values[tr], fill)
+        assert np.array_equal(fill, imputation_constants(table.matrix[tr]))
+        Xtr = impute(table.matrix[tr], fill)
         for member in committee.members:
             sel = list(member.feature_indices)
+            assert set(sel) <= set(col_idx)
             assert np.array_equal(member.mean, Xtr[:, sel].mean(axis=0))
     ok(7, "fold partition/stratification hold for n in {20, 695}; stored "
           "standardization equals training-fold statistics")

@@ -400,6 +400,27 @@ def test_report_names_predictions_file_whose_instances_differ(cli_features, tmp_
     assert not (tmp_path / "rep").exists()
 
 
+def test_report_refuses_conditions_scored_against_different_truths(
+        cli_features, tmp_path, capsys):
+    out = tmp_path / "res"
+    assert main(["cv", "--table", str(cli_features), "--k", "4", "--seed", "7",
+                 "--members", "1", "--out", str(out)]) == 0
+    path = out / "predictions_longitudinal.csv"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    cells = lines[3].split(",")
+    cells[3] = "N" if cells[3] == "O" else "O"
+    lines[3] = ",".join(cells)
+    path.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", "--results", str(out), "--out", str(tmp_path / "rep")]) == 1
+    pid, sid, vert = cells[:3]
+    assert capsys.readouterr().err.strip() == (
+        f"error: truth differs between measured and longitudinal, first at "
+        f"instance {(pid, sid, int(vert))}: {'O' if cells[3] == 'N' else 'N'} "
+        f"vs {cells[3]}")
+    assert not (tmp_path / "rep").exists()
+
+
 def test_report_without_evaluated_predictions_names_condition(tmp_path, capsys):
     # Every fold skipped: the file lists instances but no predictions.
     (tmp_path / "predictions_measured.csv").write_text(

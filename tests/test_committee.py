@@ -51,12 +51,13 @@ def test_selection_needs_two_candidates():
 
 
 def test_single_member_no_selection_equals_plain_svm():
-    # A one-column table skips selection: the member trains on that column.
-    X, y = labeled_noise(d=1, seed=5)
+    # One column skips selection: the member trains on that column of the
+    # full-width rows.
+    X, y = labeled_noise(d=3, seed=5)
     cfg = CommitteeConfig(n_members=1, seed=4)
-    committee = train_committee(X, y, cfg)
-    single = train_svm(X, y, SvmParams())
-    probe = np.random.default_rng(0).normal(size=(10, 1))
+    committee = train_committee(X, y, cfg, [2])
+    single = train_svm(X, y, SvmParams(), feature_indices=[2])
+    probe = np.random.default_rng(0).normal(size=(10, 3))
     assert np.array_equal(committee.decision_values(probe),
                           single.decision_values(probe))
 
@@ -72,8 +73,16 @@ def test_equal_members_average_to_member_value():
 
 def test_committee_training_accuracy_on_separated_data():
     X, y = labeled_noise(n=80, seed=7)
-    committee = train_committee(X, y, CommitteeConfig(seed=3))
+    committee = train_committee(X, y, CommitteeConfig(seed=3), range(X.shape[1]))
     assert float(((committee.decision_values(X) > 0) == (y > 0)).mean()) >= 0.95
+
+
+def test_members_select_from_the_given_columns_only():
+    # Column 0 is the label, but it is not among the columns.
+    X, y = labeled_noise(n=40, seed=11)
+    committee = train_committee(X, y, CommitteeConfig(n_members=3, seed=2),
+                                [1, 3, 5])
+    assert all(set(m.feature_indices) <= {1, 3, 5} for m in committee.members)
 
 
 def test_every_probe_trains_under_the_given_params(monkeypatch):

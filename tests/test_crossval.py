@@ -122,18 +122,16 @@ def test_fold_partition_in_result():
 def test_leakage_guard_standardization_from_training_fold_only():
     table = synthetic_table(seed=5)
     res = cross_validate(table, "measured", FAST_CFG, k=5, seed=6)
-    columns = condition_columns("measured")
-    col_idx = [ALL_COLUMNS.index(c) for c in columns]
-    values = table.matrix[:, col_idx]
+    col_idx = [ALL_COLUMNS.index(c) for c in condition_columns("measured")]
     fold_ids = [f for f in range(5) if f not in res.skipped_folds]
     for f in fold_ids:
         fill, committee = replay_fold(table, res, FAST_CFG, 6, f)
         tr = res.fold_assignment != f
-        Xtr = impute(values[tr], fill)
-        expected_fill = imputation_constants(values[tr], columns)
-        assert np.array_equal(fill, expected_fill)
+        Xtr = impute(table.matrix[tr], fill)
+        assert np.array_equal(fill, imputation_constants(table.matrix[tr]))
         for member in committee.members:
             sel = list(member.feature_indices)
+            assert set(sel) <= set(col_idx)    # the condition's columns only
             assert np.allclose(member.mean, Xtr[:, sel].mean(axis=0), atol=0, rtol=0)
             expected_std = Xtr[:, sel].std(axis=0)
             expected_std[expected_std == 0] = 1.0
@@ -141,15 +139,16 @@ def test_leakage_guard_standardization_from_training_fold_only():
 
 
 def test_imputation_rules():
-    columns = ["contrastP", "R_h_c", "h_c"]
-    values = np.array([[np.nan, np.nan, 10.0],
-                       [2.0, 1.0, np.nan],
-                       [3.0, 2.0, 30.0]])
-    fill = imputation_constants(values, columns)
+    idx = [ALL_COLUMNS.index(c) for c in ("contrastP", "R_h_c", "h_c")]
+    values = np.ones((3, len(ALL_COLUMNS)))
+    values[:, idx] = [[np.nan, np.nan, 10.0],
+                      [2.0, 1.0, np.nan],
+                      [3.0, 2.0, 30.0]]
+    fill = imputation_constants(values)[idx]
     assert fill[0] == 1.0          # contrast fallback
     assert fill[1] == 0.0          # rate fallback
     assert fill[2] == 20.0         # training mean of observed
-    out = impute(values, fill)
+    out = impute(values, imputation_constants(values))[:, idx]
     assert out[0, 0] == 1.0 and out[0, 1] == 0.0 and out[1, 2] == 20.0
     assert not np.isnan(out).any()
 

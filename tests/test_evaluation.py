@@ -128,12 +128,15 @@ def test_reference_arithmetic_passes_quickly():
 # compare & emit
 
 def fake_result(condition, truth, predictions, k=2):
+    """A result whose decisions give ``predictions``: +1 for N, -1 for O and
+    NaN for an empty prediction."""
     n = len(truth)
     ids = [(f"P{i:03d}", f"P{i:03d}-S00", 1) for i in range(n)]
-    return CvResult(condition=condition, ids=ids, truth=np.array(truth),
-                    predictions=np.array(predictions),
-                    decision=np.zeros(n), fold_assignment=np.arange(n) % k,
-                    k=k)
+    decision = [{"N": 1.0, "O": -1.0, "": np.nan}[p] for p in predictions]
+    res = CvResult(condition=condition, ids=ids, truth=np.array(truth),
+                   decision=np.array(decision), fold_assignment=np.arange(n) % k)
+    assert res.predictions.tolist() == list(predictions)
+    return res
 
 
 def test_compare_identical_results_p_one():
@@ -164,6 +167,15 @@ def test_compare_rejects_mismatched_instances():
     a = fake_result("measured", ["O", "N"], ["O", "N"])
     b = fake_result("combined", ["O", "N", "O"], ["O", "N", "O"])
     with pytest.raises(ValueError, match="instance sets differ"):
+        compare([a, b])
+
+
+def test_compare_rejects_differing_truth():
+    a = fake_result("measured", ["O", "N", "O", "N"], ["O", "N", "N", "N"])
+    b = fake_result("longitudinal", ["O", "N", "N", "N"], ["O", "N", "N", "N"])
+    with pytest.raises(ValueError, match=(
+            r"^truth differs between measured and longitudinal, first at "
+            r"instance \('P002', 'P002-S00', 1\): O vs N$")):
         compare([a, b])
 
 

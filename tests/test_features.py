@@ -391,7 +391,7 @@ def test_nan_imputation_equals_mask_aware_reference(ranged_cohort):
     for f in range(10):
         tr = folds != f
         values, ref_mask = table.matrix[tr], mask[tr]
-        fill = imputation_constants(values, ALL_COLUMNS)
+        fill = imputation_constants(values)
         assert np.array_equal(fill, reference_imputation_constants(
             values, ref_mask, ALL_COLUMNS))
         assert np.array_equal(impute(values, fill),

@@ -24,13 +24,15 @@ import pytest
 from helpers import _PACKAGE_ROOT, tree_hash
 from vcfclass import crossval, parallel
 from vcfclass.cli import main
-from vcfclass.committee import CommitteeConfig, SelectionConfig, train_committee
+from vcfclass.committee import (CommitteeConfig, ProbeMemo, SelectionConfig,
+                                train_committee)
 from vcfclass.crossval import (cross_validate_conditions, imputation_constants,
                                impute, outer_folds, single_class_folds)
 from vcfclass.features import (ALL_COLUMNS, CONDITIONS, condition_columns,
                                load_table)
 from vcfclass.parallel import pmap
 from vcfclass.phantom import CohortSpec, generate_cohort
+from vcfclass.svm import SvmParams
 
 CPUS = (1, 2, 3)
 POOLED = (2, 3)
@@ -213,20 +215,20 @@ def test_one_pool_per_cv_run(cpus, features, tmp_path, monkeypatch):
 
 def reference_memos(table, cfg, k, seed):
     """Per outer fold, the memo as a loop over the conditions leaves it after
-    each one, with every committee of the fold reading and writing one dict."""
+    each one, with every committee of the fold reading and writing one memo
+    over the fold's imputed training rows."""
     y = np.where(table.truth == "N", 1.0, -1.0)
     folds = outer_folds(table, k, seed, False)
     memos = []
     for f in range(k):
         tr = folds != f
         fold_seed = int(np.random.SeedSequence([seed, f]).generate_state(1)[0])
-        probes, after = {}, []
+        train = impute(table.matrix[tr], imputation_constants(table.matrix[tr]))
+        probes, after = ProbeMemo(), []
         for cond in CONDITIONS:
-            columns = condition_columns(cond)
-            values = table.matrix[:, [ALL_COLUMNS.index(c) for c in columns]]
-            fill = imputation_constants(values[tr], columns)
-            train_committee(impute(values[tr], fill), y[tr],
-                            replace(cfg, seed=fold_seed), probes=probes)
+            columns = [ALL_COLUMNS.index(c) for c in condition_columns(cond)]
+            train_committee(train, y[tr], replace(cfg, seed=fold_seed), columns,
+                            probes=probes)
             after.append(dict(probes))
         memos.append(after)
     return memos
@@ -238,7 +240,8 @@ def test_probe_memo_identical(cpus, features, monkeypatch, tmp_path):
                           selection=SelectionConfig(max_features=3, inner_folds=2))
     assert not single_class_folds(table.truth, outer_folds(table, 4, 1, False), 4)
     reference = reference_memos(table, cfg, k=4, seed=1)
-    # Folds never share an entry, so a memo per fold loses no hit.
+    # Folds never share an entry (keys start with the member seed), so a
+    # memo per fold loses no hit.
     keys = [key for after in reference for key in after[-1]]
     assert keys and len(keys) == len(set(keys))
     fold_seeds = [int(np.random.SeedSequence([1, f]).generate_state(1)[0])
@@ -246,12 +249,12 @@ def test_probe_memo_identical(cpus, features, monkeypatch, tmp_path):
     real = crossval.train_committee
     memos = tmp_path / "memos"
 
-    def keeps_memo(X, y, cfg, **kwargs):
+    def keeps_memo(X, y, cfg, columns, probes):
         # A worker's memo reaches the test through a file named by its fold
         # seed and its condition's column count.
-        committee = real(X, y, cfg, **kwargs)
-        path = memos / f"{cfg.seed}-{X.shape[1]}.pkl"
-        path.write_bytes(pickle.dumps(kwargs["probes"]))
+        committee = real(X, y, cfg, columns, probes=probes)
+        path = memos / f"{cfg.seed}-{len(columns)}.pkl"
+        path.write_bytes(pickle.dumps(probes))
         return committee
     monkeypatch.setattr(crossval, "train_committee", keeps_memo)
     for n in CPUS:
@@ -265,6 +268,37 @@ def test_probe_memo_identical(cpus, features, monkeypatch, tmp_path):
                 assert memo == reference[f][c]
                 assert list(memo) == list(reference[f][c])
         shutil.rmtree(memos)
+
+
+# A second selection on the fold's memo, over other inputs than the first.
+REUSES = {
+    "values": lambda X, y, cfg: (X + 1.0, y, cfg),
+    "labels": lambda X, y, cfg: (X, -y, cfg),
+    "params": lambda X, y, cfg: (X, y, replace(cfg, member_params=SvmParams(C=0.5))),
+    "inner_folds": lambda X, y, cfg: (X, y, replace(cfg, selection=SelectionConfig(
+        max_features=cfg.selection.max_features, inner_folds=3))),
+}
+
+
+@pytest.mark.parametrize("n", (1, 2))
+@pytest.mark.parametrize("other", sorted(REUSES))
+def test_memo_refuses_another_table(cpus, features, monkeypatch, n, other):
+    # In a worker as in this process, a memo compares the contents of the
+    # table and labels it is given with those it holds.
+    real = crossval.train_committee
+
+    def reuses_memo(X, y, cfg, columns, probes):
+        committee = real(X, y, cfg, columns, probes=probes)
+        real(*REUSES[other](X, y, cfg), columns, probes=probes)
+        return committee
+    monkeypatch.setattr(crossval, "train_committee", reuses_memo)
+    cpus(n)
+    cfg = CommitteeConfig(n_members=1, seed=0,
+                          selection=SelectionConfig(max_features=2, inner_folds=2))
+    with pytest.raises(ValueError, match="^probe memo belongs to another table"):
+        cross_validate_conditions(load_table(features), ["measured"], cfg, k=4,
+                                  seed=1)
+    assert not multiprocessing.active_children()
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +356,10 @@ def test_failing_fold_fails_as_in_serial_run(cpus, features, tmp_path, capsys,
     seeds = [int(np.random.SeedSequence([0, f]).generate_state(1)[0]) for f in range(4)]
     real = crossval.train_committee
 
-    def fails_after_fold_0(X, y, cfg, **kwargs):
+    def fails_after_fold_0(X, y, cfg, columns, **kwargs):
         if cfg.seed != seeds[0]:
             raise ArithmeticError(f"committee with seed {cfg.seed} failed")
-        return real(X, y, cfg, **kwargs)
+        return real(X, y, cfg, columns, **kwargs)
     monkeypatch.setattr(crossval, "train_committee", fails_after_fold_0)
     errors = {}
     for n in CPUS:

@@ -1,13 +1,15 @@
-"""The greedy-selection probe memo: one dict shared by the conditions of an
-outer fold gives the same results as a fresh dict per condition, with fewer
-fits, and probes on different data never share an entry."""
+"""The greedy-selection probe memo: one memo shared by the conditions of an
+outer fold gives the same results as a fresh memo per condition, with fewer
+fits; a memo serves one table, labels, inner-fold count and SVM parameters,
+and refuses any other."""
 
 import numpy as np
 import pytest
 
 import vcfclass.committee as committee_mod
 from vcfclass import crossval, parallel
-from vcfclass.committee import CommitteeConfig, SelectionConfig, greedy_forward_select
+from vcfclass.committee import (CommitteeConfig, ProbeMemo, SelectionConfig,
+                                greedy_forward_select)
 from vcfclass.crossval import cross_validate, cross_validate_conditions
 from vcfclass.features import ALL_COLUMNS, FeatureTable, assemble
 from vcfclass.svm import SvmParams
@@ -58,14 +60,14 @@ def count_fits(monkeypatch):
 
 def record_subsets(monkeypatch):
     """Record the members' feature subsets of every committee that
-    cross-validation trains in this process, keyed by (fold seed, number of
-    condition columns), which names one fold and condition."""
+    cross-validation trains in this process, keyed by (fold seed, candidate
+    columns), which names one fold and condition."""
     subsets = {}
     real = crossval.train_committee
 
-    def recorded(X, y, cfg, **kwargs):
-        committee = real(X, y, cfg, **kwargs)
-        subsets[cfg.seed, X.shape[1]] = [m.feature_indices for m in committee.members]
+    def recorded(X, y, cfg, columns, **kwargs):
+        committee = real(X, y, cfg, columns, **kwargs)
+        subsets[cfg.seed, tuple(columns)] = [m.feature_indices for m in committee.members]
         return committee
     monkeypatch.setattr(crossval, "train_committee", recorded)
     return subsets
@@ -135,37 +137,32 @@ CASES = {
 
 @pytest.mark.parametrize("differs_in", sorted(CASES))
 def test_probes_on_different_inputs_share_no_entry(differs_in):
+    # Another member seed gets entries of its own in the shared memo; any
+    # other input is another table, which a memo refuses.
     X, y1, y2 = labeled(seed=4)
     (Xa, ya, ka), (Xb, yb, kb) = CASES[differs_in](X, y1, y2)
-    fresh_a, fresh_b, shared = {}, {}, {}
+    fresh_a, fresh_b, shared = ProbeMemo(), ProbeMemo(), ProbeMemo()
     first = select(Xa, ya, fresh_a, **ka)
     second = select(Xb, yb, fresh_b, **kb)
     assert select(Xa, ya, shared, **ka) == first
-    assert select(Xb, yb, shared, **kb) == second
-    assert len(shared) == len(fresh_a) + len(fresh_b)
+    if differs_in == "seed":
+        assert select(Xb, yb, shared, **kb) == second
+        assert len(shared) == len(fresh_a) + len(fresh_b)
+        return
+    before = dict(shared)
+    with pytest.raises(ValueError, match="probe memo belongs to another table"):
+        select(Xb, yb, shared, **kb)
+    assert shared == before
 
 
 def test_selection_follows_the_data_not_the_indices():
-    # A key on column indices alone would hand the second table the first
-    # table's accuracies and pick column 0 again.
+    # A memo keyed on column indices alone would hand the second table the
+    # first table's accuracies and pick column 0 again; it refuses the second
+    # table instead, and a fresh memo picks column 1.
     X, y1, y2 = labeled(seed=6)
-    probes = {}
+    probes = ProbeMemo()
     assert select(X, y1, probes)[0] == 0
-    assert select(other_values(X, y1, y2), y1, probes)[0] == 1
-
-
-def test_equal_columns_at_other_indices_share_entries(monkeypatch):
-    X, y1, _ = labeled(seed=7)
-    probes = {}
-    subset = select(X, y1, probes)
-    entries, before = len(probes), dict(probes)
-    calls = count_fits(monkeypatch)
-    perm = [3, 2, 1, 0]
-    again = select(X[:, perm], y1, probes)
-    assert [perm[i] for i in again] == subset
-    assert len(probes) == entries                   # every probe found its entry
-    # Reordered columns meet lower bars; a fit only completes an entry that
-    # held just a bound (two inner folds each).
-    completed = [key for key in probes if probes[key] != before[key]]
-    assert all(not before[key][1] and probes[key][1] for key in completed)
-    assert len(calls) <= 2 * len(completed)
+    X2 = other_values(X, y1, y2)
+    with pytest.raises(ValueError, match="probe memo belongs to another table"):
+        select(X2, y1, probes)
+    assert select(X2, y1, ProbeMemo())[0] == 1

@@ -9,7 +9,7 @@ import helpers
 import vcfclass.committee as committee_mod
 from helpers import (inner_folds_scored, reference_greedy_forward_select,
                      reference_inner_cv_accuracy)
-from vcfclass.committee import _inner_cv_accuracy, greedy_forward_select
+from vcfclass.committee import ProbeMemo, _inner_cv_accuracy, greedy_forward_select
 from vcfclass.folds import kfold_split
 from vcfclass.svm import SvmParams
 
@@ -111,18 +111,18 @@ def test_one_positive_problem_skips_a_fold():
 
 
 def test_memo_shared_across_conditions_matches_reference(monkeypatch):
-    # Three column sets over the same rows, as the three conditions are, and
-    # two member seeds, all through one memo.
+    # Three candidate column sets of one table, as the three conditions are,
+    # and two member seeds, all through one memo.
     rng = np.random.default_rng(3)
     X = rng.normal(size=(44, 9))
     y = np.where(X[:, 1] - X[:, 6] + rng.normal(scale=0.6, size=44) > 0, 1.0, -1.0)
     X[:, 4] = y * (rng.random(44) < 0.9) - 0.5
     conditions = ([0, 1, 2, 3, 4, 7, 8], [5, 6, 7, 8], list(range(9)))
     calls = count_fits(monkeypatch)
-    shared, reference = {}, {}
+    shared, reference = ProbeMemo(), {}
     for seed in (0, 5):
         for cols in conditions:
-            args = (X[:, cols], y, range(len(cols)), 2, PARAMS)
+            args = (X, y, cols, 2, PARAMS)
             got = greedy_forward_select(*args, max_features=3, seed=seed, probes=shared)
             want = reference_greedy_forward_select(*args, max_features=3, seed=seed,
                                                    probes=reference)
@@ -136,7 +136,7 @@ def test_no_fit_once_the_bar_reaches_one(monkeypatch):
     X, y = problem("graded", seed=2)
     X[:, 0] = y                            # the first candidate scores 1.0
     calls = count_fits(monkeypatch)
-    probes = {}
+    probes = ProbeMemo()
     assert greedy_forward_select(X, y, range(6), 3, PARAMS, max_features=1,
                                  probes=probes) == [0]
     assert calls["bounded"] == 3           # candidate 0's inner folds only
@@ -151,10 +151,9 @@ def test_bound_only_entry_is_rescored_under_a_lower_bar():
     assert not exact and want < bound < 1.0    # stopped after a fold
     # Candidate 0 is column 1; candidate 1 is constant and never wins.
     Xc = np.column_stack([X[:, 1], np.ones(len(y))])
-    probes = {}
+    probes = ProbeMemo()
     greedy_forward_select(Xc, y, range(2), 3, PARAMS, max_features=1, probes=probes)
-    key = next(key for key in probes
-               if key[0] == committee_mod._fingerprint(Xc[:, [0]]))
+    key = (0, 0)                           # seed 0, no subset, candidate 0
     assert probes[key] == (want, True)
     probes[key] = (bound, False)           # as if stored under a higher bar
     assert greedy_forward_select(Xc, y, range(2), 3, PARAMS, max_features=1,
