@@ -101,7 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="re-emit report files from saved predictions")
     p.add_argument("--results", type=Path, required=True,
                    help="directory holding predictions_*.csv")
-    p.add_argument("--out", type=Path, default=None)
+    p.add_argument("--out", type=Path, default=None,
+                   help="output directory; default <results>/report")
 
     p = sub.add_parser("paper-check",
                        help="recompute the published reference statistics")
@@ -233,9 +234,11 @@ def cmd_report(args) -> int:
             paths.append(path)
             if results[-1].ids != results[0].ids:
                 raise ValueError(f"instance sets differ between {paths[0]} and {path}")
+            if not np.array_equal(results[-1].fold_assignment, results[0].fold_assignment):
+                raise ValueError(f"folds differ between {paths[0]} and {path}")
     if not results:
         raise UsageError(f"no predictions_*.csv files under {args.results}")
-    out = args.out or args.results
+    out = args.out or args.results / "report"
     _report(results, out)
     _write_config(Path(out) / "run_config.json", "report", {
         "results": str(args.results)})

@@ -156,9 +156,11 @@ class CohortSpec:
     noise_sd: float = 6.0
 
     def __post_init__(self):
-        if self.n_patients < 1 or self.vertebrae_per_patient < 1:
-            raise ValueError(f"counts must be >= 1, got n_patients={self.n_patients}, "
-                             f"vertebrae_per_patient={self.vertebrae_per_patient}")
+        if self.n_patients < 1:
+            raise ValueError(f"counts must be >= 1, got n_patients={self.n_patients}")
+        if self.vertebrae_per_patient < 2:
+            raise ValueError(f"vertebrae_per_patient={self.vertebrae_per_patient}: need "
+                             ">= 2, since each patient's top vertebra stays unfractured")
         if isinstance(self.studies_per_patient, int):
             if self.studies_per_patient < 1:
                 raise ValueError("studies_per_patient must be >= 1")

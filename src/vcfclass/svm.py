@@ -23,20 +23,13 @@ MAX_PASSES = 500        # step budget of every fit, in sweep-equivalents
 class SvmParams:
     """What a run can set; ``TOL`` and ``MAX_PASSES`` hold for every fit."""
     gamma: float | None = None      # None: 1 / d (LIBSVM's default)
-    C: float = 1.0
-    class_weights: tuple[float, float] | None = None   # (C multiplier for -1, for +1)
+    C: float = 1.0                  # the box of every training example
 
     def __post_init__(self):
         if not _finite_positive(self.C):
             raise ValueError(f"C must be finite and positive, got {self.C!r}")
         if self.gamma is not None and not _finite_positive(self.gamma):
             raise ValueError(f"gamma must be finite and positive, got {self.gamma!r}")
-        if self.class_weights is not None:
-            weights = tuple(self.class_weights)    # a tuple keeps params hashable
-            if len(weights) != 2 or not all(map(_finite_positive, weights)):
-                raise ValueError("class_weights must be two finite positive "
-                                 f"numbers, got {self.class_weights!r}")
-            object.__setattr__(self, "class_weights", weights)
 
 
 def _finite_positive(v) -> bool:
@@ -125,10 +118,7 @@ def train_svm(X: np.ndarray, y: np.ndarray, params: SvmParams = SvmParams(),
 
     gamma = params.gamma if params.gamma is not None else 1.0 / Xs.shape[1]
     K = kernel_matrix(Xs, Xs, gamma)
-    w_neg, w_pos = params.class_weights or (1.0, 1.0)
-    Cv = params.C * np.where(y < 0, w_neg, w_pos)
-
-    alpha, bias, steps, exhausted, violations = _smo(K, y, Cv, TOL, MAX_PASSES)
+    alpha, bias, steps, exhausted, violations = _smo(K, y, params.C, TOL, MAX_PASSES)
 
     sv = alpha > 0
     return SvmModel(gamma=gamma, feature_indices=feature_indices, mean=mean, std=std,
@@ -137,8 +127,7 @@ def train_svm(X: np.ndarray, y: np.ndarray, params: SvmParams = SvmParams(),
                     train_violations=violations)
 
 
-def _smo(K: np.ndarray, y: np.ndarray, Cv: np.ndarray, tol: float,
-         max_passes: int):
+def _smo(K: np.ndarray, y: np.ndarray, C: float, tol: float, max_passes: int):
     """SMO with second-order working-set selection (WSS2: Fan, Chen & Lin,
     JMLR 2005). Returns ``(alpha, bias, steps, exhausted, violations)``: the
     pair updates made, whether the step budget ran out, and the examples that
@@ -151,11 +140,11 @@ def _smo(K: np.ndarray, y: np.ndarray, Cv: np.ndarray, tol: float,
     The step budget is ``max_passes`` sweep-equivalents (n steps each);
     ``train_svm`` passes ``TOL`` and ``MAX_PASSES`` for every fit.
 
-    Row 0 of ``E`` holds E_i inside I_up (+inf outside), row 1 inside I_low
-    (-inf outside). Every box has C_i > 0, so every example is in one set or
-    both, and E_i is whichever entry is finite. A step adds one
-    ``d1*K[i] + d2*K[j]`` row to both rows and re-derives membership at the
-    two moved examples only. i is the I_up minimum; its partner j in I_low
+    Every example shares the box [0, C] with C > 0. Row 0 of ``E`` holds
+    E_i inside I_up (+inf outside), row 1 inside I_low (-inf outside); every
+    example is in one set or both, and E_i is whichever entry is finite. A
+    step adds one ``d1*K[i] + d2*K[j]`` row to both rows and re-derives
+    membership at the two moved examples only. i is the I_up minimum; its partner j in I_low
     maximizes (E_j - E_i)^2 / a_ij over E_j > E_i, with the curvature
     a_ij = K_ii + K_jj - 2 K_ij floored at ``_TAU``. Over E_j > E_i that is
     the maximum of (E_j - E_i) * a_ij^(-1/2), scored against a matrix of
@@ -173,7 +162,8 @@ def _smo(K: np.ndarray, y: np.ndarray, Cv: np.ndarray, tol: float,
     n = y.size
     alpha = [0.0] * n
     ys = y.tolist()
-    Cs = Cv.tolist()
+    C = float(C)
+    snap_zero, snap_c = _BOUND_EPS * C, C * (1.0 - _BOUND_EPS)
     diag = K.diagonal()
     dg = diag.tolist()
     rsqrt_curv = np.add.outer(diag, diag)
@@ -205,22 +195,22 @@ def _smo(K: np.ndarray, y: np.ndarray, Cv: np.ndarray, tol: float,
         s = y1 * y2
         if s < 0:
             L = max(0.0, a2o - a1o)
-            H = min(Cs[j], Cs[i] + a2o - a1o)
+            H = min(C, C + a2o - a1o)
         else:
-            L = max(0.0, a1o + a2o - Cs[i])
-            H = min(Cs[j], a1o + a2o)
+            L = max(0.0, a1o + a2o - C)
+            H = min(C, a1o + a2o)
         curv = max(dg[i] + dg[j] - 2.0 * K.item(i, j), _TAU)
         a2 = min(max(a2o + y2 * (lo - ej) / curv, L), H)
         a1 = a1o + s * (a2o - a2)
         # Snap grime at the box boundary to exact bounds.
-        if a1 < _BOUND_EPS * Cs[i]:
+        if a1 < snap_zero:
             a1 = 0.0
-        elif a1 > Cs[i] * (1.0 - _BOUND_EPS):
-            a1 = Cs[i]
-        if a2 < _BOUND_EPS * Cs[j]:
+        elif a1 > snap_c:
+            a1 = C
+        if a2 < snap_zero:
             a2 = 0.0
-        elif a2 > Cs[j] * (1.0 - _BOUND_EPS):
-            a2 = Cs[j]
+        elif a2 > snap_c:
+            a2 = C
         np.multiply(K[i], y1 * (a1 - a1o), out=delta)
         np.multiply(K[j], y2 * (a2 - a2o), out=score)   # scores are spent
         np.add(delta, score, out=delta)
@@ -229,9 +219,9 @@ def _smo(K: np.ndarray, y: np.ndarray, Cv: np.ndarray, tol: float,
         alpha[j] = a2
         for k, a, e in ((i, a1, lo + delta.item(i)), (j, a2, ej + delta.item(j))):
             if ys[k] > 0:
-                in_up, in_low = a < Cs[k], a > 0
+                in_up, in_low = a < C, a > 0
             else:
-                in_up, in_low = a > 0, a < Cs[k]
+                in_up, in_low = a > 0, a < C
             e_up[k] = e if in_up else math.inf
             e_low[k] = e if in_low else -math.inf
         steps += 1
@@ -239,8 +229,8 @@ def _smo(K: np.ndarray, y: np.ndarray, Cv: np.ndarray, tol: float,
     # Recompute errors before fitting the threshold; incremental updates
     # accumulate a little dust over thousands of steps.
     errors = K @ (alpha * y) - y
-    up = np.where(y > 0, alpha < Cv, alpha > 0)     # I_up: alpha may grow
-    low = np.where(y > 0, alpha > 0, alpha < Cv)    # I_low: alpha may shrink
+    up = np.where(y > 0, alpha < C, alpha > 0)      # I_up: alpha may grow
+    low = np.where(y > 0, alpha > 0, alpha < C)     # I_low: alpha may shrink
     if up.any() and low.any():
         bias = -0.5 * (float(errors[up].min()) + float(errors[low].max()))
     elif up.any():
@@ -250,8 +240,8 @@ def _smo(K: np.ndarray, y: np.ndarray, Cv: np.ndarray, tol: float,
     else:
         bias = 0.0
     r = y * (errors + bias)                          # y * u - 1
-    at_zero = alpha <= _BOUND_EPS * Cv
-    at_c = alpha >= Cv * (1.0 - _BOUND_EPS)
+    at_zero = alpha <= snap_zero
+    at_c = alpha >= snap_c
     interior = ~at_zero & ~at_c
     bad = ((at_zero & (r < -tol))
            | (interior & (np.abs(r) > tol))

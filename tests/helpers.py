@@ -400,31 +400,30 @@ def reference_rbf_kernel(X: np.ndarray, Y: np.ndarray, gamma: float) -> np.ndarr
 
 # ---------------------------------------------------------------------------
 # training state: a model keeps only what predicts, so tests that read a
-# fit's standardized rows, boxes or alphas replay the fit, and the KKT count
+# fit's standardized rows or alphas replay the fit, and the KKT count
 # the model stores is checked against the rebuild it used to make from them
 
 
 def replay_training(X, y, params: SvmParams, model: SvmModel):
-    """``(Xs, alpha, Cv)`` of the ``train_svm(X, y, params, ...)`` fit that
-    made ``model``: the standardized rows rebuilt from its ``mean`` and
-    ``std`` with ``train_svm``'s expression, the per-row box, and the alphas
-    of ``_smo`` re-run on them under the current ``svm.MAX_PASSES``. Asserts that the replay's nonzero alphas give
-    the model's ``support_vectors``, ``dual_coef`` and ``bias`` exactly."""
+    """``(Xs, alpha)`` of the ``train_svm(X, y, params, ...)`` fit that made
+    ``model``: the standardized rows rebuilt from its ``mean`` and ``std``
+    with ``train_svm``'s expression, and the alphas of ``_smo`` re-run on
+    them with box ``params.C`` under the current ``svm.MAX_PASSES``. Asserts
+    that the replay's nonzero alphas give the model's ``support_vectors``,
+    ``dual_coef`` and ``bias`` exactly."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     Xs = (X[:, list(model.feature_indices)] - model.mean) / model.std
-    w_neg, w_pos = params.class_weights or (1.0, 1.0)
-    Cv = params.C * np.where(y < 0, w_neg, w_pos)
     K = kernel_matrix(Xs, Xs, model.gamma)
-    alpha, bias, *_ = _smo(K, y, Cv, TOL, svm.MAX_PASSES)
+    alpha, bias, *_ = _smo(K, y, params.C, TOL, svm.MAX_PASSES)
     sv = alpha > 0
     assert np.array_equal(Xs[sv], model.support_vectors)
     assert np.array_equal(alpha[sv] * y[sv], model.dual_coef)
     assert bias == model.bias
-    return Xs, alpha, Cv
+    return Xs, alpha
 
 
-def linear_gram_fit(X, y, Cv, max_passes: int | None = None):
+def linear_gram_fit(X, y, C: float, max_passes: int | None = None):
     """``_smo`` on the linear Gram matrix ``Xs @ Xs.T`` of ``train_svm``'s
     z-scored rows, the fit a linear-kernel SVM makes. The Gram is
     rank-deficient whenever n > d, so it has flat pair directions that
@@ -437,7 +436,7 @@ def linear_gram_fit(X, y, Cv, max_passes: int | None = None):
     Xs = (X - mean) / np.where(std > 0, std, 1.0)
     K = Xs @ Xs.T
     passes = svm.MAX_PASSES if max_passes is None else max_passes
-    return (Xs, K, *_smo(K, y, Cv, TOL, passes))
+    return (Xs, K, *_smo(K, y, C, TOL, passes))
 
 
 def reference_kkt_violations(self: SvmModel, train_X, train_y, train_alpha,

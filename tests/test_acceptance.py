@@ -211,10 +211,10 @@ def test_criterion_6_svm_solver_correctness():
             params = SvmParams(gamma=0.8, C=C)
             m = train_svm(X, y, params)
             assert m.kkt_violations() == 0
-            Xs, alpha, _ = replay_training(X, y, params, m)
+            Xs, alpha = replay_training(X, y, params, m)
             K = kernel_matrix(Xs, Xs, m.gamma)
         else:       # the solver alone on a linear Gram, rank-deficient when n > d
-            _, K, alpha, _, _, _, violations = linear_gram_fit(X, y, np.full(n, C))
+            _, K, alpha, _, _, _, violations = linear_gram_fit(X, y, C)
             assert violations == 0
         obj = dual_objective(alpha, y, K)
         oracle = dual_objective(qp_dual_oracle(K, y, C), y, K)

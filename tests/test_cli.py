@@ -63,6 +63,7 @@ def test_phantom_usage_errors():
     (["--noise", "-1"], "noise_sd"),
     (["--noise", "nan"], "noise_sd"),
     (["--seed", "-1"], "seed must be a non-negative integer, got -1"),
+    (["--vertebrae", "1"], "vertebrae_per_patient"),
 ])
 def test_phantom_bad_settings_exit_2(tmp_path, capsys, flags, message):
     out = tmp_path / "coh"
@@ -361,6 +362,37 @@ def test_report_regenerates_identical_files(cli_features, tmp_path):
     assert main(["report", "--results", str(out), "--out", str(out2)]) == 0
     for name in ("metrics.csv", "comparisons.csv", "report.txt"):
         assert (out / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_report_without_out_keeps_the_cv_run_record(cli_features, tmp_path):
+    out = tmp_path / "res"
+    assert main(["cv", "--table", str(cli_features), "--conditions",
+                 "measured,combined", "--k", "4", "--seed", "5",
+                 "--members", "1", "--out", str(out)]) == 0
+    record = (out / "run_config.json").read_bytes()
+    assert main(["report", "--results", str(out)]) == 0
+    assert (out / "run_config.json").read_bytes() == record
+    assert json.loads(record)["command"] == "cv"
+    assert json.loads((out / "report" / "run_config.json").read_text())[
+        "command"] == "report"
+    for name in ("metrics.csv", "comparisons.csv", "report.txt"):
+        assert (out / name).read_bytes() == (out / "report" / name).read_bytes()
+
+
+def test_report_refuses_predictions_of_different_cv_runs(cli_features, tmp_path,
+                                                          capsys):
+    # The second run rewrites only its own condition's file, so the
+    # directory holds predictions of two fold partitions.
+    out = tmp_path / "res"
+    for extra in (["--seed", "1"], ["--seed", "2", "--conditions", "measured"]):
+        assert main(["cv", "--table", str(cli_features), "--k", "5",
+                     "--members", "1", *extra, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["report", "--results", str(out), "--out", str(tmp_path / "rep")]) == 1
+    assert capsys.readouterr().err.strip() == (
+        f"error: folds differ between {out / 'predictions_measured.csv'} "
+        f"and {out / 'predictions_longitudinal.csv'}")
+    assert not (tmp_path / "rep").exists()
 
 
 def test_cv_and_report_use_canonical_condition_order(cli_features, tmp_path, capsys):

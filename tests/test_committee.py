@@ -87,7 +87,7 @@ def test_members_select_from_the_given_columns_only():
 
 def test_every_probe_trains_under_the_given_params(monkeypatch):
     X, y = labeled_noise(n=40, d=5, seed=8)
-    params = SvmParams(gamma=0.3, C=2.0, class_weights=(1.5, 1.0))
+    params = SvmParams(gamma=0.3, C=2.0)
     seen = []
 
     def recorder(X, y, params, feature_indices=None):

@@ -41,11 +41,11 @@ def test_dual_matches_projected_gradient_oracle():
         if done % 2:
             params = SvmParams(gamma=0.7, C=2.0)
             m = train_svm(X, y, params)
-            Xs, alpha, _ = replay_training(X, y, params, m)
+            Xs, alpha = replay_training(X, y, params, m)
             K = kernel_matrix(Xs, Xs, m.gamma)
             violations = m.kkt_violations()
         else:
-            _, K, alpha, _, _, _, violations = linear_gram_fit(X, y, np.full(n, 2.0))
+            _, K, alpha, _, _, _, violations = linear_gram_fit(X, y, 2.0)
         obj = dual_objective(alpha, y, K)
         oracle = dual_objective(qp_dual_oracle(K, y, 2.0), y, K)
         assert abs(obj - oracle) <= 1e-3 * max(1.0, abs(oracle)), done
@@ -60,10 +60,10 @@ def test_interior_support_vectors_sit_on_margin():
     y = np.array([-1.0] * 20 + [1.0] * 20)
     params = SvmParams(C=1.0)
     m = train_svm(X, y, params)
-    Xs, alpha, Cv = replay_training(X, y, params, m)
+    Xs, alpha = replay_training(X, y, params, m)
     u = (kernel_matrix(Xs, m.support_vectors, m.gamma)
          @ m.dual_coef + m.bias)
-    interior = (alpha > 1e-8) & (alpha < Cv - 1e-8)
+    interior = (alpha > 1e-8) & (alpha < params.C - 1e-8)
     assert interior.any()
     assert np.all(np.abs(y[interior] * u[interior] - 1.0) <= TOL)
 
@@ -133,9 +133,6 @@ INVALID_PARAMS = [
     ("C", float("nan")), ("C", float("inf")), ("C", -1.0),
     ("gamma", float("nan")), ("gamma", float("inf")),
     ("C", float("-inf")), ("gamma", float("-inf")), ("gamma", 0.0),
-    ("class_weights", (1.0,)), ("class_weights", (1.0, 2.0, 3.0)),
-    ("class_weights", (1.0, 0.0)), ("class_weights", (-1.0, 1.0)),
-    ("class_weights", (float("nan"), 1.0)), ("class_weights", (1.0, float("inf"))),
 ]
 
 
@@ -148,7 +145,7 @@ def test_invalid_params_rejected(field, value):
 
 
 def test_params_hold_only_what_a_run_sets():
-    assert [f.name for f in fields(SvmParams)] == ["gamma", "C", "class_weights"]
+    assert [f.name for f in fields(SvmParams)] == ["gamma", "C"]
 
 
 def test_default_gamma_is_one_over_d():
@@ -164,27 +161,6 @@ def test_default_gamma_is_one_over_d():
         m = train_svm(X, y, SvmParams(), feature_indices=subset)
         assert m.gamma == 1.0 / len(subset), subset
     assert train_svm(X, y, SvmParams(gamma=0.25)).gamma == 0.25
-
-
-def test_class_weights_stored_as_tuple():
-    params = SvmParams(class_weights=[2.0, 0.5])
-    assert params.class_weights == (2.0, 0.5)
-    assert hash(params) == hash(SvmParams(class_weights=(2.0, 0.5)))
-
-
-def test_class_weights_scale_box():
-    rng = np.random.default_rng(11)
-    X = rng.normal(size=(30, 2))
-    y = np.where(X[:, 0] > -0.5, 1.0, -1.0)
-    if np.unique(y).size < 2:
-        y[0] = -1.0
-    params = SvmParams(C=1.0, class_weights=(3.0, 1.0))
-    m = train_svm(X, y, params)
-    alpha = replay_training(X, y, params, m)[1]
-    neg = y < 0
-    assert np.all(alpha[neg] <= 3.0 + 1e-9)
-    assert np.all(alpha[~neg] <= 1.0 + 1e-9)
-    assert m.kkt_violations() == 0
 
 
 def test_dual_equality_constraint_holds():
@@ -218,23 +194,14 @@ def test_too_narrow_input_names_both_widths():
         m.decision_values(X[:, [3, 1]])
 
 
-def _per_row_cv(params, y):
-    """The per-row box construction ``train_svm`` used before vectorizing."""
-    def weight(label):
-        if params.class_weights is None:
-            return 1.0
-        return params.class_weights[0] if label < 0 else params.class_weights[1]
-    return np.array([params.C * weight(int(t)) for t in y])
-
-
 def _seeded(seed):
     return np.random.default_rng(np.random.SeedSequence([seed]))
 
 
-def _kkt_gap(errors, y, Cv, alpha):
+def _kkt_gap(errors, y, C, alpha):
     """max E over I_low minus min E over I_up; the solver stops at <= 2*tol."""
-    up = np.where(y > 0, alpha < Cv, alpha > 0)
-    low = np.where(y > 0, alpha > 0, alpha < Cv)
+    up = np.where(y > 0, alpha < C, alpha > 0)
+    low = np.where(y > 0, alpha > 0, alpha < C)
     return float(errors[low].max() - errors[up].min())
 
 
@@ -260,24 +227,22 @@ def test_second_order_solver_certifies_against_reference(monkeypatch):
             X = rng.normal(size=(n, int(rng.integers(1, 5))))
         y = np.where(X[:, 0] + rng.normal(size=n) > 0.3, 1.0, -1.0)
         y[:2] = (-1.0, 1.0)
-        params = SvmParams(C=(0.1, 1.0, 10.0)[p // 2 % 3],
-                           class_weights=(2.0, 0.5) if p % 5 == 0 else None)
-        Cv = _per_row_cv(params, y)
+        C = (0.1, 1.0, 10.0)[p // 2 % 3]
+        params = SvmParams(C=C)
         fits = []           # (K, alpha, steps, exhausted, violations)
         for passes in ((1, 500) if p % 6 == 5 else (500,)):
             if p % 2:
-                Xs, K, alpha, bias, *run = linear_gram_fit(X, y, Cv, passes)
+                Xs, K, alpha, bias, *run = linear_gram_fit(X, y, C, passes)
                 sv = alpha > 0
                 u = (Xs @ Xs[sv].T) @ (alpha[sv] * y[sv]) + bias
-                assert run[2] == kkt_count(u, y, alpha, Cv), p
+                assert run[2] == kkt_count(u, y, alpha, C), p
             else:
                 monkeypatch.setattr(svm, "MAX_PASSES", passes)
                 m = train_svm(X, y, params)
-                Xs, alpha, m_C = replay_training(X, y, params, m)
-                assert np.array_equal(m_C, Cv), p
+                Xs, alpha = replay_training(X, y, params, m)
                 K = kernel_matrix(Xs, Xs, m.gamma)
                 run = [m.train_steps, m.train_exhausted, m.kkt_violations()]
-                assert run[2] == reference_kkt_violations(m, Xs, y, alpha, Cv), p
+                assert run[2] == reference_kkt_violations(m, Xs, y, alpha, C), p
             fits.append((K, alpha, *run))
         if len(fits) == 2:
             (*_, one_exhausted, one_violations), full = fits
@@ -286,7 +251,7 @@ def test_second_order_solver_certifies_against_reference(monkeypatch):
             assert one_exhausted == (full[2] >= max(n, 8)), p
             exhausted += one_exhausted
         K, m_alpha, m_steps, m_exhausted, m_violations = fits[-1]
-        alpha, _, ref = reference_smo(K, y, Cv, TOL, 500, _seeded(p))
+        alpha, _, ref = reference_smo(K, y, np.full(n, C), TOL, 500, _seeded(p))
         assert ref < 500 * max(n, 8), p           # the reference converges
         assert not m_exhausted, p
         assert m_violations == 0, p
@@ -300,22 +265,20 @@ def test_second_order_solver_certifies_against_reference(monkeypatch):
 
 
 def test_pinched_boxes_certify():
-    # Example 0 starts as the I_up minimum with a box 1e-13 wide; in the
-    # second problem every box is that narrow. The floored step still moves
-    # such pairs, so both problems certify KKT over the full set.
+    # Every box is 1e-13 wide. The floored step still moves such pairs, so
+    # the problem certifies KKT over the full set.
     pts = np.random.default_rng(22).normal(size=(7, 2))
     K = kernel_matrix(pts, pts, 0.5)
     y = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0, -1.0])
-    partly, every = np.array([1e-13, 1, 1, 1, 1, 1, 1.0]), np.full(7, 1e-13)
-    for Cv in (partly, every):
-        alpha, _, steps, exhausted, _ = _smo(K, y, Cv, 1e-3, 500)
-        assert steps > 0 and not exhausted
-        errors = K @ (alpha * y) - y
-        assert _kkt_gap(errors, y, Cv, alpha) <= 2e-3
-        ref, _, _ = reference_smo(K, y, Cv, 1e-3, 500, _seeded(0))
-        obj, ref_obj = dual_objective(alpha, y, K), dual_objective(ref, y, K)
-        assert obj >= ref_obj
-        assert obj - ref_obj <= 1e-3
+    C = 1e-13
+    alpha, _, steps, exhausted, _ = _smo(K, y, C, 1e-3, 500)
+    assert steps > 0 and not exhausted
+    errors = K @ (alpha * y) - y
+    assert _kkt_gap(errors, y, C, alpha) <= 2e-3
+    ref, _, _ = reference_smo(K, y, np.full(7, C), 1e-3, 500, _seeded(0))
+    obj, ref_obj = dual_objective(alpha, y, K), dual_objective(ref, y, K)
+    assert obj >= ref_obj
+    assert obj - ref_obj <= 1e-3
 
 
 def test_tiny_box_fit_certifies():
