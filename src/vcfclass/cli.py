@@ -203,6 +203,12 @@ def cmd_cv(args) -> int:
     results = cross_validate_conditions(table, conditions, cfg, k=args.k,
                                         seed=args.seed,
                                         group_by_patient=args.group_by_patient)
+    # Another run's predictions left in `out` would be reported with this one's.
+    for cond in CONDITIONS:
+        stale = predictions_path(out, cond)
+        if cond not in conditions and stale.is_file():
+            stale.unlink()
+            print(f"removed stale {stale}")
     for cond, res in zip(conditions, results):
         save_predictions(res, predictions_path(out, cond))
 

@@ -1,8 +1,9 @@
 """Bone density estimation: whole-body mean HU, trabecular mean via
 anterior-half erosion, and two-point muscle/fat normalization.
 
-The trabecular probe is the body eroded by a lattice ball of radius
-``DEFAULT_EROSION_MM`` (``grids.erode_by_ball``: the intersection of the
+The trabecular probe is the body eroded by the lattice ball of radius
+``DEFAULT_EROSION_MM`` (``grids.ball_rows``, the ball the phantom's cortical
+shell is eroded by; ``grids.erode_by_ball``: the intersection of the
 erosions by the ball's x-rows, one array operation per (dz, dy) row),
 computed on the body's bounding box with space beyond it counted as
 background, then cut to the half-space anterior to the centroid."""
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import LocalFrame
-from .grids import (LabelMap, ROLE_FAT, ROLE_MUSCLE, Volume, check_paired_geometry,
-                    erode_by_ball)
+from .grids import (LabelMap, ROLE_FAT, ROLE_MUSCLE, Volume, ball_rows,
+                    check_paired_geometry, erode_by_ball)
 
 MIN_LABEL_VOXELS = 50
 DEFAULT_EROSION_MM = 3.0
@@ -39,24 +40,6 @@ def mean_density(vol: Volume, lm: LabelMap, label: int,
     return float(vol.data.take(view.flat).mean(dtype=np.float64))
 
 
-def _ball_structure(radius_mm: float, spacing) -> np.ndarray:
-    """Discrete anisotropy-aware ball: lattice offsets within ``radius_mm``."""
-    if not (np.isfinite(radius_mm) and radius_mm >= 0):
-        raise ValueError(
-            f"erosion radius must be finite and nonnegative, got {radius_mm}")
-    sx, sy, sz = spacing
-    nx = int(np.floor(radius_mm / sx + 1e-9))
-    ny = int(np.floor(radius_mm / sy + 1e-9))
-    nz = int(np.floor(radius_mm / sz + 1e-9))
-    ox, oy, oz = np.meshgrid(np.arange(-nx, nx + 1) * sx,
-                             np.arange(-ny, ny + 1) * sy,
-                             np.arange(-nz, nz + 1) * sz, indexing="xy")
-    # arranged (nz, ny, nx) to match the label array layout
-    dist2 = (np.moveaxis(ox, -1, 0) ** 2 + np.moveaxis(oy, -1, 0) ** 2
-             + np.moveaxis(oz, -1, 0) ** 2)
-    return dist2 <= radius_mm ** 2 + 1e-6
-
-
 @dataclass(frozen=True)
 class StudyReference:
     """What every vertebra of one study shares: the muscle and fat reference
@@ -64,7 +47,7 @@ class StudyReference:
     muscle_hu: float
     fat_hu: float
     erosion_radius_mm: float
-    ball: np.ndarray          # (z, y, x) lattice offsets; one voxel at 0 mm
+    ball: np.ndarray          # (dz, dy) row half-widths (``grids.ball_rows``)
 
 
 def study_reference(vol: Volume, lm: LabelMap) -> StudyReference:
@@ -78,7 +61,7 @@ def study_reference(vol: Volume, lm: LabelMap) -> StudyReference:
             raise ValueError(f"missing reference region: {role}")
         means.append(mean_density(vol, lm, ref_label, min_voxels=1))
     return StudyReference(*means, DEFAULT_EROSION_MM,
-                          _ball_structure(DEFAULT_EROSION_MM, lm.spacing))
+                          ball_rows(DEFAULT_EROSION_MM, lm.spacing))
 
 
 def trabecular_region(lm: LabelMap, label: int, frame: LocalFrame,

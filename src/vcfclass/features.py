@@ -37,6 +37,7 @@ MEASURED_COLUMNS = HEIGHT_COLUMNS + DENSITY_COLUMNS          # 18
 RATE_BASE_COLUMNS = [c for c in MEASURED_COLUMNS if c not in ("vid", "meanH")]
 RATE_COLUMNS = ["R_" + c for c in RATE_BASE_COLUMNS]         # 16
 _RATE_BASE_POS = [MEASURED_COLUMNS.index(c) for c in RATE_BASE_COLUMNS]
+_VID_POS = MEASURED_COLUMNS.index("vid")
 DEMOGRAPHIC_COLUMNS = ["Gender", "Age"]                      # 2
 ALL_COLUMNS = MEASURED_COLUMNS + RATE_COLUMNS + DEMOGRAPHIC_COLUMNS   # 36
 
@@ -178,7 +179,8 @@ def assemble(manifest: CohortManifest, base_dir, policy: str = "zero") -> Featur
     """One feature row per (fractured vertebra, study) instance.
 
     Rates compare against the same vertebra in the immediately preceding
-    study. First-study instances follow ``policy``: 'exclude' drops the row,
+    study: the one at the same level (``vid``), whatever its label there.
+    First-study instances follow ``policy``: 'exclude' drops the row,
     'zero' emits zero rates. Studies are measured independently, through
     ``parallel.pmap``; a failing study raises as it would in a loop over them.
     """
@@ -190,15 +192,16 @@ def assemble(manifest: CohortManifest, base_dir, policy: str = "zero") -> Featur
     first_rates = np.zeros(len(RATE_COLUMNS))
     ids, values, truths = [], [], []
     for patient in manifest.patients:
-        previous: dict[int, np.ndarray] | None = None
+        previous: dict[float, np.ndarray] | None = None     # rows by level
         prev_date = None
         for study in patient.studies:
             current = next(measured)
             demo = [demographics(study)[c] for c in DEMOGRAPHIC_COLUMNS]
             for label in study.fractured_labels():
-                if previous is not None and label in previous:
+                level = current[label][_VID_POS]
+                if previous is not None and level in previous:
                     rates = rate(current[label][_RATE_BASE_POS],
-                                 previous[label][_RATE_BASE_POS],
+                                 previous[level][_RATE_BASE_POS],
                                  years_between(prev_date, study.acquisition_date))
                 elif policy == "exclude":
                     continue
@@ -207,7 +210,7 @@ def assemble(manifest: CohortManifest, base_dir, policy: str = "zero") -> Featur
                 ids.append((study.patient_id, study.study_id, label))
                 values.append(np.concatenate((current[label], rates, demo)))
                 truths.append(_truth_code(study.vertebra_truth[label]))
-            previous = current
+            previous = {row[_VID_POS]: row for row in current.values()}
             prev_date = study.acquisition_date
     return FeatureTable(instance_ids=ids,
                         matrix=np.reshape(values, (len(ids), len(ALL_COLUMNS))),

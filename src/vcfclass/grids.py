@@ -334,40 +334,54 @@ def _count_groups(n: int, a: np.ndarray, b: np.ndarray) -> int:
             parent = grand
 
 
-def erode_by_ball(mask: np.ndarray, ball: np.ndarray) -> np.ndarray:
-    """Binary erosion of the (z, y, x) ``mask`` by ``ball``, voxel for voxel
-    what ``ndimage.binary_erosion(mask, ball)`` returns; space beyond the
-    mask is background.
+def ball_rows(radius_mm: float, spacing) -> np.ndarray:
+    """The lattice ball of ``radius_mm`` on a grid of ``spacing`` (x, y, z)
+    mm, as one entry per (dz, dy) row: the half-width ``w`` of the row's
+    x-run ``|dx| <= w``, or -1 for an empty row.
 
-    Every (dz, dy) row of ``ball`` must be empty or a run ``|dx| <= w``
-    centred on dx = 0, as every row of a lattice ball is. The ball is the
-    union of its rows and erosion by a union is the intersection of the
-    erosions, so the x-erosions by runs of each half-width ``w`` are grown
-    one shift at a time and each row ANDs its run's erosion, shifted by
-    (dz, dy), into the result: one array operation per row instead of one
-    visit per ball offset at every voxel.
+    An offset is in the ball when its length, summed in the order
+    ``distance_transform_edt`` sums it, is at most ``radius_mm + 1e-6``, so
+    eroding by the ball removes exactly the voxels whose distance transform
+    is at most that, bit for bit.
     """
-    if ball.ndim != 3 or any(n % 2 == 0 for n in ball.shape):
-        raise ValueError(f"ball needs odd extents on three axes, got {ball.shape}")
-    hz, hy, hx = (n // 2 for n in ball.shape)
-    # half-width of each (dz, dy) row; -1 marks an empty row
-    widths = np.where(ball.any(axis=2), np.count_nonzero(ball, axis=2) // 2, -1)
-    runs = np.abs(np.arange(-hx, hx + 1)) <= widths[:, :, None]
-    if not np.array_equal(ball, runs):
-        iz, iy = np.argwhere((ball != runs).any(axis=2))[0]
+    if not (np.isfinite(radius_mm) and radius_mm >= 0):
         raise ValueError(
-            f"ball row (dz, dy) = ({iz - hz}, {iy - hy}) is not a run "
-            f"centred on dx = 0")
+            f"erosion radius must be finite and nonnegative, got {radius_mm}")
+    radius = radius_mm + 1e-6
+    sx, sy, sz = spacing
+    reach = [int(radius / s) + 1 for s in (sz, sy, sx)]    # a spare voxel per side
+    dz, dy, dx = np.ogrid[tuple(slice(-r, r + 1) for r in reach)]
+    ball = np.sqrt((dz * sz) ** 2 + (dy * sy) ** 2 + (dx * sx) ** 2) <= radius
+    return np.where(ball.any(axis=2), np.count_nonzero(ball, axis=2) // 2, -1)
 
+
+def erode_by_ball(mask: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Binary erosion of the (z, y, x) ``mask`` by the ball whose (dz, dy)
+    rows are the x-runs ``|dx| <= rows[dz, dy]`` (-1 leaves a row empty), as
+    ``ball_rows`` builds them: voxel for voxel what ``ndimage.binary_erosion``
+    returns for that ball, with space beyond the mask as background.
+
+    The ball is the union of its rows and erosion by a union is the
+    intersection of the erosions, so the x-erosions by runs of each
+    half-width ``w`` are grown one shift at a time and each row ANDs its
+    run's erosion, shifted by (dz, dy), into the result: one array operation
+    per row instead of one visit per ball offset at every voxel.
+    """
+    if (rows.ndim != 2 or any(n % 2 == 0 for n in rows.shape)
+            or rows.dtype.kind not in "iu" or rows.min() < -1):
+        raise ValueError(f"ball rows need odd extents on two axes and integer "
+                         f"widths of at least -1, got {rows.dtype} {rows.shape}")
+    hz, hy = (n // 2 for n in rows.shape)
+    hx = max(int(rows.max()), 0)
     nz, ny, nx = mask.shape
     padded = np.zeros((nz + 2 * hz, ny + 2 * hy, nx + 2 * hx), dtype=bool)
     padded[hz:hz + nz, hy:hy + ny, hx:hx + nx] = mask
     out = np.ones(mask.shape, dtype=bool)
     run = padded[:, :, hx:hx + nx]      # erosion along x by the run |dx| <= 0
-    for w in range(widths.max() + 1):
+    for w in range(hx + 1):
         if w:
             run = run & padded[:, :, hx + w:hx + w + nx] & padded[:, :, hx - w:hx - w + nx]
-        for iz, iy in np.argwhere(widths == w):
+        for iz, iy in np.argwhere(rows == w):
             out &= run[iz:iz + nz, iy:iy + ny]
     return out
 

@@ -7,8 +7,9 @@ bone is the shell of voxels within ``cortical_thickness`` of the body surface:
 the body minus its erosion by the lattice ball of that radius. This equals
 thresholding the exact Euclidean distance transform, since a voxel lies within
 the radius of a background voxel exactly when the ball centred on it reaches
-one. The erosion (``grids.erode_by_ball``) intersects the x-erosions of the
-ball's rows, one array operation per (dz, dy) row. Everything deeper is
+one. The ball is ``grids.ball_rows``, the one the trabecular probe uses, and
+the erosion (``grids.erode_by_ball``) intersects the x-erosions of its rows,
+one array operation per (dz, dy) row. Everything deeper is
 trabecular. Muscle and fat reference blocks and a spinal-canal cylinder are
 rendered posterior to the bodies. All randomness derives from (seed,
 patient_index, ...) so generation is reproducible byte-for-byte and patients
@@ -40,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .grids import (HU_MAX, HU_MIN, GridGeometry, LabelMap, Volume, ROLE_CANAL,
-                    ROLE_FAT, ROLE_MUSCLE, erode_by_ball, save_labelmap,
+                    ROLE_FAT, ROLE_MUSCLE, ball_rows, erode_by_ball, save_labelmap,
                     save_volume, vertebra_role)
 from .folds import check_seed
 from .frames import LocalFrame, make_frame
@@ -226,19 +227,6 @@ class _HeightWeights:
                                  ring2))
 
 
-def _shell_ball(radius: float, sampling) -> np.ndarray:
-    """(z, y, x) lattice offsets whose length is at most ``radius`` mm.
-
-    Lengths are summed in the order ``distance_transform_edt`` sums them, so
-    eroding by this ball removes exactly the voxels whose distance transform
-    is at most ``radius``, bit for bit.
-    """
-    reach = [int(radius / s) + 1 for s in sampling]    # a spare voxel per side
-    dz, dy, dx = np.ogrid[tuple(slice(-r, r + 1) for r in reach)]
-    sz, sy, sx = sampling
-    return np.sqrt((dz * sz) ** 2 + (dy * sy) ** 2 + (dx * sx) ** 2) <= radius
-
-
 class _Footprint:
     """The geometry of one vertebra slot on ``grid``, shared by every spec
     with the slot's frame, radii and cortical thickness.
@@ -287,8 +275,7 @@ class _Footprint:
         edge = np.ones_like(self.ellipse)
         edge[1:-1, 1:-1] = False
         self.edge = edge[self.ellipse]
-        sampling = (grid.spacing[2], grid.spacing[1], grid.spacing[0])
-        self.ball = _shell_ball(spec.cortical_thickness + 1e-6, sampling)
+        self.ball = ball_rows(spec.cortical_thickness, grid.spacing)
 
     def solid(self, spec: VertebraSpec) -> tuple[np.ndarray, np.ndarray]:
         """``(body, hu)``: the grid's body mask and the noise-free HU of the

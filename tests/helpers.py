@@ -5,10 +5,11 @@ a child-process CLI runner, the independent oracles (dense-QP projected
 gradient, exact hypergeometric enumeration) used to cross-check the
 production paths, a replay of an SVM fit's training state and of a cross-validation
 fold's fit, and verbatim
-copies of replaced code paths (SMO step, the rebuilt KKT count, full-grid
-label scans, dict-built feature rows with their missing-value mask,
-mask-aware imputation, exhaustive greedy selection, the distance-transform
-vertebra renderer, the per-study cohort writer) kept as references."""
+copies of replaced code paths (SMO step, the rebuilt KKT count, the two
+lattice-ball rules, full-grid label scans, dict-built feature rows with their
+missing-value mask, mask-aware imputation, exhaustive greedy selection, the
+distance-transform vertebra renderer, the per-study cohort writer) kept as
+references."""
 
 from __future__ import annotations
 
@@ -29,14 +30,13 @@ from vcfclass.cli import build_parser
 from vcfclass.committee import MIN_IMPROVEMENT, CommitteeConfig, train_committee
 from vcfclass.crossval import CvResult, imputation_constants, impute
 from vcfclass.densitometry import (DEFAULT_EROSION_MM, MIN_LABEL_VOXELS,
-                                   StudyReference, _ball_structure,
-                                   trabecular_region)
+                                   StudyReference, trabecular_region)
 from vcfclass.features import (ALL_COLUMNS, CONTRAST_COLUMNS,
                                RATE_BASE_COLUMNS, FeatureTable, _truth_code,
                                condition_columns, demographics, measured_features)
 from vcfclass.folds import kfold_split
 from vcfclass.frames import LocalFrame, make_frame
-from vcfclass.grids import (FormatError, GridGeometry, LabelMap, Volume,
+from vcfclass.grids import (FormatError, GridGeometry, LabelMap, Volume, ball_rows,
                             check_paired_geometry, save_labelmap, save_volume,
                             vertebra_role)
 from vcfclass.manifest import (NEOPLASTIC, OSTEOPOROTIC, CohortManifest,
@@ -152,7 +152,7 @@ def trabecular_mask(lm: LabelMap, label: int, frame,
     as a full-grid mask. The probe reads no reference HU, so none is needed."""
     ref = StudyReference(muscle_hu=100.0, fat_hu=0.0,
                          erosion_radius_mm=erosion_radius_mm,
-                         ball=_ball_structure(erosion_radius_mm, lm.spacing))
+                         ball=ball_rows(erosion_radius_mm, lm.spacing))
     box, crop = trabecular_region(lm, label, frame, ref)
     mask = np.zeros(lm.labels.shape, dtype=bool)
     mask[box] = crop
@@ -496,6 +496,55 @@ def replay_fold(table: FeatureTable, res: CvResult, cfg: CommitteeConfig,
 
 
 # ---------------------------------------------------------------------------
+# reference lattice balls: the phantom's shell ball and the trabecular probe's
+# ball as each was built, as (z, y, x) offset masks, before both became
+# ``grids.ball_rows``; kept verbatim so tests can require the same offsets
+
+def reference_shell_ball(radius: float, sampling) -> np.ndarray:
+    """(z, y, x) lattice offsets whose length is at most ``radius`` mm.
+
+    Lengths are summed in the order ``distance_transform_edt`` sums them, so
+    eroding by this ball removes exactly the voxels whose distance transform
+    is at most ``radius``, bit for bit.
+    """
+    reach = [int(radius / s) + 1 for s in sampling]    # a spare voxel per side
+    dz, dy, dx = np.ogrid[tuple(slice(-r, r + 1) for r in reach)]
+    sz, sy, sx = sampling
+    return np.sqrt((dz * sz) ** 2 + (dy * sy) ** 2 + (dx * sx) ** 2) <= radius
+
+
+def reference_ball_structure(radius_mm: float, spacing) -> np.ndarray:
+    """Discrete anisotropy-aware ball: lattice offsets within ``radius_mm``."""
+    if not (np.isfinite(radius_mm) and radius_mm >= 0):
+        raise ValueError(
+            f"erosion radius must be finite and nonnegative, got {radius_mm}")
+    sx, sy, sz = spacing
+    nx = int(np.floor(radius_mm / sx + 1e-9))
+    ny = int(np.floor(radius_mm / sy + 1e-9))
+    nz = int(np.floor(radius_mm / sz + 1e-9))
+    ox, oy, oz = np.meshgrid(np.arange(-nx, nx + 1) * sx,
+                             np.arange(-ny, ny + 1) * sy,
+                             np.arange(-nz, nz + 1) * sz, indexing="xy")
+    # arranged (nz, ny, nx) to match the label array layout
+    dist2 = (np.moveaxis(ox, -1, 0) ** 2 + np.moveaxis(oy, -1, 0) ** 2
+             + np.moveaxis(oz, -1, 0) ** 2)
+    return dist2 <= radius_mm ** 2 + 1e-6
+
+
+def expand_rows(rows: np.ndarray) -> np.ndarray:
+    """The (z, y, x) boolean ball of a ``grids.ball_rows`` table: row (dz, dy)
+    holds the x-run ``|dx| <= rows[dz, dy]``, none where it is -1."""
+    hx = max(int(rows.max()), 0)
+    return np.abs(np.arange(-hx, hx + 1)) <= rows[:, :, None]
+
+
+def ball_offsets(ball: np.ndarray) -> set[tuple[int, int, int]]:
+    """The (dz, dy, dx) offsets of a (z, y, x) ball with odd extents."""
+    centre = np.array(ball.shape) // 2
+    return set(map(tuple, (np.argwhere(ball) - centre).tolist()))
+
+
+# ---------------------------------------------------------------------------
 # reference full-grid measurement: label-map scans as they stood before the
 # per-label views, kept verbatim so tests can require identical features
 
@@ -598,7 +647,7 @@ def reference_trabecular_region(lm: LabelMap, label: int, frame,
                 f"{erosion_radius_mm} mm erosion annihilates label {label}; "
                 f"radius exceeds the body's half-extent")
         crop = body[lo[0]:hi[0] + 1, lo[1]:hi[1] + 1, lo[2]:hi[2] + 1]
-        structure = _ball_structure(erosion_radius_mm, lm.spacing)
+        structure = reference_ball_structure(erosion_radius_mm, lm.spacing)
         eroded_crop = ndimage.binary_erosion(crop, structure=structure, border_value=0)
         if not eroded_crop.any():
             raise ValueError(

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -50,20 +51,28 @@ def test_phantom_usage_errors():
     assert "\n" not in r.stderr.strip()
 
 
+# Explicit ids, spelled as pytest first generated them, so that a new case
+# renames no other case's test.
 @pytest.mark.parametrize("flags, message", [
-    (["--patients", "0"], "n_patients=0"),
-    (["--vertebrae", "0"], "vertebrae_per_patient=0"),
-    (["--studies", "0"], "studies_per_patient"),
-    (["--studies", "3", "--studies-max", "2"], "studies range"),
-    (["--fraction-neoplastic", "1.5"], "fraction_neoplastic"),
-    (["--interval", "0"], "study_interval"),
-    (["--interval", "inf"], "study_interval"),
-    (["--spacing", "0", "1", "1"], "spacing"),
-    (["--spacing", "1", "nan", "1"], "spacing"),
-    (["--noise", "-1"], "noise_sd"),
-    (["--noise", "nan"], "noise_sd"),
-    (["--seed", "-1"], "seed must be a non-negative integer, got -1"),
-    (["--vertebrae", "1"], "vertebrae_per_patient"),
+    pytest.param(["--patients", "0"], "n_patients=0", id="flags0-n_patients=0"),
+    pytest.param(["--vertebrae", "0"], "vertebrae_per_patient=0",
+                 id="flags1-vertebrae_per_patient=0"),
+    pytest.param(["--studies", "0"], "studies_per_patient",
+                 id="flags2-studies_per_patient"),
+    pytest.param(["--studies", "3", "--studies-max", "2"], "studies range",
+                 id="flags3-studies range"),
+    pytest.param(["--fraction-neoplastic", "1.5"], "fraction_neoplastic",
+                 id="flags4-fraction_neoplastic"),
+    pytest.param(["--interval", "0"], "study_interval", id="flags5-study_interval"),
+    pytest.param(["--interval", "inf"], "study_interval", id="flags6-study_interval"),
+    pytest.param(["--spacing", "0", "1", "1"], "spacing", id="flags7-spacing"),
+    pytest.param(["--spacing", "1", "nan", "1"], "spacing", id="flags8-spacing"),
+    pytest.param(["--noise", "-1"], "noise_sd", id="flags9-noise_sd"),
+    pytest.param(["--noise", "nan"], "noise_sd", id="flags10-noise_sd"),
+    pytest.param(["--seed", "-1"], "seed must be a non-negative integer, got -1",
+                 id="flags11-seed must be a non-negative integer, got -1"),
+    pytest.param(["--vertebrae", "1"], "vertebrae_per_patient",
+                 id="flags12-vertebrae_per_patient"),
 ])
 def test_phantom_bad_settings_exit_2(tmp_path, capsys, flags, message):
     out = tmp_path / "coh"
@@ -74,12 +83,13 @@ def test_phantom_bad_settings_exit_2(tmp_path, capsys, flags, message):
     assert not out.exists()
 
 
+# Explicit ids, as for the phantom cases above.
 @pytest.mark.parametrize("flags, message", [
-    (["--r1-fraction", "0.3"], "--r1-fraction"),
-    (["--r2-fraction", "0.6"], "--r2-fraction"),
-    (["--erosion-mm", "nan"], "--erosion-mm"),
-    (["--erosion-mm", "inf"], "--erosion-mm"),
-    (["--erosion-mm", "-1"], "--erosion-mm"),
+    pytest.param(["--r1-fraction", "0.3"], "--r1-fraction", id="flags0---r1-fraction"),
+    pytest.param(["--r2-fraction", "0.6"], "--r2-fraction", id="flags1---r2-fraction"),
+    pytest.param(["--erosion-mm", "nan"], "--erosion-mm", id="flags2---erosion-mm"),
+    pytest.param(["--erosion-mm", "inf"], "--erosion-mm", id="flags3---erosion-mm"),
+    pytest.param(["--erosion-mm", "-1"], "--erosion-mm", id="flags4---erosion-mm"),
 ])
 def test_extract_bad_settings_exit_2(cli_cohort, tmp_path, capsys, monkeypatch,
                                      flags, message):
@@ -381,18 +391,36 @@ def test_report_without_out_keeps_the_cv_run_record(cli_features, tmp_path):
 
 def test_report_refuses_predictions_of_different_cv_runs(cli_features, tmp_path,
                                                           capsys):
-    # The second run rewrites only its own condition's file, so the
-    # directory holds predictions of two fold partitions.
-    out = tmp_path / "res"
-    for extra in (["--seed", "1"], ["--seed", "2", "--conditions", "measured"]):
+    # A predictions file copied in from another run's directory leaves the
+    # directory holding predictions of two fold partitions.
+    out, other = tmp_path / "res", tmp_path / "other"
+    for extra, into in ((["--seed", "1"], out),
+                        (["--seed", "2", "--conditions", "measured"], other)):
         assert main(["cv", "--table", str(cli_features), "--k", "5",
-                     "--members", "1", *extra, "--out", str(out)]) == 0
+                     "--members", "1", *extra, "--out", str(into)]) == 0
+    shutil.copyfile(other / "predictions_measured.csv", out / "predictions_measured.csv")
     capsys.readouterr()
     assert main(["report", "--results", str(out), "--out", str(tmp_path / "rep")]) == 1
     assert capsys.readouterr().err.strip() == (
         f"error: folds differ between {out / 'predictions_measured.csv'} "
         f"and {out / 'predictions_longitudinal.csv'}")
     assert not (tmp_path / "rep").exists()
+
+
+def test_cv_removes_predictions_of_conditions_it_did_not_run(cli_features, tmp_path,
+                                                              capsys):
+    out = tmp_path / "res"
+    for extra in (["--seed", "1"], ["--seed", "2", "--conditions", "measured"]):
+        assert main(["cv", "--table", str(cli_features), "--k", "5",
+                     "--members", "1", *extra, "--out", str(out)]) == 0
+    removed = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("removed")]
+    assert removed == [f"removed stale {out / f'predictions_{c}.csv'}"
+                       for c in ("longitudinal", "combined")]
+    assert [p.name for p in out.glob("predictions_*.csv")] == ["predictions_measured.csv"]
+    assert main(["report", "--results", str(out)]) == 0
+    metrics = (out / "report" / "metrics.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in metrics] == ["condition", "measured"]
 
 
 def test_cv_and_report_use_canonical_condition_order(cli_features, tmp_path, capsys):

@@ -12,6 +12,7 @@ from vcfclass.features import (ALL_COLUMNS, DEMOGRAPHIC_COLUMNS,
                                MEASURED_COLUMNS, RATE_COLUMNS, FeatureTable,
                                assemble, condition_columns, load_table,
                                measured_features, rate, save_table)
+from vcfclass.grids import LabelMap, load_labelmap, save_labelmap
 from vcfclass.phantom import CohortSpec, generate_cohort
 
 
@@ -118,6 +119,43 @@ def test_rates_match_manual_computation(two_study_cohort):
     assert expected < 0   # fractured bodies lose height
 
 
+def test_rates_pair_vertebrae_by_level_not_label(tmp_path):
+    # Swapping labels 2 and 3 of one follow-up study in its voxels, legend and
+    # truth keys keeps its anatomy: every row keeps its values and truth, and
+    # only the instance ids of that study's rows swap their labels.
+    manifest = generate_cohort(CohortSpec(n_patients=2, studies_per_patient=3, seed=5,
+                                          spacing=(1.5, 1.5, 1.5)), tmp_path)
+    before = assemble(manifest, tmp_path)
+    patient, swap = manifest.patients[0], {2: 3, 3: 2}
+    study = patient.studies[1]
+    assert set(swap) <= set(study.fractured_labels())
+    path = tmp_path / study.labelmap_path
+    lm = load_labelmap(path)
+    labels = lm.labels.copy()
+    for a, b in swap.items():
+        labels[lm.labels == a] = b
+    save_labelmap(LabelMap(geometry=lm.geometry, labels=labels,
+                           legend={swap.get(k, k): v for k, v in lm.legend.items()}), path)
+    relabelled = replace(study, vertebra_truth={swap.get(k, k): v
+                                                for k, v in study.vertebra_truth.items()})
+    studies = (patient.studies[0], relabelled, *patient.studies[2:])
+    manifest = replace(manifest, patients=(replace(patient, studies=studies),
+                                           *manifest.patients[1:]))
+    after = assemble(manifest, tmp_path)
+
+    vid = ALL_COLUMNS.index("vid")
+
+    def by_level(table):
+        return {(pid, sid, row[vid]): (label, row, truth) for (pid, sid, label), row, truth
+                in zip(table.instance_ids, table.matrix, table.truth)}
+    rows, relabelled_rows = by_level(before), by_level(after)
+    assert len(after) == len(before) and relabelled_rows.keys() == rows.keys()
+    for key, (label, row, truth) in rows.items():
+        new_label, new_row, new_truth = relabelled_rows[key]
+        assert new_label == (swap.get(label, label) if key[1] == study.study_id else label)
+        assert np.array_equal(new_row, row, equal_nan=True) and new_truth == truth, key
+
+
 def test_demographic_encoding():
     from vcfclass.features import demographics
     from vcfclass.manifest import StudyRecord
@@ -181,7 +219,7 @@ def test_missing_neighbor_sets_mask(small_cohort):
 
 def test_reference_means_and_ball_once_per_study(small_cohort, monkeypatch):
     _, manifest, root = small_cohort
-    calls = {"mean_density": 0, "_ball_structure": 0}
+    calls = {"mean_density": 0, "ball_rows": 0}
     for name in calls:
         real = getattr(densitometry, name)
 
@@ -195,7 +233,7 @@ def test_reference_means_and_ball_once_per_study(small_cohort, monkeypatch):
                 calls[name] = 0
             measured = measured_features(study, root)
             # one mean per vertebra body, one per reference region
-            assert calls == {"mean_density": len(measured) + 2, "_ball_structure": 1}
+            assert calls == {"mean_density": len(measured) + 2, "ball_rows": 1}
 
 
 def test_duplicate_instance_ids_rejected(two_study_cohort):

@@ -6,14 +6,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy import ndimage
 
-from helpers import reference_check_vertebra_connectivity
+from helpers import (ball_offsets, expand_rows, reference_ball_structure,
+                     reference_check_vertebra_connectivity, reference_shell_ball)
 from vcfclass import grids
-from vcfclass.densitometry import _ball_structure
-from vcfclass.grids import (FormatError, GridGeometry, LabelMap, Volume,
+from vcfclass.densitometry import DEFAULT_EROSION_MM
+from vcfclass.grids import (FormatError, GridGeometry, LabelMap, Volume, ball_rows,
                             check_vertebra_connectivity, erode_by_ball,
                             load_labelmap, load_volume, save_labelmap,
                             save_volume)
-from vcfclass.phantom import CohortSpec, _shell_ball, generate_cohort
+from vcfclass.phantom import CohortSpec, generate_cohort
 
 
 def write_header(path, dims=(4, 4, 4), data_file=None, dtype="int16le",
@@ -280,86 +281,85 @@ def test_split_vertebra_inside_its_box_rejected():
         reference_check_vertebra_connectivity(lm)
 
 
-def _centred_rows(draw_widths, half):
-    """A (z, y, x) structure whose (dz, dy) rows are the runs |dx| <= w of
-    the given half-widths, -1 leaving a row empty."""
-    hz, hy, hx = half
-    widths = np.asarray(draw_widths).reshape(2 * hz + 1, 2 * hy + 1)
-    dx = np.abs(np.arange(-hx, hx + 1))
-    return dx[None, None, :] <= widths[:, :, None]
-
-
 @st.composite
-def erosion_cases(draw, kinds=("shell", "trabecular", "rows")):
+def erosion_cases(draw, kinds=("ball", "rows")):
     spacing = tuple(draw(st.floats(0.5, 2.0)) for _ in range(3))      # x, y, z
     radius = draw(st.sampled_from([0.0, 1.25, 2.5, 3.0, 3.3, 5.0]))
-    kind = draw(st.sampled_from(kinds))
-    if kind == "shell":
-        ball = _shell_ball(radius, spacing[::-1])
-    elif kind == "trabecular":
-        ball = _ball_structure(radius, spacing)
-    else:       # any structure made of centred rows, not only lattice balls
-        half = tuple(draw(st.integers(0, 3)) for _ in range(3))
-        n_rows = (2 * half[0] + 1) * (2 * half[1] + 1)
-        ball = _centred_rows(draw(st.lists(st.integers(-1, half[2]), min_size=n_rows,
-                                           max_size=n_rows)), half)
+    if draw(st.sampled_from(kinds)) == "ball":
+        rows = ball_rows(radius, spacing)
+    else:       # any table of centred rows, not only lattice balls
+        hz, hy = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        n_rows = (2 * hz + 1) * (2 * hy + 1)
+        rows = np.array(draw(st.lists(st.integers(-1, 3), min_size=n_rows,
+                                      max_size=n_rows))).reshape(2 * hz + 1, 2 * hy + 1)
     shape = tuple(draw(st.integers(1, 14)) for _ in range(3))         # z, y, x
     fill = draw(st.sampled_from([0.5, 0.9, 0.99, 1.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     mask = rng.random(shape) < fill
-    return mask, ball
+    return mask, rows
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(erosion_cases())
 def test_erode_by_ball_matches_binary_erosion(case):
-    mask, ball = case
-    got = erode_by_ball(mask, ball)
-    want = ndimage.binary_erosion(mask, structure=ball)
+    mask, rows = case
+    got = erode_by_ball(mask, rows)
+    want = ndimage.binary_erosion(mask, structure=expand_rows(rows))
     assert got.dtype == bool and got.shape == mask.shape
     assert np.array_equal(got, want)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(erosion_cases(kinds=("shell", "trabecular")))
+@given(erosion_cases(kinds=("ball",)))
 def test_empty_faces_make_the_border_rule_moot(case):
     # The phantom's shell erodes bodies that never reach a face of their
     # grid. A lattice ball holds every shorter offset along each axis, so an
     # offset reaching past a face has a shorter one landing on the face,
     # which is background: space beyond the grid may then count as body.
-    mask, ball = case
+    mask, rows = case
     mask = np.pad(mask, 1)
-    assert np.array_equal(erode_by_ball(mask, ball),
-                          ndimage.binary_erosion(mask, structure=ball, border_value=1))
+    assert np.array_equal(erode_by_ball(mask, rows),
+                          ndimage.binary_erosion(mask, structure=expand_rows(rows),
+                                                 border_value=1))
 
 
 def test_a_body_voxel_on_a_face_tells_the_border_rules_apart():
     mask = np.zeros((5, 5, 5), dtype=bool)
     mask[1:4, 1:4, 1:4] = True
     mask[2, 2, 0] = True                # the one voxel on a face (x = 0)
-    ball = _centred_rows([1], (0, 0, 1))            # the x-run |dx| <= 1
+    rows = np.array([[1]])              # the x-run |dx| <= 1
     differ = np.zeros_like(mask)
     differ[2, 2, 0] = True
-    body_beyond = ndimage.binary_erosion(mask, structure=ball, border_value=1)
-    assert np.array_equal(erode_by_ball(mask, ball) ^ body_beyond, differ)
+    body_beyond = ndimage.binary_erosion(mask, structure=expand_rows(rows), border_value=1)
+    assert np.array_equal(erode_by_ball(mask, rows) ^ body_beyond, differ)
 
 
-@pytest.mark.parametrize("row", [
-    [False, True, True, False, False],       # off centre
-    [True, False, True, False, False],       # not one run
-    [True, True, True, True, False],         # longer on one side
-])
-def test_erode_by_ball_rejects_rows_not_centred(row):
-    ball = np.zeros((3, 3, 5), dtype=bool)
-    ball[1, 1, 2] = True
-    ball[0, 2] = row
-    with pytest.raises(ValueError, match=r"\(dz, dy\) = \(-1, 1\) is not a run"):
-        erode_by_ball(np.ones((4, 4, 4), dtype=bool), ball)
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(spacing=st.tuples(*[st.floats(0.3, 3.0)] * 3),                # x, y, z
+       radius=st.sampled_from([0.0, 1.25, 2.5, 3.0, 3.3, 5.0]) | st.floats(0.0, 8.0))
+def test_ball_rows_match_the_retired_ball_rules(spacing, radius):
+    # The phantom's shell ball took the radius with its 1e-6 slack added;
+    # the trabecular probe's ball is compared at the method's 3 mm, where the
+    # two rules agree (at 25 mm they differ on a few spacings).
+    offsets = ball_offsets(expand_rows(ball_rows(radius, spacing)))
+    assert offsets == ball_offsets(reference_shell_ball(radius + 1e-6, spacing[::-1]))
+    assert (ball_offsets(expand_rows(ball_rows(DEFAULT_EROSION_MM, spacing)))
+            == ball_offsets(reference_ball_structure(DEFAULT_EROSION_MM, spacing)))
 
 
 def test_erode_by_ball_rejects_even_extents():
     with pytest.raises(ValueError, match="odd extents"):
-        erode_by_ball(np.ones((4, 4, 4), dtype=bool), np.ones((3, 2, 3), dtype=bool))
+        erode_by_ball(np.ones((4, 4, 4), dtype=bool), np.zeros((3, 2), dtype=int))
+
+
+@pytest.mark.parametrize("rows", [
+    np.zeros((3, 3, 3), dtype=int),          # a 3-D ball, not a row table
+    np.zeros((3, 3)),                        # float widths
+    np.full((1, 3), -2),                     # a width below -1
+], ids=["three-axes", "float-widths", "width-below-minus-one"])
+def test_erode_by_ball_rejects_tables_that_are_not_row_widths(rows):
+    with pytest.raises(ValueError, match="integer widths of at least -1"):
+        erode_by_ball(np.ones((4, 4, 4), dtype=bool), rows)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from helpers import (WORLD_FRAME, body_spec, column_extents, reference_generate_
                      reference_render_vertebra, render_vertebra, single_vertebra_grid,
                      tree_hash, wedge_heights)
 from vcfclass import parallel, phantom
+from vcfclass.cli import main
 from vcfclass.frames import make_frame, vertebra_frame
 from vcfclass.grids import GridGeometry, load_labelmap, load_volume
 from vcfclass.manifest import NEOPLASTIC, OSTEOPOROTIC
@@ -255,9 +258,26 @@ def test_cohort_deterministic(tmp_path):
      "a6757ce12258ee90d25210b326e47b6dd406db0d514f91fe92a5a08327c9e7ba"),
 ])
 def test_cohort_bytes_pinned(tmp_path, kwargs, digest):
+    cohort, features = tmp_path / "cohort", tmp_path / "features.csv"
     generate_cohort(CohortSpec(**{"n_patients": 2, "studies_per_patient": 2, **kwargs}),
-                    tmp_path)
-    assert tree_hash(tmp_path) == digest
+                    cohort)
+    assert tree_hash(cohort) == digest
+    assert main(["extract", "--manifest", str(cohort / "manifest.json"),
+                 "--out", str(features)]) == 0
+    assert hashlib.sha256(features.read_bytes()).hexdigest() == FEATURES_SHA256[digest]
+
+
+# sha256 of the features.csv that `extract` writes for each pinned cohort,
+# keyed by the cohort's digest: a change to any measured value, the probe's
+# ball or the pairing of rates shows here.
+FEATURES_SHA256 = {
+    "fe2f1ff9ecac5e9a2e183ee58704f2984e002a9a0eb906fc6f142f07bd570d0f":
+        "b4c50fcae2b8ebe6e6a5171f3d943605530fdb86b5cc7002ca2598b45a877612",
+    "eeb3264432a30e7949f6377bb3b1080c948cc92d748d18fbe2fada8c9100111f":
+        "49efca34870da1a7fa1c102fac851b5b98d93697b5ea32c90d0f79a3fb46ad58",
+    "a6757ce12258ee90d25210b326e47b6dd406db0d514f91fe92a5a08327c9e7ba":
+        "65631ca6a4e4af1b68a8a5c1ee8daef010dded994928bbf3f6ea989798996d07",
+}
 
 
 @pytest.mark.parametrize("kwargs", [
